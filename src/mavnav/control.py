@@ -13,12 +13,11 @@ drag is cancelled as feedforward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .estimation import NavEstimate
-from .geometry import Quat
 from .simulation import VehicleParams
 from .trajectory import RefPoint
 
@@ -195,17 +194,3 @@ class Controller:
         )
         torque = np.clip(torque, -p.max_torque, p.max_torque)
         return thrust, torque
-
-
-CONTROL_CSV_HEADER = ["t", "thrust", "tx", "ty", "tz", "ex", "ey", "ez"]
-
-
-def write_control_csv(path, rows) -> None:
-    """Control log: `t,thrust,tx,ty,tz,ex,ey,ez` (world-frame errors)."""
-    import csv
-
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(CONTROL_CSV_HEADER)
-        for r in rows:
-            writer.writerow([f"{v:.9f}" for v in r])

@@ -1,20 +1,23 @@
-"""Incremental 3D Delaunay tetrahedralization (Bowyer-Watson).
+"""3D Delaunay tetrahedralization on Qhull (`scipy.spatial.Delaunay`).
 
-Construction runs inside a large enclosing super-tetrahedron; tets that
-keep a super vertex after all insertions form the outer (infinite)
-region, everything else is a finite tet. Predicates are plain floating
-point; determinism on degenerate inputs (cospherical or coplanar point
-sets) comes from a fixed, index-keyed micro-perturbation applied to
-every inserted vertex, far below the point-merge radius.
+Everything outside the convex hull is one region, `OUTER` (-1, Qhull's
+value for "no neighbour"): `locate` returns it for points outside the
+hull, and it is the neighbour across every hull facet. Vertex ids are
+rows of `TetMesh.points`. Determinism on degenerate inputs (cospherical
+or coplanar point sets) comes from a fixed, index-keyed
+micro-perturbation of every vertex, far below the point-merge radius.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import Delaunay, cKDTree
 
 MERGE_RADIUS = 1e-6
 _JITTER_REL = 1e-9
 _JITTER_SEED = 0x5EED5
+
+OUTER = -1
 
 # facet opposite vertex slot i, ordered so orient3d(facet, tet[i]) > 0
 FACET_OPP = ((1, 3, 2), (0, 2, 3), (0, 3, 1), (0, 1, 2))
@@ -36,81 +39,64 @@ def orient3d(a, b, c, d) -> float:
     )
 
 
-def in_sphere(a, b, c, d, p) -> float:
-    """Positive iff p lies strictly inside the circumsphere of the
-    positively oriented tetrahedron (a, b, c, d)."""
-    rows = []
-    for q in (a, b, c, d):
-        x, y, z = q[0] - p[0], q[1] - p[1], q[2] - p[2]
-        rows.append((x, y, z, x * x + y * y + z * z))
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
-    s0 = a0 * b1 - a1 * b0
-    s1 = a0 * b2 - a2 * b0
-    s2 = a0 * b3 - a3 * b0
-    s3 = a1 * b2 - a2 * b1
-    s4 = a1 * b3 - a3 * b1
-    s5 = a2 * b3 - a3 * b2
-    t5 = c2 * d3 - c3 * d2
-    t4 = c1 * d3 - c3 * d1
-    t3 = c1 * d2 - c2 * d1
-    t2 = c0 * d3 - c3 * d0
-    t1 = c0 * d2 - c2 * d0
-    t0 = c0 * d1 - c1 * d0
-    det = s0 * t5 - s1 * t4 + s2 * t3 + s3 * t2 - s4 * t1 + s5 * t0
-    return -det
-
-
 class TetMesh:
-    """Tetrahedralization with adjacency, point mapping and label storage."""
+    """Positively oriented tetrahedralization with adjacency, point
+    mapping and label storage.
+
+    `tets[tid]` holds four vertex ids and `neighbors[tid][k]` the tet
+    across the facet opposite slot k, `OUTER` on the hull. `labels` maps
+    tet ids, `OUTER` included, to INSIDE or OUTSIDE.
+    """
 
     INSIDE = 1
     OUTSIDE = 0
 
-    def __init__(self):
-        self.verts: list[tuple[float, float, float]] = []
-        self.points = np.empty((0, 3))  # deduped originals; vertex id = row + 4
-        self.input_vertex_ids: list[int] = []
-        self.tets: dict[int, tuple[int, int, int, int]] = {}
-        self.neighbors: dict[int, list[int | None]] = {}
+    def __init__(self, points: np.ndarray, input_vertex_ids: list[int]):
+        scale = max(float(np.linalg.norm(np.ptp(points, axis=0))), 1.0)
+        rng = np.random.default_rng(_JITTER_SEED)
+        verts = points + rng.uniform(-1.0, 1.0, size=points.shape) * (_JITTER_REL * scale)
+        self.points = points  # deduped originals
+        self.verts = [tuple(v) for v in verts.tolist()]  # jittered, as triangulated
+        self.input_vertex_ids = input_vertex_ids
+        self._delaunay = Delaunay(verts)
+        simplices = self._delaunay.simplices.copy()
+        neighbors = self._delaunay.neighbors.copy()
+        a, b, c, d = (verts[simplices[:, i]] for i in range(4))
+        flip = np.einsum("ij,ij->i", b - a, np.cross(c - a, d - a)) < 0
+        simplices[flip, :2] = simplices[flip, 1::-1]
+        neighbors[flip, :2] = neighbors[flip, 1::-1]
+        # one int object per id, shared by every tuple and list that holds
+        # it: a fresh int per entry costs ~1.5 MB on a 1000-point map.
+        # ids[OUTER] is OUTER.
+        ids = [*range(max(len(points), len(simplices))), OUTER]
+        self.tets: dict[int, tuple[int, int, int, int]] = {
+            ids[t]: tuple(map(ids.__getitem__, row)) for t, row in enumerate(simplices.tolist())
+        }
+        self.neighbors: dict[int, list[int]] = {
+            ids[t]: list(map(ids.__getitem__, row)) for t, row in enumerate(neighbors.tolist())
+        }
         self.labels: dict[int, int] = {}
-        self.facet_crossings: dict[frozenset, int] = {}
-        self._next_tid = 0
-        self._orient_eps = 0.0
-        self._last_tid = None
-        self._vertex_buckets = None
+        self.hull_facets = np.argwhere(neighbors == OUTER).tolist()  # (tid, slot) pairs
+        self._orient_eps = 1e-14 * scale**3
+        self._tree = cKDTree(points)
 
     # -- queries ---------------------------------------------------------
 
     def is_finite(self, tid: int) -> bool:
-        return all(v >= 4 for v in self.tets[tid])
+        return tid != OUTER
 
     def finite_tet_ids(self) -> list[int]:
-        return [t for t in self.tets if self.is_finite(t)]
-
-    def vertex_point(self, vid: int) -> np.ndarray:
-        return self.points[vid - 4]
+        return list(self.tets)
 
     def find_vertex(self, point, radius: float = MERGE_RADIUS) -> int:
-        """Vertex id of the mesh point within `radius` of `point`.
+        """Vertex id of the mesh point nearest `point`.
 
-        Raises KeyError when no mesh vertex is that close.
+        Raises KeyError when no mesh vertex is within `radius`.
         """
-        if self._vertex_buckets is None:
-            inv = 1.0 / radius
-            buckets: dict[tuple, list[int]] = {}
-            for i, p in enumerate(self.points):
-                buckets.setdefault(tuple(np.floor(p * inv).astype(int)), []).append(i)
-            self._vertex_buckets = (buckets, inv, radius)
-        buckets, inv, r = self._vertex_buckets
-        p = np.asarray(point, dtype=float)
-        base = np.floor(p * inv).astype(int)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    for i in buckets.get((base[0] + dx, base[1] + dy, base[2] + dz), ()):
-                        if np.linalg.norm(self.points[i] - p) <= r:
-                            return i + 4
-        raise KeyError(f"no mesh vertex within {r} of {point}")
+        dist, vid = self._tree.query(np.asarray(point, dtype=float))
+        if dist > radius:
+            raise KeyError(f"no mesh vertex within {radius} of {point}")
+        return int(vid)
 
     def circumsphere(self, tid: int):
         """Center and radius, solved from the three bisector planes."""
@@ -120,149 +106,33 @@ class TetMesh:
         center = np.linalg.solve(m, rhs)
         return center, float(np.linalg.norm(a - center))
 
-    def locate(self, p, hint: int | None = None) -> int:
-        """Tet containing p, found by an orientation walk."""
-        p = (float(p[0]), float(p[1]), float(p[2]))
-        tid = hint if hint in self.tets else self._last_tid
-        if tid not in self.tets:
-            tid = next(iter(self.tets))
-        limit = 1000 + 4 * len(self.tets)
-        for step in range(limit):
-            vs = self.tets[tid]
-            moved = False
-            for kk in range(4):
-                k = (kk + step) % 4  # rotate scan order to avoid cycles
-                f = FACET_OPP[k]
-                o = orient3d(self.verts[vs[f[0]]], self.verts[vs[f[1]]], self.verts[vs[f[2]]], p)
-                if o < -self._orient_eps:
-                    nb = self.neighbors[tid][k]
-                    if nb is None:
-                        self._last_tid = tid
-                        return tid
-                    tid = nb
-                    moved = True
-                    break
-            if not moved:
-                self._last_tid = tid
-                return tid
-        raise RuntimeError("point location walk did not terminate")
+    def locate(self, p):
+        """Id of the tet containing point p, or OUTER outside the hull.
 
-    # -- construction ----------------------------------------------------
-
-    def _new_tet(self, vs: tuple[int, int, int, int]) -> int:
-        tid = self._next_tid
-        self._next_tid += 1
-        self.tets[tid] = vs
-        self.neighbors[tid] = [None, None, None, None]
-        return tid
-
-    def _insert(self, vid: int) -> None:
-        p = self.verts[vid]
-        start = self.locate(p)
-        cavity = {start}
-        stack = [start]
-        while stack:
-            tid = stack.pop()
-            for nb in self.neighbors[tid]:
-                if nb is None or nb in cavity:
-                    continue
-                vs = self.tets[nb]
-                if in_sphere(*(self.verts[v] for v in vs), p) > 0.0:
-                    cavity.add(nb)
-                    stack.append(nb)
-
-        # boundary facets; expand the cavity if a facet is degenerate seen
-        # from p, so every new tet has strictly positive volume
-        for _ in range(64):
-            boundary = []
-            grow = None
-            for tid in cavity:
-                vs = self.tets[tid]
-                for k in range(4):
-                    nb = self.neighbors[tid][k]
-                    if nb in cavity:
-                        continue
-                    f = FACET_OPP[k]
-                    tri = (vs[f[0]], vs[f[1]], vs[f[2]])
-                    o = orient3d(self.verts[tri[0]], self.verts[tri[1]], self.verts[tri[2]], p)
-                    if abs(o) <= self._orient_eps and nb is not None:
-                        grow = nb
-                        break
-                    boundary.append((tri if o > 0 else (tri[0], tri[2], tri[1]), nb))
-                if grow is not None:
-                    break
-            if grow is None:
-                break
-            cavity.add(grow)
-        else:
-            raise RuntimeError("cavity repair did not converge")
-
-        for tid in cavity:
-            del self.tets[tid]
-            del self.neighbors[tid]
-
-        facet_map: dict[tuple, tuple[int, int]] = {}
-        created = []
-        for tri, outside in boundary:
-            tid = self._new_tet((tri[0], tri[1], tri[2], vid))
-            created.append(tid)
-            self.neighbors[tid][3] = outside
-            if outside is not None:
-                ovs = self.tets[outside]
-                slot = next(k for k in range(4) if ovs[k] not in tri)
-                self.neighbors[outside][slot] = tid
-            for k in range(3):
-                f = FACET_OPP[k]
-                vs = self.tets[tid]
-                key = tuple(sorted((vs[f[0]], vs[f[1]], vs[f[2]])))
-                if key in facet_map:
-                    otid, oslot = facet_map.pop(key)
-                    self.neighbors[tid][k] = otid
-                    self.neighbors[otid][oslot] = tid
-                else:
-                    facet_map[key] = (tid, k)
-        if facet_map:
-            raise RuntimeError("cavity boundary was not watertight")
-        self._last_tid = created[-1]
+        For an (n, 3) array of points, an array of n ids.
+        """
+        tids = self._delaunay.find_simplex(np.asarray(p, dtype=float))
+        return int(tids) if tids.ndim == 0 else tids
 
 
 def _dedupe(points: np.ndarray, radius: float):
     """First-wins merge of points closer than `radius`. Returns unique
     points and, per input row, the index of the unique point it joined."""
-    unique: list[np.ndarray] = []
-    mapping: list[int] = []
-    buckets: dict[tuple, list[int]] = {}
-    inv = 1.0 / radius
-    for p in points:
-        base = np.floor(p * inv).astype(int)
-        found = -1
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    for j in buckets.get((base[0] + dx, base[1] + dy, base[2] + dz), ()):
-                        if np.linalg.norm(unique[j] - p) <= radius:
-                            found = j
-                            break
-                    if found >= 0:
-                        break
-                if found >= 0:
-                    break
-            if found >= 0:
-                break
-        if found < 0:
-            found = len(unique)
-            unique.append(p.copy())
-            buckets.setdefault(tuple(base), []).append(found)
-        mapping.append(found)
-    return np.array(unique), mapping
+    rep = np.arange(len(points))
+    # a pair (i, j), i < j, merges j into i when i is still a unique point
+    # and j has not joined an earlier one
+    for i, j in sorted(cKDTree(points).query_pairs(radius)):
+        if rep[i] == i and rep[j] == j:
+            rep[j] = i
+    keep = rep == np.arange(len(points))
+    return points[keep], (np.cumsum(keep) - 1)[rep].tolist()
 
 
-def tetrahedralize(points, merge_radius: float = MERGE_RADIUS, on_insert=None) -> TetMesh:
+def tetrahedralize(points, merge_radius: float = MERGE_RADIUS) -> TetMesh:
     """Delaunay tetrahedralization of a 3D point set.
 
     Raises DegeneracyError when fewer than 4 unique points remain after
-    merging, or when the unique points are (near-)coplanar. `on_insert`,
-    when given, is called with (mesh, n_inserted) after every insertion.
+    merging, or when the unique points are (near-)coplanar.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 3 or not np.all(np.isfinite(pts)):
@@ -274,30 +144,4 @@ def tetrahedralize(points, merge_radius: float = MERGE_RADIUS, on_insert=None) -
     sv = np.linalg.svd(centered, compute_uv=False)
     if sv[2] < 1e-9 * max(sv[0], 1.0):
         raise DegeneracyError("points are coplanar")
-
-    mesh = TetMesh()
-    mesh.points = unique
-    mesh.input_vertex_ids = [m + 4 for m in mapping]
-
-    lo, hi = unique.min(axis=0), unique.max(axis=0)
-    center = 0.5 * (lo + hi)
-    scale = max(float(np.linalg.norm(hi - lo)), 1.0)
-    mesh._orient_eps = 1e-14 * scale**3
-
-    r = 100.0 * scale
-    corners = np.array([[1, 1, 1], [1, -1, -1], [-1, -1, 1], [-1, 1, -1]], dtype=float)
-    for cvec in corners:
-        v = center + r * cvec
-        mesh.verts.append((float(v[0]), float(v[1]), float(v[2])))
-    assert orient3d(*mesh.verts) > 0
-    mesh._new_tet((0, 1, 2, 3))
-
-    rng = np.random.default_rng(_JITTER_SEED)
-    jit = rng.uniform(-1.0, 1.0, size=(unique.shape[0], 3)) * (_JITTER_REL * scale)
-    for i, p in enumerate(unique):
-        q = p + jit[i]
-        mesh.verts.append((float(q[0]), float(q[1]), float(q[2])))
-        mesh._insert(4 + i)
-        if on_insert is not None:
-            on_insert(mesh, i + 1)
-    return mesh
+    return TetMesh(unique, mapping)

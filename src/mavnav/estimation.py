@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -284,22 +284,3 @@ def steady_state_weights(
         accel_bias=float(np.clip(abs(k_t[2, 0]), 0.0, bias_gain_clamp)),
         gyro_bias=float(np.clip(abs(k_r[1, 0]), 0.0, bias_gain_clamp)),
     )
-
-
-ESTIMATE_CSV_HEADER = [
-    "t", "x", "y", "z", "qw", "qx", "qy", "qz",
-    "vx", "vy", "vz", "bax", "bay", "baz", "bgx", "bgy", "bgz",
-]
-
-
-def write_estimate_csv(path, estimates) -> None:
-    import csv
-
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(ESTIMATE_CSV_HEADER)
-        for e in estimates:
-            q = e.pose.orientation
-            row = [e.stamp, *e.pose.position, q.w, q.x, q.y, q.z,
-                   *e.velocity, *e.accel_bias, *e.gyro_bias]
-            writer.writerow([f"{v:.12f}" for v in row])

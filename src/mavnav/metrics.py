@@ -6,7 +6,7 @@ summaries of closed-loop logs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,17 +35,14 @@ class CollisionConfusion:
         )
 
     def percentages(self) -> "CollisionConfusion":
+        counts = (self.correct_collision, self.missed_collision, self.correct_free,
+                  self.false_collision)
+        if not all(math.isfinite(c) and c >= 0 for c in counts):
+            raise ValueError(f"counts must be finite and non-negative, got {counts}")
         t = self.total
         if t <= 0:
             raise ValueError("empty confusion")
-        out = CollisionConfusion(
-             100.0 * self.correct_collision / t,
-            100.0 * self.missed_collision / t,
-            100.0 * self.correct_free / t,
-            100.0 * self.false_collision / t,
-        )
-        assert abs(out.total - 100.0) < 0.01
-        return out
+        return CollisionConfusion(*(100.0 * c / t for c in counts))
 
 
 def mcc_from_confusion(conf: CollisionConfusion) -> float:

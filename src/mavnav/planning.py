@@ -328,18 +328,3 @@ def speed_plan(
             dt = 2.0 * seg[i] / vsum
         times[i + 1] = times[i] + dt
     return replace(path, speeds=v, times=times)
-
-
-def write_path_csv(path_obj: PlannedPath, file_path) -> None:
-    """Planner output record: `i,x,y,z,v,t` per waypoint."""
-    import csv
-
-    with open(file_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["i", "x", "y", "z", "v", "t"])
-        speeds = path_obj.speeds if path_obj.speeds is not None else [0.0] * len(path_obj.waypoints)
-        times = path_obj.times if path_obj.times is not None else [0.0] * len(path_obj.waypoints)
-        for i, w in enumerate(path_obj.waypoints):
-            writer.writerow(
-                [i] + [f"{v:.9f}" for v in (w[0], w[1], w[2], speeds[i], times[i])]
-            )

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .delaunay import FACET_OPP, TetMesh, orient3d
-from .geometry import Pose, Quat
+from .delaunay import FACET_OPP, OUTER, TetMesh, orient3d
+from .geometry import Pose
 from .grid import FREE, OCCUPIED, UNKNOWN, LogOddsParams, OccupancyGrid
 from .maxflow import FlowNetwork
 
@@ -105,26 +105,67 @@ def _segment_exits_facet(verts, tri, origin, target, eps: float) -> bool:
     )
 
 
-def walk_ray(mesh: TetMesh, origin, target_vid: int, record_crossings: bool = True):
+def _hull_entry(mesh: TetMesh, origin, target, target_vid: int, eps: float):
+    """Where the segment from `origin`, outside the hull, to `target` meets
+    the hull: (tet, False) for the tet whose hull facet it enters through,
+    (tet, True) for a tet whose hull facet it touches only at the target,
+    (None, False) for a grazing segment. The segment enters a tet where
+    the reversed segment exits it."""
+    touched = None
+    for tid, k in mesh.hull_facets:
+        vs = mesh.tets[tid]
+        tri = tuple(vs[i] for i in FACET_OPP[k])
+        if _segment_exits_facet(mesh.verts, tri, target, origin, eps):
+            if target_vid not in tri:
+                return tid, False
+            if touched is None:
+                touched = tid
+    return touched, touched is not None
+
+
+def _behind(mesh: TetMesh, origin, target, end: int):
+    """Tet (or OUTER) one step past `target` on the ray from `origin`;
+    None when that is `end`, where the segment ends."""
+    d = np.subtract(target, origin)
+    norm = float(np.linalg.norm(d))
+    if norm == 0.0:
+        return None
+    behind = mesh.locate(np.add(target, d * (1e-6 / norm)))
+    return None if behind == end else behind
+
+
+def walk_ray(mesh: TetMesh, origin, target_vid: int):
     """Tets crossed by the segment from `origin` to mesh vertex `target_vid`.
 
-    Returns (crossed_tids, terminal_tid, behind_tid). `behind_tid` is the
-    tet entered one step past the target point, or None when the ray
-    leaves into a region with no tet beyond. The terminal tet (the one
-    the segment ends in) is included in `crossed_tids`.
+    Returns (crossed_tids, terminal_tid, behind_tid). A camera outside
+    the hull puts OUTER first in `crossed_tids`, once. The terminal tet
+    holds the target and ends `crossed_tids`, except for a segment that
+    stays outside the hull and touches it only at the target: that
+    segment crosses OUTER alone. `behind_tid` is the tet (or OUTER)
+    entered one step past the target point, or None when that is where
+    the segment ends. For a grazing ray that misses the target both are
+    None.
     """
     origin = (float(origin[0]), float(origin[1]), float(origin[2]))
     target = mesh.verts[target_vid]
     eps = mesh._orient_eps
-    tid = mesh.locate(origin)
-    crossed = [tid]
+    crossed = [mesh.locate(origin)]
     prev = None
+    if crossed[0] == OUTER:
+        entry, touched = _hull_entry(mesh, origin, target, target_vid, eps)
+        if entry is None:
+            return crossed, None, None
+        if touched:
+            return crossed, entry, _behind(mesh, origin, target, OUTER)
+        prev = OUTER
+        crossed.append(entry)
+
+    tid = crossed[-1]
     for _ in range(1_000_000):
         vs = mesh.tets[tid]
         exit_slot = None
         for k in range(4):
-            nb = mesh.neighbors[tid][k]
-            if nb is not None and nb == prev:
+            if mesh.neighbors[tid][k] == prev:
                 continue
             f = FACET_OPP[k]
             tri = (vs[f[0]], vs[f[1]], vs[f[2]])
@@ -136,31 +177,17 @@ def walk_ray(mesh: TetMesh, origin, target_vid: int, record_crossings: bool = Tr
         if exit_slot is None:
             break
         nb = mesh.neighbors[tid][exit_slot]
-        if nb is None:
+        if nb == OUTER:
             break
-        if record_crossings:
-            f = FACET_OPP[exit_slot]
-            key = frozenset(vs[i] for i in f)
-            mesh.facet_crossings[key] = mesh.facet_crossings.get(key, 0) + 1
         prev = tid
         tid = nb
         crossed.append(tid)
     else:
         raise RuntimeError("ray walk did not terminate")
 
-    terminal = crossed[-1]
-    if target_vid not in mesh.tets[terminal]:
+    if target_vid not in mesh.tets[tid]:
         return crossed, None, None  # grazing ray; caller skips it
-
-    d = np.array(target) - np.array(origin)
-    norm = float(np.linalg.norm(d))
-    if norm == 0.0:
-        return crossed, terminal, None
-    beyond = np.array(target) + d * (1e-6 / norm)
-    behind = mesh.locate(beyond, hint=terminal)
-    if behind == terminal:
-        behind = None
-    return crossed, terminal, behind
+    return crossed, tid, _behind(mesh, origin, target, tid)
 
 
 def build_cut_problem(mesh: TetMesh, keyframes, weights: CutWeights = CutWeights()) -> CutProblem:
@@ -169,12 +196,9 @@ def build_cut_problem(mesh: TetMesh, keyframes, weights: CutWeights = CutWeights
     Every keyframe point must already be a mesh vertex (the mesh is built
     from the union of keyframe observations).
     """
-    finite = sorted(mesh.finite_tet_ids())
-    node_of_tet = {tid: i for i, tid in enumerate(finite)}
-    outer = len(finite)
-    for tid in mesh.tets:
-        if tid not in node_of_tet:
-            node_of_tet[tid] = outer
+    node_of_tet = {tid: i for i, tid in enumerate(mesh.finite_tet_ids())}
+    outer = len(node_of_tet)
+    node_of_tet[OUTER] = outer
 
     source = np.zeros(outer + 1)
     sink = np.zeros(outer + 1)
@@ -193,15 +217,10 @@ def build_cut_problem(mesh: TetMesh, keyframes, weights: CutWeights = CutWeights
                 sink[node_of_tet[behind]] += weights.alpha_behind
 
     edges = []
-    for tid in finite:
-        for nb in mesh.neighbors[tid]:
-            if nb is None:
-                continue
-            u, v = node_of_tet[tid], node_of_tet[nb]
-            if u == v:
-                continue
-            if v == outer or tid < nb:  # each facet once
-                edges.append((u, v, weights.lambda_qual))
+    for tid, nbs in mesh.neighbors.items():
+        for nb in nbs:
+            if nb == OUTER or tid < nb:  # each facet once
+                edges.append((node_of_tet[tid], node_of_tet[nb], weights.lambda_qual))
     return CutProblem(node_of_tet, outer, source, sink, edges, n_rays)
 
 
@@ -214,7 +233,7 @@ def label_tets(mesh: TetMesh, keyframes, weights: CutWeights = CutWeights()):
     problem = build_cut_problem(mesh, keyframes, weights)
     if problem.n_rays == 0:
         warnings.warn("no visibility rays; labeling every tetrahedron inside")
-        for tid in mesh.tets:
+        for tid in problem.node_of_tet:
             mesh.labels[tid] = TetMesh.INSIDE
         return problem, 0.0
 
@@ -228,27 +247,23 @@ def label_tets(mesh: TetMesh, keyframes, weights: CutWeights = CutWeights()):
         net.add_edge(u, v, w, w)
     energy = net.solve()
     outside = net.min_cut_source_side()
-    for tid in mesh.tets:
-        node = problem.node_of_tet[tid]
+    for tid, node in problem.node_of_tet.items():
         mesh.labels[tid] = TetMesh.OUTSIDE if outside[node] else TetMesh.INSIDE
     return problem, energy
 
 
 def extract_surface(mesh: TetMesh) -> SurfaceMesh:
-    """Facets separating differently-labeled tets, as point-index triangles."""
+    """Facets separating differently-labeled tets (hull facets included,
+    against OUTER's label), as point-index triangles."""
     tris = []
     for tid, vs in mesh.tets.items():
-        for k in range(4):
-            nb = mesh.neighbors[tid][k]
-            if nb is None or nb < tid:
+        for k, nb in enumerate(mesh.neighbors[tid]):
+            if nb != OUTER and nb < tid:  # each interior facet once
                 continue
             if mesh.labels.get(tid) == mesh.labels.get(nb):
                 continue
             f = FACET_OPP[k]
-            tri = (vs[f[0]], vs[f[1]], vs[f[2]])
-            if any(v < 4 for v in tri):
-                continue  # facet touching a super vertex is not real geometry
-            tris.append((tri[0] - 4, tri[1] - 4, tri[2] - 4))
+            tris.append((vs[f[0]], vs[f[1]], vs[f[2]]))
     edge_count: dict[frozenset, int] = {}
     for t in tris:
         for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
@@ -261,16 +276,6 @@ def label_and_extract(mesh: TetMesh, keyframes, weights: CutWeights = CutWeights
     """Full labeling + surface extraction; returns (mesh, surface)."""
     label_tets(mesh, keyframes, weights)
     return mesh, extract_surface(mesh)
-
-
-def save_surface_mesh(surface: SurfaceMesh, path) -> None:
-    """ASCII triangle mesh: vertex lines then face lines (0-based indices)."""
-    with open(path, "w") as f:
-        f.write(f"TRIMESH 1\n{len(surface.vertices)} {len(surface.triangles)}\n")
-        for v in surface.vertices:
-            f.write(f"v {v[0]!r} {v[1]!r} {v[2]!r}\n")
-        for t in surface.triangles:
-            f.write(f"f {t[0]} {t[1]} {t[2]}\n")
 
 
 # -- rasterization -------------------------------------------------------
@@ -326,22 +331,14 @@ def rasterize(
     hi = np.asarray(bounds[1], dtype=float)
     dims = tuple(int(np.ceil((hi[i] - lo[i]) / resolution - 1e-9)) for i in range(3))
     grid = OccupancyGrid(lo, resolution, dims, params)
-    states = np.full(dims, UNKNOWN, dtype=np.uint8)
 
-    hint = next(iter(mesh.tets))
-    for i in range(dims[0]):
-        for j in range(dims[1]):
-            for k in range(dims[2]):
-                center = lo + (np.array([i, j, k]) + 0.5) * resolution
-                tid = mesh.locate(center, hint=hint)
-                hint = tid
-                if not mesh.is_finite(tid):
-                    continue
-                label = mesh.labels.get(tid)
-                if label == TetMesh.INSIDE:
-                    states[i, j, k] = OCCUPIED
-                elif label == TetMesh.OUTSIDE:
-                    states[i, j, k] = FREE
+    # state per tet id; OUTER (-1) reads the last entry, which stays UNKNOWN
+    state_of_tet = np.full(len(mesh.tets) + 1, UNKNOWN, dtype=np.uint8)
+    for tid, label in mesh.labels.items():
+        if mesh.is_finite(tid):
+            state_of_tet[tid] = OCCUPIED if label == TetMesh.INSIDE else FREE
+    centers = lo + (np.indices(dims).reshape(3, -1).T + 0.5) * resolution
+    states = state_of_tet[mesh.locate(centers)].reshape(dims)
 
     half = np.full(3, 0.5 * resolution)
     for tri in surface.triangles:

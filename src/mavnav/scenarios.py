@@ -14,7 +14,7 @@ import numpy as np
 
 from .control import Controller, ControllerGains, place_poles
 from .estimation import NavEstimate, NavFilter, steady_state_weights
-from .geometry import Pose, Quat
+from .geometry import Pose
 from .simulation import NoiseConfig, Simulator, VehicleParams, VehicleState, WindProfile
 from .trajectory import QuinticSpline, RefPoint, eval_spline
 
@@ -30,8 +30,6 @@ class LoopLog:
     ref_pos: list[np.ndarray] = field(default_factory=list)
     thrust: list[float] = field(default_factory=list)
     torque: list[np.ndarray] = field(default_factory=list)
-    truth_poses: list[Pose] = field(default_factory=list)
-    estimates: list[NavEstimate] = field(default_factory=list)
 
     def position_error(self) -> np.ndarray:
         return np.linalg.norm(np.array(self.truth_pos) - np.array(self.ref_pos), axis=1)
@@ -103,8 +101,6 @@ def run_closed_loop(
             log.ref_pos.append(ref.position.copy())
             log.thrust.append(thrust)
             log.torque.append(torque.copy())
-            log.truth_poses.append(sim.state.pose)
-            log.estimates.append(est)
         elif meas is not None:
             filt.correct(meas)
     return log

@@ -10,7 +10,6 @@ measurements arrive 100 ms after capture.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -294,13 +293,3 @@ class Simulator:
         if self._step_count % self._pose_every == 0 and self.time >= POSE_DELAY:
             meas = sample_pose_sensor(self.history, self.time, self.noise, self._rng_pose)
         return imu, meas
-
-
-def write_imu_csv(path, samples) -> None:
-    """IMU log: `t,ax,ay,az,gx,gy,gz`."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["t", "ax", "ay", "az", "gx", "gy", "gz"])
-        for s in samples:
-            row = [s.stamp, *s.specific_force, *s.angular_rate]
-            writer.writerow([f"{v:.12f}" for v in row])

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -532,13 +532,3 @@ def run_vo(
         step = compose(poses[-1], motion)
         poses.append(Pose(step.position, step.orientation, float(k)))
     return VoResult(poses, times_ms, failures)
-
-
-def write_timing_csv(path, times_ms) -> None:
-    import csv
-
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["frame", "ms"])
-        for i, ms in enumerate(times_ms, start=1):
-            writer.writerow([i, f"{ms:.3f}"])

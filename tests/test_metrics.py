@@ -46,6 +46,13 @@ class TestMcc:
         assert conf.missed_collision == 0.0
         assert conf.false_collision == 0.0
 
+    def test_percentages_reject_bad_counts(self):
+        pct = CollisionConfusion(30, 10, 50, 10).percentages()
+        assert (pct.correct_collision, pct.total) == (30.0, 100.0)
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError):
+                CollisionConfusion(30, bad, 50, 10).percentages()
+
     def test_degenerate_confusion_is_zero(self):
         assert mcc_from_confusion(CollisionConfusion(10, 0, 0, 0)) == 0.0
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mavnav.delaunay import TetMesh, tetrahedralize
+from mavnav.delaunay import OUTER, TetMesh, tetrahedralize
 from mavnav.geometry import Pose, Quat
 from mavnav.grid import FREE, OCCUPIED, UNKNOWN
 from mavnav.reconstruction import (
@@ -138,6 +138,24 @@ class TestGraphCut:
                 assert vid in mesh.tets[terminal]
                 ok += 1
         assert ok >= 18
+
+    def test_ray_from_outside_crosses_outer_once(self):
+        from scipy.spatial import ConvexHull
+
+        pts = np.random.default_rng(4).uniform(0, 3, size=(40, 3))
+        mesh = tetrahedralize(pts)
+        on_hull = set(ConvexHull(mesh.points).vertices.tolist())
+        reached = 0
+        for vid in range(len(mesh.points)):
+            crossed, terminal, behind = walk_ray(mesh, [-1.0, -0.7, -0.9], vid)
+            assert crossed[0] == OUTER and crossed.count(OUTER) == 1
+            if terminal is None:
+                continue
+            assert vid in mesh.tets[terminal]
+            if vid not in on_hull:  # interior target: the walk enters the hull
+                assert crossed[-1] == terminal and len(crossed) >= 2
+            reached += 1
+        assert reached >= 36
 
 
 class TestRasterize:
