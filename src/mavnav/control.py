@@ -18,10 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import NavEstimate
-from .simulation import VehicleParams
+from .simulation import GRAVITY, VehicleParams
 from .trajectory import RefPoint
-
-GRAVITY_VEC = np.array([0.0, 0.0, -9.81])
 
 
 def integrator_chain_gains(poles) -> np.ndarray:
@@ -144,11 +142,6 @@ class Controller:
         self.integrator = np.zeros(3)
         self.last_r_des = np.eye(3)
         self.freefall_events = 0
-        self.drag_feedforward = True
-
-    def reset(self) -> None:
-        self.integrator = np.zeros(3)
-        self.last_r_des = np.eye(3)
 
     def step(self, est: NavEstimate, ref: RefPoint, body_rate, dt: float):
         """One control update; returns (thrust [N], body torques [N m]).
@@ -168,11 +161,10 @@ class Controller:
         kp = np.array([g.kp_planar, g.kp_planar, g.kp_vertical])
         kd = np.array([g.kd_planar, g.kd_planar, g.kd_vertical])
         a_cmd = ref.accel + kp * e_p + kd * e_v + g.ki * self.integrator
-        if self.drag_feedforward:
-            a_cmd = a_cmd + (p.drag / p.mass) * est.velocity
+        a_cmd = a_cmd + (p.drag / p.mass) * est.velocity
 
-        f_vec = a_cmd - GRAVITY_VEC
-        if np.linalg.norm(f_vec) < 0.1 * p.gravity:
+        f_vec = a_cmd - GRAVITY
+        if np.linalg.norm(f_vec) < -0.1 * GRAVITY[2]:
             r_des = self.last_r_des
             self.freefall_events += 1
         else:

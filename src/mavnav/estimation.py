@@ -24,9 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Pose, Quat, partial_rotation
-from .simulation import ImuSample, NoiseConfig, PoseMeasurement
+from .simulation import GRAVITY, IMU_PERIOD, POSE_PERIOD, ImuSample, NoiseConfig, PoseMeasurement
 
-GRAVITY = np.array([0.0, 0.0, -9.81])
+BUFFER_SPAN = 0.5  # replayable IMU history; must exceed the pose delay [s]
+GATE_SIGMAS = 5.0
+MAX_GATE_REJECTS = 5
+BIAS_GAIN_CLAMP = 0.015  # largest bias weight per update
+RICCATI_MAX_ITERS = 100_000
 
 
 class FilterError(RuntimeError):
@@ -51,7 +55,7 @@ class FusionWeights:
     """Per-state correction weights, all in [0, 1].
 
     `velocity` weighs the position innovation spread over one measurement
-    period (v += velocity * innovation / meas_period); the bias weights
+    period (v += velocity * innovation / POSE_PERIOD); the bias weights
     are small signed innovation gains.
     """
 
@@ -68,7 +72,7 @@ class FusionWeights:
                 raise ValueError(f"{name} weight must be in [0, 1], got {v}")
 
 
-def predict(est: NavEstimate, imu: ImuSample, gravity=GRAVITY) -> NavEstimate:
+def predict(est: NavEstimate, imu: ImuSample) -> NavEstimate:
     """Euler integration of one IMU sample onto the estimate."""
     dt = imu.stamp - est.stamp
     if dt <= 0:
@@ -76,55 +80,18 @@ def predict(est: NavEstimate, imu: ImuSample, gravity=GRAVITY) -> NavEstimate:
     rate = np.asarray(imu.angular_rate, dtype=float) - est.gyro_bias
     q = (est.pose.orientation * Quat.from_rotvec(rate * dt)).normalized()
     f = np.asarray(imu.specific_force, dtype=float) - est.accel_bias
-    v = est.velocity + (q.rotate(f) + gravity) * dt
+    v = est.velocity + (q.rotate(f) + GRAVITY) * dt
     p = est.pose.position + v * dt
     return NavEstimate(Pose(p, q, imu.stamp), v, est.accel_bias, est.gyro_bias, imu.stamp)
-
-
-class ReplayBuffer:
-    """Ring of (ImuSample, post-predict NavEstimate snapshot) pairs."""
-
-    def __init__(self, span: float = 0.5, imu_period: float = 0.01):
-        if span < 0.2:
-            raise ValueError("buffer span must cover at least 0.2 s")
-        self.capacity = int(round(span / imu_period)) + 2
-        self._entries: deque[tuple[ImuSample, NavEstimate]] = deque(maxlen=self.capacity)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def push(self, imu: ImuSample, snapshot: NavEstimate) -> None:
-        self._entries.append((imu, snapshot))
-
-    @property
-    def earliest(self) -> float:
-        return self._entries[0][1].stamp if self._entries else math.inf
-
-    def anchor_index(self, capture_stamp: float) -> int:
-        """Index of the latest snapshot at or before capture_stamp."""
-        idx = -1
-        for i, (_, snap) in enumerate(self._entries):
-            if snap.stamp <= capture_stamp + 1e-9:
-                idx = i
-            else:
-                break
-        if idx < 0:
-            raise FilterError("measurement older than the replay buffer span")
-        return idx
-
-    def entry(self, i: int) -> tuple[ImuSample, NavEstimate]:
-        return self._entries[i]
-
-    def set_snapshot(self, i: int, snapshot: NavEstimate) -> None:
-        imu, _ = self._entries[i]
-        self._entries[i] = (imu, snapshot)
 
 
 class NavFilter:
     """Single-writer prediction/correction filter instance.
 
-    Innovations beyond `gate_sigmas` times the steady-state innovation
-    sigma are dropped and counted. A string of `max_gate_rejects`
+    Every prediction is kept, with the IMU sample it came from, for the
+    last BUFFER_SPAN seconds so that a delayed measurement can be replayed.
+    Innovations beyond GATE_SIGMAS times the steady-state innovation
+    sigma are dropped and counted. A string of MAX_GATE_REJECTS
     consecutive drops means the filter itself is off rather than the
     measurements, so the gate then stays open until innovations re-enter
     the band; isolated outliers are still rejected.
@@ -135,19 +102,13 @@ class NavFilter:
         initial: NavEstimate,
         weights: FusionWeights,
         noise: NoiseConfig = NoiseConfig(),
-        buffer_span: float = 0.5,
-        gate_sigmas: float = 5.0,
-        max_gate_rejects: int = 5,
-        meas_period: float = 0.1,
-        imu_rate: float = 100.0,
     ):
         self.estimate = initial
         self.weights = weights
         self.noise = noise
-        self.buffer = ReplayBuffer(buffer_span)
-        self.gate_sigmas = gate_sigmas
-        self.max_gate_rejects = max_gate_rejects
-        self.meas_period = meas_period
+        self.buffer: deque[tuple[ImuSample, NavEstimate]] = deque(
+            maxlen=round(BUFFER_SPAN / IMU_PERIOD) + 2
+        )
         self.dropped_stale = 0
         self.dropped_gated = 0
         self._consecutive_rejects = 0
@@ -155,20 +116,20 @@ class NavFilter:
         self._gate_pos = None
         self._gate_rot = None
         if min(noise.pose_pos_std, noise.pose_rot_std, noise.accel_std, noise.gyro_std) > 0:
-            s_pos, s_rot = steady_state_innovation_stds(noise, imu_rate, 1.0 / meas_period)
-            self._gate_pos = gate_sigmas * s_pos * math.sqrt(3.0)
-            self._gate_rot = gate_sigmas * s_rot * math.sqrt(3.0)
+            s_pos, s_rot = steady_state_innovation_stds(noise)
+            self._gate_pos = GATE_SIGMAS * s_pos * math.sqrt(3.0)
+            self._gate_rot = GATE_SIGMAS * s_rot * math.sqrt(3.0)
 
     def predict(self, imu: ImuSample) -> NavEstimate:
         self.estimate = predict(self.estimate, imu)
-        self.buffer.push(imu, self.estimate)
+        self.buffer.append((imu, self.estimate))
         return self.estimate
 
     def _blend(self, snap: NavEstimate, meas: PoseMeasurement) -> NavEstimate:
         w = self.weights
         innov_p = meas.pose.position - snap.pose.position
         p = snap.pose.position + w.position * innov_p
-        v = snap.velocity + (w.velocity / self.meas_period) * innov_p
+        v = snap.velocity + (w.velocity / POSE_PERIOD) * innov_p
         q = partial_rotation(snap.pose.orientation, meas.pose.orientation, w.orientation)
         rot_innov = (snap.pose.orientation.conjugate() * meas.pose.orientation).as_rotvec()
         r_t = snap.pose.orientation.to_matrix().T
@@ -185,35 +146,42 @@ class NavFilter:
             self._consecutive_rejects = 0
             self._recovering = False
             return False
-        if self._recovering or self._consecutive_rejects >= self.max_gate_rejects:
+        if self._recovering or self._consecutive_rejects >= MAX_GATE_REJECTS:
             self._recovering = True
             return False
         self._consecutive_rejects += 1
         return True
 
     def correct(self, meas: PoseMeasurement) -> NavEstimate:
-        """Blend the snapshot at capture time, then re-apply interim IMU."""
-        try:
-            idx = self.buffer.anchor_index(meas.capture_stamp)
-        except FilterError:
+        """Blend the snapshot at capture time, then re-apply interim IMU.
+
+        The anchor is the latest snapshot at or before the capture time; a
+        measurement older than every snapshot is dropped as stale.
+        """
+        idx = -1
+        for i, (_, snap) in enumerate(self.buffer):
+            if snap.stamp > meas.capture_stamp + 1e-9:
+                break
+            idx = i
+        if idx < 0:
             self.dropped_stale += 1
             return self.estimate
 
-        _, snap = self.buffer.entry(idx)
+        _, snap = self.buffer[idx]
         if self._gated(snap, meas):
             self.dropped_gated += 1
             return self.estimate
 
         current = self._blend(snap, meas)
         for i in range(idx + 1, len(self.buffer)):
-            imu, _ = self.buffer.entry(i)
+            imu, _ = self.buffer[i]
             current = predict(current, imu)
-            self.buffer.set_snapshot(i, current)
+            self.buffer[i] = (imu, current)
         self.estimate = current
         return self.estimate
 
 
-def riccati_gain(F, Q, H, R, predicts_per_update: int = 1, max_iters: int = 100_000):
+def riccati_gain(F, Q, H, R, predicts_per_update: int = 1):
     """Converged Kalman gain and innovation covariance of a linear
     covariance recursion.
 
@@ -228,7 +196,7 @@ def riccati_gain(F, Q, H, R, predicts_per_update: int = 1, max_iters: int = 100_
     n = F.shape[0]
     P = np.eye(n)
     K_prev = None
-    for _ in range(max_iters):
+    for _ in range(RICCATI_MAX_ITERS):
         for _ in range(predicts_per_update):
             P = F @ P @ F.T + Q
         S = H @ P @ H.T + R
@@ -240,9 +208,9 @@ def riccati_gain(F, Q, H, R, predicts_per_update: int = 1, max_iters: int = 100_
     raise FilterError("steady-state gain recursion did not converge")
 
 
-def _chains(noise: NoiseConfig, imu_rate: float, meas_rate: float):
-    dt = 1.0 / imu_rate
-    per_update = max(int(round(imu_rate / meas_rate)), 1)
+def _chains(noise: NoiseConfig):
+    dt = IMU_PERIOD
+    per_update = round(POSE_PERIOD / IMU_PERIOD)
     f_t = np.array([[1.0, dt, 0.0], [0.0, 1.0, -dt], [0.0, 0.0, 1.0]])
     q_t = np.diag([0.0, (noise.accel_std * dt) ** 2, noise.bias_walk_std**2 * dt])
     trans = riccati_gain(f_t, q_t, [[1.0, 0.0, 0.0]], [[noise.pose_pos_std**2]], per_update)
@@ -252,35 +220,27 @@ def _chains(noise: NoiseConfig, imu_rate: float, meas_rate: float):
     return trans, rot
 
 
-def steady_state_innovation_stds(
-    noise: NoiseConfig, imu_rate: float = 100.0, meas_rate: float = 10.0
-) -> tuple[float, float]:
+def steady_state_innovation_stds(noise: NoiseConfig) -> tuple[float, float]:
     """Converged per-axis innovation sigmas (position [m], angle [rad])."""
-    (_, s_t), (_, s_r) = _chains(noise, imu_rate, meas_rate)
+    (_, s_t), (_, s_r) = _chains(noise)
     return math.sqrt(float(s_t[0, 0])), math.sqrt(float(s_r[0, 0]))
 
 
-def steady_state_weights(
-    noise: NoiseConfig = NoiseConfig(),
-    imu_rate: float = 100.0,
-    meas_rate: float = 10.0,
-    bias_gain_clamp: float = 0.015,
-) -> FusionWeights:
+def steady_state_weights(noise: NoiseConfig = NoiseConfig()) -> FusionWeights:
     """A priori fusion weights from per-axis steady-state Kalman gains.
 
     Translation uses a decoupled position/velocity/accel-bias chain
     observed in position; rotation uses an angle/gyro-bias chain observed
     in angle. Gains are mapped into [0, 1] weights; the bias gains keep
-    their magnitude, clamped to `bias_gain_clamp` per update.
+    their magnitude, clamped to BIAS_GAIN_CLAMP per update.
     """
     if min(noise.accel_std, noise.gyro_std, noise.pose_pos_std, noise.pose_rot_std) <= 0:
         raise ValueError("steady-state weights need strictly positive noise")
-    (k_t, _), (k_r, _) = _chains(noise, imu_rate, meas_rate)
-    meas_dt = 1.0 / meas_rate
+    (k_t, _), (k_r, _) = _chains(noise)
     return FusionWeights(
         position=float(np.clip(k_t[0, 0], 0.0, 1.0)),
-        velocity=float(np.clip(k_t[1, 0] * meas_dt, 0.0, 1.0)),
+        velocity=float(np.clip(k_t[1, 0] * POSE_PERIOD, 0.0, 1.0)),
         orientation=float(np.clip(k_r[0, 0], 0.0, 1.0)),
-        accel_bias=float(np.clip(abs(k_t[2, 0]), 0.0, bias_gain_clamp)),
-        gyro_bias=float(np.clip(abs(k_r[1, 0]), 0.0, bias_gain_clamp)),
+        accel_bias=float(np.clip(abs(k_t[2, 0]), 0.0, BIAS_GAIN_CLAMP)),
+        gyro_bias=float(np.clip(abs(k_r[1, 0]), 0.0, BIAS_GAIN_CLAMP)),
     )

@@ -30,6 +30,13 @@ class Quat:
     y: float = 0.0
     z: float = 0.0
 
+    def __post_init__(self):
+        if not (
+            math.isfinite(self.w) and math.isfinite(self.x)
+            and math.isfinite(self.y) and math.isfinite(self.z)
+        ):
+            raise ValueError("quaternion components must be finite")
+
     @staticmethod
     def identity() -> "Quat":
         return Quat(1.0, 0.0, 0.0, 0.0)
@@ -84,6 +91,35 @@ class Quat:
                 [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
             ]
         )
+
+    @staticmethod
+    def from_matrix(m) -> "Quat":
+        """Quaternion of a 3x3 rotation matrix (Shepperd 1978).
+
+        Solves for the largest of |w|, |x|, |y|, |z| first (four times its
+        square is 1 + trace or 1 + 2 m_ii - trace, and at least 1), then
+        divides the off-diagonal sums by it, so half turns keep their axis.
+        """
+        m = np.asarray(m, dtype=float)
+        trace = m[0, 0] + m[1, 1] + m[2, 2]
+        pivot = int(np.argmax([trace, m[0, 0], m[1, 1], m[2, 2]]))
+        if pivot == 0:
+            s = 2.0 * math.sqrt(1.0 + trace)  # 4w
+            q = Quat(0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s,
+                     (m[1, 0] - m[0, 1]) / s)
+        elif pivot == 1:
+            s = 2.0 * math.sqrt(1.0 + 2.0 * m[0, 0] - trace)  # 4x
+            q = Quat((m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s,
+                     (m[0, 2] + m[2, 0]) / s)
+        elif pivot == 2:
+            s = 2.0 * math.sqrt(1.0 + 2.0 * m[1, 1] - trace)  # 4y
+            q = Quat((m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s,
+                     (m[1, 2] + m[2, 1]) / s)
+        else:
+            s = 2.0 * math.sqrt(1.0 + 2.0 * m[2, 2] - trace)  # 4z
+            q = Quat((m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s,
+                     (m[1, 2] + m[2, 1]) / s, 0.25 * s)
+        return q.normalized()
 
     @staticmethod
     def from_axis_angle(axis, angle: float) -> "Quat":

@@ -88,12 +88,9 @@ class OccupancyGrid:
             return UNKNOWN
         return OCCUPIED if self.log_odds[tuple(idx)] > self.params.occ_thresh else FREE
 
-    def obstacle_mask(self, unknown_as_obstacle: bool = True) -> np.ndarray:
-        s = self.states()
-        mask = s == OCCUPIED
-        if unknown_as_obstacle:
-            mask |= s == UNKNOWN
-        return mask
+    def obstacle_mask(self) -> np.ndarray:
+        """Voxels a vehicle may not enter: occupied or unknown."""
+        return self.states() != FREE
 
     # -- direct state editing (scene construction, file load) ----------
 

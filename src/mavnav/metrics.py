@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Pose, relative
-from .grid import OCCUPIED, UNKNOWN, OccupancyGrid
+from .grid import OccupancyGrid
 
 REL_ERROR_DISTANCES = (2.0, 5.0, 10.0, 15.0, 20.0, 25.0, 60.0, 75.0)
 
@@ -86,14 +86,12 @@ def mcc_eval(
     est: OccupancyGrid,
     bbox_dims=(0.6, 0.6, 0.4),
     stride: float | None = None,
-    unknown_as_collision: bool = True,
 ):
     """Sweep an MAV bounding box through both grids simultaneously.
 
-    At every stride position a collision check (any occupied, or unknown
-    when `unknown_as_collision`, voxel inside the box) runs in both
-    grids; the ground-truth grid is the reference. Returns
-    (CollisionConfusion in percent, MCC).
+    At every stride position a collision check (any occupied or unknown
+    voxel inside the box) runs in both grids; the ground-truth grid is
+    the reference. Returns (CollisionConfusion in percent, MCC).
     """
     if gt.dims != est.dims or gt.resolution != est.resolution:
         raise ValueError("grids must share dimensions and resolution")
@@ -105,12 +103,7 @@ def mcc_eval(
     step = max(1, int(round((stride if stride is not None else res) / res)))
 
     def collisions(grid):
-        s = grid.states()
-        mask = s == OCCUPIED
-        if unknown_as_collision:
-            mask |= s == UNKNOWN
-        hit = _window_any(mask, window)
-        return hit[::step, ::step, ::step]
+        return _window_any(grid.obstacle_mask(), window)[::step, ::step, ::step]
 
     gt_hit = collisions(gt)
     est_hit = collisions(est)

@@ -60,7 +60,7 @@ class ProximityMap:
 
 def build_proximity_map(grid: OccupancyGrid, clamp: float) -> ProximityMap:
     """Exact EDT of the obstacle set (occupied or unknown), clamped."""
-    obstacle = grid.obstacle_mask(unknown_as_obstacle=True)
+    obstacle = grid.obstacle_mask()
     if obstacle.all():
         dist = np.zeros(grid.dims)
     elif not obstacle.any():
@@ -97,8 +97,7 @@ def _segment_samples(p, q, step: float) -> np.ndarray:
 def segment_clear(grid: OccupancyGrid, prox: ProximityMap, p, q, cfg: PlannerConfig) -> bool:
     """Straight segment keeps MAV clearance, sampled at half-resolution."""
     pts = _segment_samples(p, q, 0.5 * grid.resolution)
-    idx = np.floor((pts - grid.origin) / grid.resolution).astype(int)
-    if not np.all((idx >= 0) & (idx < np.array(grid.dims))):
+    if not np.all(grid.in_bounds(grid.world_to_index(pts))):
         return False
     d = np.atleast_1d(prox.distance_at(pts))
     return bool(np.all(d >= cfg.clearance_radius))
@@ -151,7 +150,7 @@ def build_roadmap(
         if len(samples) == n_samples:
             break
         p = rng.uniform(lo, hi)
-        idx = tuple(np.floor((p - grid.origin) / grid.resolution).astype(int))
+        idx = tuple(grid.world_to_index(p)[0])
         if states[idx] != FREE:
             continue
         if prox.distance_at(p) < cfg.clearance_radius:

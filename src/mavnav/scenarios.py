@@ -15,7 +15,7 @@ import numpy as np
 from .control import Controller, ControllerGains, place_poles
 from .estimation import NavEstimate, NavFilter, steady_state_weights
 from .geometry import Pose
-from .simulation import NoiseConfig, Simulator, VehicleParams, VehicleState, WindProfile
+from .simulation import IMU_PERIOD, NoiseConfig, Simulator, VehicleParams, VehicleState, WindProfile
 from .trajectory import QuinticSpline, RefPoint, eval_spline
 
 
@@ -93,7 +93,7 @@ def run_closed_loop(
             est = filt.estimate
             ref = ref_fn(imu.stamp)
             body_rate = np.asarray(imu.angular_rate) - est.gyro_bias
-            thrust, torque = controller.step(est, ref, body_rate, 0.01)
+            thrust, torque = controller.step(est, ref, body_rate, IMU_PERIOD)
             log.t.append(imu.stamp)
             log.truth_pos.append(sim.state.pose.position.copy())
             log.truth_rate.append(sim.state.twist.angular.copy())

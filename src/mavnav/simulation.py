@@ -17,6 +17,12 @@ import numpy as np
 
 from .geometry import Pose, Quat, Twist
 
+GRAVITY = np.array([0.0, 0.0, -9.81])  # world frame, z up [m/s^2]
+GRAVITY.flags.writeable = False
+IMU_PERIOD = 0.01  # [s]
+POSE_PERIOD = 0.1  # [s]
+POSE_DELAY = 0.1  # capture to delivery [s]
+
 
 @dataclass(frozen=True)
 class VehicleParams:
@@ -25,7 +31,6 @@ class VehicleParams:
     max_thrust: float = 40.0  # [N]
     max_torque: float = 4.0  # per axis [N m]
     drag: float = 0.25  # linear drag [N s/m]
-    gravity: float = 9.81  # [m/s^2]
 
     def __post_init__(self):
         if self.mass <= 0 or any(i <= 0 for i in self.inertia):
@@ -33,7 +38,7 @@ class VehicleParams:
 
     @property
     def hover_thrust(self) -> float:
-        return self.mass * self.gravity
+        return self.mass * -float(GRAVITY[2])
 
 
 @dataclass
@@ -99,11 +104,6 @@ class NoiseConfig:
             raise ValueError("noise std-devs must be non-negative")
 
 
-IMU_PERIOD = 0.01
-POSE_PERIOD = 0.1
-POSE_DELAY = 0.1
-
-
 def step_dynamics(
     state: VehicleState,
     thrust: float,
@@ -130,7 +130,7 @@ def step_dynamics(
 
     body_z = q.rotate(np.array([0.0, 0.0, 1.0]))
     force = thrust * body_z
-    force = force + np.array([0.0, 0.0, -params.mass * params.gravity])
+    force = force + params.mass * GRAVITY
     force = force + params.drag * (wind - v)
     accel = force / params.mass
 
@@ -153,7 +153,6 @@ def sample_imu(
     true_accel,
     noise: NoiseConfig,
     rng: np.random.Generator,
-    dt: float = IMU_PERIOD,
 ):
     """IMU reading at the state's stamp plus the bias random-walk step.
 
@@ -161,16 +160,15 @@ def sample_imu(
     force is the body-frame difference between true acceleration and
     gravity, corrupted by the current bias and white noise.
     """
-    g_vec = np.array([0.0, 0.0, -9.81])
     r_t = state.pose.orientation.to_matrix().T
-    f = r_t @ (np.asarray(true_accel, dtype=float) - g_vec) + state.accel_bias
+    f = r_t @ (np.asarray(true_accel, dtype=float) - GRAVITY) + state.accel_bias
     w = state.twist.angular + state.gyro_bias
     if noise.accel_std > 0:
         f = f + rng.normal(0.0, noise.accel_std, 3)
     if noise.gyro_std > 0:
         w = w + rng.normal(0.0, noise.gyro_std, 3)
     if noise.bias_walk_std > 0:
-        step = noise.bias_walk_std * math.sqrt(dt)
+        step = noise.bias_walk_std * math.sqrt(IMU_PERIOD)
         new_ab = state.accel_bias + rng.normal(0.0, step, 3)
         new_gb = state.gyro_bias + rng.normal(0.0, step, 3)
     else:
@@ -180,27 +178,25 @@ def sample_imu(
 
 
 class PoseHistory:
-    """Bounded time-indexed pose buffer for the delayed sensor."""
+    """Time-indexed pose buffer for the delayed sensor, keeping the last
+    HORIZON seconds."""
 
-    def __init__(self, horizon: float = 1.0):
-        self.horizon = horizon
+    HORIZON = 2.0  # [s], well beyond POSE_DELAY
+
+    def __init__(self):
         self._stamps: list[float] = []
         self._poses: list[Pose] = []
 
     def push(self, pose: Pose) -> None:
         self._stamps.append(pose.stamp)
         self._poses.append(pose)
-        cutoff = pose.stamp - self.horizon
+        cutoff = pose.stamp - self.HORIZON
         drop = 0
         while drop < len(self._stamps) - 1 and self._stamps[drop + 1] <= cutoff:
             drop += 1
         if drop:
             del self._stamps[:drop]
             del self._poses[:drop]
-
-    @property
-    def earliest(self) -> float:
-        return self._stamps[0] if self._stamps else math.inf
 
     def at(self, t: float, tol: float = 1e-6) -> Pose:
         if not self._stamps or t < self._stamps[0] - tol or t > self._stamps[-1] + tol:
@@ -220,14 +216,12 @@ def sample_pose_sensor(
     now: float,
     noise: NoiseConfig,
     rng: np.random.Generator,
-    delay: float = POSE_DELAY,
-    period: float = POSE_PERIOD,
 ) -> PoseMeasurement | None:
     """Delayed pose measurement, emitted only on the sensor's time grid."""
-    ticks = now / period
+    ticks = now / POSE_PERIOD
     if abs(ticks - round(ticks)) > 1e-6:
         return None
-    capture = now - delay
+    capture = now - POSE_DELAY
     if capture < -1e-9:
         return None
     truth = history.at(capture)
@@ -262,7 +256,7 @@ class Simulator:
         self._rng_imu = np.random.default_rng(imu_ss)
         self._rng_pose = np.random.default_rng(pose_ss)
         self.state = initial_state or VehicleState()
-        self.history = PoseHistory(horizon=2.0)
+        self.history = PoseHistory()
         self.history.push(self.state.pose)
         self._step_count = round(self.state.pose.stamp / self.INTERNAL_DT)
         self._imu_every = round(IMU_PERIOD / self.INTERNAL_DT)

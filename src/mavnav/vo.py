@@ -118,33 +118,7 @@ def camera_orientation(forward: np.ndarray) -> Quat:
         n = 1.0
     r = r / n
     down = np.cross(f, r)
-    m = np.column_stack([r, down, f])
-    w = math.sqrt(max(1.0 + m[0, 0] + m[1, 1] + m[2, 2], 0.0)) / 2.0
-    if w > 1e-9:
-        q = Quat(
-            w,
-            (m[2, 1] - m[1, 2]) / (4 * w),
-            (m[0, 2] - m[2, 0]) / (4 * w),
-            (m[1, 0] - m[0, 1]) / (4 * w),
-        )
-    else:  # fall back through axis extraction for 180-degree cases
-        q = Quat.from_rotvec(_rotvec_from_matrix(m))
-    return q.normalized()
-
-
-def _rotvec_from_matrix(m: np.ndarray) -> np.ndarray:
-    angle = math.acos(max(-1.0, min(1.0, (np.trace(m) - 1.0) / 2.0)))
-    if angle < 1e-9:
-        return np.zeros(3)
-    axis_mat = m - m.T
-    axis = np.array([axis_mat[2, 1], axis_mat[0, 2], axis_mat[1, 0]])
-    n = np.linalg.norm(axis)
-    if n < 1e-9:
-        # angle ~ pi: R + I = 2 a a^T, so its largest-diagonal column is a
-        # up to a sign that a half turn does not care about
-        col = (m + np.eye(3))[:, np.argmax(np.diag(m))]
-        return col / np.linalg.norm(col) * angle
-    return axis / n * angle
+    return Quat.from_matrix(np.column_stack([r, down, f]))
 
 
 def project_stereo(calib: StereoCalib, p_cam: np.ndarray):
@@ -488,7 +462,7 @@ def estimate_motion(
         mask = new_mask
 
     # W maps prev-camera to cur-camera coordinates; report cur-in-prev
-    q = Quat.from_rotvec(_rotvec_from_matrix(r_mat))
+    q = Quat.from_matrix(r_mat)
     w_pose = Pose(t_vec, q, 0.0)
     rel = inverse(w_pose)
     return Pose(rel.position, rel.orientation, 0.0), np.nonzero(err <= threshold)[0]

@@ -119,7 +119,7 @@ class TestCorrect:
             pose = Pose(rng.normal(0, 0.3, 3), Quat.from_rotvec(rng.normal(0, 0.1, 3)), t_cap)
             measurements.append(PoseMeasurement(t_cap, t_cap + 0.1, pose))
 
-        filt = NavFilter(NavEstimate(), w, QUIET, buffer_span=0.5)
+        filt = NavFilter(NavEstimate(), w, QUIET)
         meas_iter = iter(measurements)
         pending = next(meas_iter, None)
         for imu in imus:
@@ -196,7 +196,7 @@ def _drive_sensors(duration, noise, seed, truth_bias=None):
     truth = VehicleState()
     if truth_bias is not None:
         truth.accel_bias = np.asarray(truth_bias, dtype=float)
-    hist = PoseHistory(horizon=2.0)
+    hist = PoseHistory()
     hist.push(truth.pose)
     events = []
     n = int(round(duration / 0.01))

@@ -35,6 +35,9 @@ def mat_oracle_compose(a: Pose, b: Pose) -> np.ndarray:
 unit_quats = st.tuples(
     st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)
 ).filter(lambda t: sum(x * x for x in t) > 1e-4).map(lambda t: Quat(*t).normalized())
+unit_axes = st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).filter(
+    lambda t: sum(x * x for x in t) > 1e-4
+).map(lambda t: np.array(t) / np.linalg.norm(t))
 
 
 class TestQuat:
@@ -69,6 +72,31 @@ class TestQuat:
         n = math.sqrt(q.w**2 + q.x**2 + q.y**2 + q.z**2)
         assert abs(n - 1.0) < 1e-9
         assert q.w >= 0.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            Quat(1.0, 0.0, bad, 0.0)
+
+    @given(unit_quats)
+    @settings(max_examples=200, deadline=None)
+    def test_from_matrix_roundtrip(self, q):
+        m = q.to_matrix()
+        np.testing.assert_allclose(Quat.from_matrix(m).to_matrix(), m, atol=1e-12)
+
+    @given(unit_axes, st.floats(-1e-9, 1e-9))
+    @settings(max_examples=200, deadline=None)
+    def test_from_matrix_near_half_turn(self, axis, eps):
+        m = Quat.from_axis_angle(axis, math.pi + eps).to_matrix()
+        np.testing.assert_allclose(Quat.from_matrix(m).to_matrix(), m, atol=1e-12)
+
+    @given(unit_axes)
+    @settings(max_examples=200, deadline=None)
+    def test_from_matrix_exact_half_turn(self, axis):
+        m = 2.0 * np.outer(axis, axis) - np.eye(3)  # rotation by pi about axis
+        q = Quat.from_matrix(m)
+        assert q.w == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(q.to_matrix(), m, atol=1e-12)
 
 
 class TestComposeInverse:

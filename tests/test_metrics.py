@@ -105,7 +105,7 @@ class TestMcc:
         # brute-force window sweep oracle
         window = tuple(int(round(d / 0.5)) for d in bbox)
         def hits(g):
-            mask = g.obstacle_mask(unknown_as_obstacle=True)
+            mask = g.obstacle_mask()
             out = []
             for i in range(dims[0] - window[0] + 1):
                 for j in range(dims[1] - window[1] + 1):

@@ -51,7 +51,7 @@ class TestProximityMap:
         g.set_states(states)
         prox = build_proximity_map(g, clamp=100.0)
 
-        obstacle = np.argwhere(g.obstacle_mask(unknown_as_obstacle=True))
+        obstacle = np.argwhere(g.obstacle_mask())
         assert len(obstacle)
         idx = np.argwhere(np.ones(dims, dtype=bool))
         # brute force: min over obstacle voxels of index-space distance

@@ -5,6 +5,7 @@ import pytest
 
 from mavnav.geometry import Pose, Quat, Twist
 from mavnav.simulation import (
+    GRAVITY,
     IMU_PERIOD,
     NoiseConfig,
     PoseHistory,
@@ -47,7 +48,7 @@ class TestStepDynamics:
         s = VehicleState()
         out = step_dynamics(s, 1e6, np.array([1e6, -1e6, 0.0]), np.zeros(3), 0.01, PARAMS)
         # acceleration bounded by clamped limits
-        az_max = PARAMS.max_thrust / PARAMS.mass - PARAMS.gravity
+        az_max = PARAMS.max_thrust / PARAMS.mass + GRAVITY[2]
         assert out.twist.linear[2] <= az_max * 0.01 + 1e-9
         wx = out.twist.angular[0]
         assert abs(wx) <= PARAMS.max_torque / PARAMS.inertia[0] * 0.01 + 1e-9
@@ -96,7 +97,7 @@ class TestImu:
 
 class TestPoseSensor:
     def _history(self, t_end=1.5, dt=0.001):
-        h = PoseHistory(horizon=2.0)
+        h = PoseHistory()
         for i in range(int(t_end / dt) + 1):
             t = i * dt
             h.push(Pose(np.array([t, 2 * t, 0.0]), Quat.identity(), t))
@@ -116,7 +117,7 @@ class TestPoseSensor:
         np.testing.assert_allclose(meas.pose.position, [0.9, 1.8, 0.0], atol=1e-12)
 
     def test_uncovered_history_raises(self):
-        h = PoseHistory(horizon=2.0)
+        h = PoseHistory()
         h.push(Pose(np.zeros(3), Quat.identity(), 2.0))
         with pytest.raises(LookupError):
             sample_pose_sensor(h, 2.0, QUIET, np.random.default_rng(0))
