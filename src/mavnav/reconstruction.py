@@ -281,37 +281,62 @@ def label_and_extract(mesh: TetMesh, keyframes, weights: CutWeights = CutWeights
 # -- rasterization -------------------------------------------------------
 
 
-def _tri_box_overlap(v0, v1, v2, center, half) -> bool:
-    """Separating-axis test between a triangle and an axis-aligned box."""
-    v0 = v0 - center
-    v1 = v1 - center
-    v2 = v2 - center
-    # box face axes
-    for ax in range(3):
-        lo = min(v0[ax], v1[ax], v2[ax])
-        hi = max(v0[ax], v1[ax], v2[ax])
-        if lo > half[ax] or hi < -half[ax]:
-            return False
-    e0, e1, e2 = v1 - v0, v2 - v1, v0 - v2
-    # triangle normal axis
-    n = np.cross(e0, e1)
-    d = float(n @ v0)
-    r = float(half @ np.abs(n))
-    if abs(d) > r:
-        return False
-    # nine edge cross-product axes
-    for e in (e0, e1, e2):
-        for ax in range(3):
-            axis = np.zeros(3)
-            axis[ax] = 1.0
-            a = np.cross(e, axis)
-            if not np.any(a):
-                continue
-            p0, p1, p2 = float(a @ v0), float(a @ v1), float(a @ v2)
-            r = float(half @ np.abs(a))
-            if min(p0, p1, p2) > r or max(p0, p1, p2) < -r:
-                return False
-    return True
+# Triangles per batch of the triangle-box test, which bounds the size of
+# its pair arrays. On map_room (~24k pairs) one batch over all pairs raised
+# the benchmark's peak RSS from 83 to 102 MB, blocks of 64 triangles by
+# 0.8 MB (median); blocks of 32 (~500 pairs) add 0.3 MB, for ~9 ms more per
+# pass than 64.
+_TRI_BLOCK = 32
+
+
+def _dot(a, b) -> np.ndarray:
+    """Row-wise dot product over the last axis, broadcasting the rest.
+
+    Each row goes through the kernel of a 1-D `a @ b`, so the sums round
+    as that does. BLAS's ddot may fuse multiply-adds: with OpenBLAS on
+    x86-64, a hand-written `a0*b0 + a1*b1 + a2*b2` rounds differently in
+    about a third of random cases.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _apart(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Whether the projections p[..., 0, :], p[..., 1, :], p[..., 2, :] of
+    a triangle's vertices lie strictly outside [-r, r]."""
+    lo = np.minimum(np.minimum(p[..., 0, :], p[..., 1, :]), p[..., 2, :])
+    hi = np.maximum(np.maximum(p[..., 0, :], p[..., 1, :]), p[..., 2, :])
+    return (lo > r) | (hi < -r)
+
+
+def _tri_box_overlaps(tris: np.ndarray, centers: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Separating-axis test (Akenine-Moeller 2001) of triangles against
+    axis-aligned boxes, pair by pair.
+
+    `tris` is (n, 3, 3), one triangle's vertices per pair; `centers` is
+    (n, 3) box centers; `half` the (3,) half-extent shared by every box.
+    Returns a bool (n,) mask of the overlapping pairs. Touching counts as
+    overlap: an axis separates only when the projections are strictly
+    apart, so an all-zero edge axis (edge parallel to a box axis) never
+    separates.
+    """
+    v = tris - centers[:, None, :]
+    edges = np.roll(v, -1, axis=1) - v  # v1 - v0, v2 - v1, v0 - v2
+    # box face axes, then the triangle normal axis
+    n = np.cross(edges[:, 0], edges[:, 1])
+    hit = ~np.any(_apart(v, half), axis=1)
+    hit &= np.abs(_dot(n, v[:, 0])) <= _dot(np.abs(n), half)
+    # nine edge axes e x unit_k on the pairs left
+    idx = np.flatnonzero(hit)
+    v, e = v[idx], edges[idx]
+    ex, ey, ez = e[..., 0], e[..., 1], e[..., 2]
+    a = np.zeros((len(idx), 3, 3, 3))  # pair, edge, unit axis k, component
+    a[:, :, 0, 1], a[:, :, 0, 2] = ez, -ey  # e x x = (0, e_z, -e_y)
+    a[:, :, 1, 0], a[:, :, 1, 2] = -ez, ex  # e x y = (-e_z, 0, e_x)
+    a[:, :, 2, 0], a[:, :, 2, 1] = ey, -ex  # e x z = (e_y, -e_x, 0)
+    a = a.reshape(-1, 9, 3)
+    p = _dot(a[:, None], v[:, :, None])  # (pairs, 3 vertices, 9 axes)
+    hit[idx] = ~np.any(_apart(p, _dot(np.abs(a), half)), axis=1)
+    return hit
 
 
 def rasterize(
@@ -325,10 +350,21 @@ def rasterize(
 
     Voxel centers in inside-labeled tets are occupied, in outside-labeled
     tets free, outside the convex hull unknown; any voxel intersecting a
-    surface triangle is occupied regardless.
+    surface triangle is occupied regardless. That intersection is the
+    13-axis separating-axis triangle-box test (Akenine-Moeller 2001),
+    evaluated as array operations over every (triangle, voxel) pair of
+    the triangles' bounding boxes, `_TRI_BLOCK` triangles at a time so
+    that the pair arrays do not raise the process's peak RSS.
+
+    Raises ValueError unless `resolution` is finite and positive and
+    `bounds` = (lo, hi) are finite with hi > lo on every axis.
     """
     lo = np.asarray(bounds[0], dtype=float)
     hi = np.asarray(bounds[1], dtype=float)
+    if not (np.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be finite and positive, got {resolution}")
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(hi > lo)):
+        raise ValueError(f"bounds must be finite with hi > lo, got {lo}, {hi}")
     dims = tuple(int(np.ceil((hi[i] - lo[i]) / resolution - 1e-9)) for i in range(3))
     grid = OccupancyGrid(lo, resolution, dims, params)
 
@@ -341,18 +377,23 @@ def rasterize(
     states = state_of_tet[mesh.locate(centers)].reshape(dims)
 
     half = np.full(3, 0.5 * resolution)
-    for tri in surface.triangles:
-        pts = surface.vertices[list(tri)]
-        tlo = np.floor((pts.min(axis=0) - lo) / resolution).astype(int)
-        thi = np.floor((pts.max(axis=0) - lo) / resolution).astype(int)
-        tlo = np.maximum(tlo, 0)
-        thi = np.minimum(thi, np.array(dims) - 1)
-        for i in range(tlo[0], thi[0] + 1):
-            for j in range(tlo[1], thi[1] + 1):
-                for k in range(tlo[2], thi[2] + 1):
-                    center = lo + (np.array([i, j, k]) + 0.5) * resolution
-                    if _tri_box_overlap(pts[0], pts[1], pts[2], center, half):
-                        states[i, j, k] = OCCUPIED
+    tris = surface.vertices[np.asarray(surface.triangles, dtype=np.intp).reshape(-1, 3)]
+    for start in range(0, len(tris), _TRI_BLOCK):
+        block = tris[start : start + _TRI_BLOCK]
+        # each triangle's voxel range, clipped to the grid; may be empty
+        tlo = np.floor((block.min(axis=1) - lo) / resolution).astype(int)
+        thi = np.floor((block.max(axis=1) - lo) / resolution).astype(int)
+        tlo, thi = np.maximum(tlo, 0), np.minimum(thi, np.array(dims) - 1)
+        size = np.maximum(thi - tlo + 1, 0)
+        count = size.prod(axis=1)
+        tri = np.repeat(np.arange(len(block)), count)
+        # pair's rank within its triangle's range, unravelled row-major
+        rank = np.arange(len(tri)) - np.repeat(np.cumsum(count) - count, count)
+        ny, nz = size[tri, 1], size[tri, 2]
+        ijk = tlo[tri] + np.stack([rank // (ny * nz), rank // nz % ny, rank % nz], axis=1)
+        box_centers = lo + (ijk + 0.5) * resolution
+        ijk = ijk[_tri_box_overlaps(block[tri], box_centers, half)]
+        states[ijk[:, 0], ijk[:, 1], ijk[:, 2]] = OCCUPIED
 
     grid.set_states(states)
     return grid

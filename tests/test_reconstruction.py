@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mavnav.delaunay import OUTER, TetMesh, tetrahedralize
 from mavnav.geometry import Pose, Quat
@@ -9,6 +11,9 @@ from mavnav.grid import FREE, OCCUPIED, UNKNOWN
 from mavnav.reconstruction import (
     CutWeights,
     Keyframe,
+    SurfaceMesh,
+    _dot,
+    _tri_box_overlaps,
     build_cut_problem,
     extract_surface,
     label_and_extract,
@@ -118,13 +123,10 @@ class TestGraphCut:
             problem, energy = label_tets(mesh, [kf])
             oracle_e, _ = brute_force_labeling(problem)
             assert energy == pytest.approx(oracle_e, abs=1e-9), f"trial {trial}"
-            labels_outside = np.array(
-                [
-                    mesh.labels[tid] == TetMesh.OUTSIDE
-                    for tid, node in sorted(problem.node_of_tet.items())
-                    if node < problem.outer_node and mesh.is_finite(tid)
-                ]
-            )
+            outside = np.zeros(problem.n_nodes, dtype=bool)
+            for tid, node in problem.node_of_tet.items():
+                outside[node] = mesh.labels[tid] == TetMesh.OUTSIDE
+            assert problem.energy(outside) == pytest.approx(oracle_e, abs=1e-9), f"trial {trial}"
             checked += 1
         assert checked >= 6
 
@@ -196,8 +198,6 @@ class TestRasterize:
 
     def test_empty_surface_all_inside_fills_hull(self):
         mesh = self._cube_mesh_all_inside()
-        from mavnav.reconstruction import SurfaceMesh
-
         grid = rasterize(mesh, SurfaceMesh(mesh.points, []), 0.25, ((-0.375,) * 3, (1.375,) * 3))
         states = grid.states()
         center_idx = grid.world_to_index([0.5, 0.5, 0.5])[0]
@@ -209,3 +209,150 @@ class TestRasterize:
         surface = extract_surface(mesh)
         grid = rasterize(mesh, surface, 0.25, ((-2.1, -2.1, -2.1), (3.1, 3.1, 3.1)))
         assert grid.state_at([-1.8, -1.8, -1.8]) == UNKNOWN
+
+
+# -- rasterization oracles -----------------------------------------------
+
+
+def _tri_box_overlap(v0, v1, v2, center, half) -> bool:
+    """Separating-axis test between a triangle and an axis-aligned box,
+    one pair at a time: the oracle of the batched `_tri_box_overlaps`."""
+    v0 = v0 - center
+    v1 = v1 - center
+    v2 = v2 - center
+    # box face axes
+    for ax in range(3):
+        lo = min(v0[ax], v1[ax], v2[ax])
+        hi = max(v0[ax], v1[ax], v2[ax])
+        if lo > half[ax] or hi < -half[ax]:
+            return False
+    e0, e1, e2 = v1 - v0, v2 - v1, v0 - v2
+    # triangle normal axis
+    n = np.cross(e0, e1)
+    d = float(n @ v0)
+    r = float(half @ np.abs(n))
+    if abs(d) > r:
+        return False
+    # nine edge cross-product axes
+    for e in (e0, e1, e2):
+        for ax in range(3):
+            axis = np.zeros(3)
+            axis[ax] = 1.0
+            a = np.cross(e, axis)
+            if not np.any(a):
+                continue
+            p0, p1, p2 = float(a @ v0), float(a @ v1), float(a @ v2)
+            r = float(half @ np.abs(a))
+            if min(p0, p1, p2) > r or max(p0, p1, p2) < -r:
+                return False
+    return True
+
+
+def _rasterize_loop(mesh, surface, resolution, bounds):
+    """`rasterize(...).states()` with the surface voxelized one voxel at a
+    time by the scalar oracle; the tet labels come from `rasterize` with
+    no triangles."""
+    lo = np.asarray(bounds[0], dtype=float)
+    grid = rasterize(mesh, SurfaceMesh(surface.vertices, []), resolution, bounds)
+    states = grid.states()
+    half = np.full(3, 0.5 * resolution)
+    for tri in surface.triangles:
+        pts = surface.vertices[list(tri)]
+        tlo = np.floor((pts.min(axis=0) - lo) / resolution).astype(int)
+        thi = np.floor((pts.max(axis=0) - lo) / resolution).astype(int)
+        tlo = np.maximum(tlo, 0)
+        thi = np.minimum(thi, np.array(grid.dims) - 1)
+        for i in range(tlo[0], thi[0] + 1):
+            for j in range(tlo[1], thi[1] + 1):
+                for k in range(tlo[2], thi[2] + 1):
+                    center = lo + (np.array([i, j, k]) + 0.5) * resolution
+                    if _tri_box_overlap(pts[0], pts[1], pts[2], center, half):
+                        states[i, j, k] = OCCUPIED
+    return states
+
+
+@st.composite
+def _tri_box_pairs(draw):
+    """(triangles, box centers, half) of one voxel grid. Vertices are often
+    snapped onto voxel faces, edges and corners, where the tests tie; some
+    triangles have an edge along a box axis or are zero-area."""
+    res = draw(st.sampled_from([0.25, 0.2, 0.3]))
+    coord = st.one_of(
+        st.floats(-1.0, 1.0, allow_nan=False),
+        st.integers(-6, 6).map(lambda m: m * res / 2),  # voxel faces and mid-planes
+    )
+    tris, centers = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        v0, v1, v2 = (np.array(draw(st.tuples(coord, coord, coord))) for _ in range(3))
+        shape = draw(st.sampled_from(["free", "axis_edge", "repeated", "point", "collinear"]))
+        if shape == "axis_edge":  # v1 - v0 along one box axis
+            v1 = np.where(np.arange(3) == draw(st.integers(0, 2)), v1, v0)
+        elif shape == "repeated":
+            v2 = v0.copy()
+        elif shape == "point":
+            v1, v2 = v0.copy(), v0.copy()
+        elif shape == "collinear":
+            v2 = v0 + draw(st.sampled_from([-1.0, 0.5, 2.0])) * (v1 - v0)
+        ijk = np.array(draw(st.tuples(*[st.integers(-3, 2)] * 3)))
+        tris.append([v0, v1, v2])
+        centers.append((ijk + 0.5) * res)
+    return np.array(tris), np.array(centers), np.full(3, 0.5 * res)
+
+
+def _random_labelled_mesh(seed):
+    rng = np.random.default_rng(seed)
+    mesh = tetrahedralize(rng.uniform(0.0, 2.0, size=(30, 3)))
+    for tid in mesh.tets:
+        mesh.labels[tid] = TetMesh.INSIDE if rng.random() < 0.5 else TetMesh.OUTSIDE
+    mesh.labels[OUTER] = TetMesh.OUTSIDE
+    return mesh, extract_surface(mesh)
+
+
+class TestRasterizeOracles:
+    def test_row_dot_rounds_as_one_dimensional_matmul(self):
+        # the batched test is bit-identical to the scalar one only if its
+        # dot products round as the scalar `a @ b` does
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(2, 2000, 3))
+        assert _dot(a, b).tolist() == [float(x @ y) for x, y in zip(a, b)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_tri_box_pairs())
+    def test_batched_sat_matches_scalar(self, pairs):
+        tris, centers, half = pairs
+        want = [_tri_box_overlap(t[0], t[1], t[2], c, half) for t, c in zip(tris, centers)]
+        assert _tri_box_overlaps(tris, centers, half).tolist() == want
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            ((-0.35, -0.35, -0.35), (2.35, 2.35, 2.35)),  # holds the whole surface
+            ((0.55, -0.35, 0.8), (1.45, 2.35, 1.4)),  # cuts through it
+            ((2.6, -3.0, 0.0), (3.5, -2.1, 2.0)),  # wholly outside: past x, before y
+        ],
+        ids=["whole", "cut", "outside"],
+    )
+    def test_rasterize_matches_per_voxel_loop(self, window):
+        mesh, surface = _random_labelled_mesh(5)
+        assert surface.triangles
+        want = _rasterize_loop(mesh, surface, 0.3, window)
+        np.testing.assert_array_equal(rasterize(mesh, surface, 0.3, window).states(), want)
+
+
+@pytest.mark.parametrize(
+    "resolution, bounds",
+    [
+        (0.0, ((0, 0, 0), (1, 1, 1))),
+        (-0.25, ((0, 0, 0), (1, 1, 1))),
+        (float("nan"), ((0, 0, 0), (1, 1, 1))),
+        (float("inf"), ((0, 0, 0), (1, 1, 1))),
+        (0.25, ((0, float("nan"), 0), (1, 1, 1))),
+        (0.25, ((0, 0, 0), (1, 1, float("inf")))),
+        (0.25, ((0, 0, 0), (1, 0, 1))),  # hi == lo on y
+        (0.25, ((0, 0, 0), (1, 1, -1))),  # hi < lo on z
+    ],
+)
+def test_rasterize_rejects_bad_resolution_or_bounds(resolution, bounds):
+    mesh, surface = _random_labelled_mesh(5)
+    with pytest.raises(ValueError, match="resolution|bounds"):
+        rasterize(mesh, surface, resolution, bounds)
