@@ -43,9 +43,12 @@ class TetMesh:
     """Positively oriented tetrahedralization with adjacency, point
     mapping and label storage.
 
-    `tets[tid]` holds four vertex ids and `neighbors[tid][k]` the tet
-    across the facet opposite slot k, `OUTER` on the hull. `labels` maps
-    tet ids, `OUTER` included, to INSIDE or OUTSIDE.
+    Tet ids are 0..n-1. `tets[tid]` holds four vertex ids and
+    `neighbors[tid][k]` the tet across the facet opposite slot k, `OUTER`
+    on the hull; both are lists, and `tet_array`/`neighbor_array` the
+    same as (n, 4) arrays. `labels` is a uint8 array of n + 1 INSIDE or
+    OUTSIDE values, OUTER's last, so `labels[tid]` reads every id; it
+    starts all OUTSIDE.
     """
 
     INSIDE = 1
@@ -65,28 +68,25 @@ class TetMesh:
         flip = np.einsum("ij,ij->i", b - a, np.cross(c - a, d - a)) < 0
         simplices[flip, :2] = simplices[flip, 1::-1]
         neighbors[flip, :2] = neighbors[flip, 1::-1]
-        # one int object per id, shared by every tuple and list that holds
-        # it: a fresh int per entry costs ~1.5 MB on a 1000-point map.
-        # ids[OUTER] is OUTER.
-        ids = [*range(max(len(points), len(simplices))), OUTER]
-        self.tets: dict[int, tuple[int, int, int, int]] = {
-            ids[t]: tuple(map(ids.__getitem__, row)) for t, row in enumerate(simplices.tolist())
-        }
-        self.neighbors: dict[int, list[int]] = {
-            ids[t]: list(map(ids.__getitem__, row)) for t, row in enumerate(neighbors.tolist())
-        }
-        self.labels: dict[int, int] = {}
+        self.tet_array, self.neighbor_array = simplices, neighbors
+        self.tets: list[list[int]] = simplices.tolist()
+        self.neighbors: list[list[int]] = neighbors.tolist()
+        self.labels = np.full(len(simplices) + 1, TetMesh.OUTSIDE, dtype=np.uint8)
         self.hull_facets = np.argwhere(neighbors == OUTER).tolist()  # (tid, slot) pairs
         self._orient_eps = 1e-14 * scale**3
         self._tree = cKDTree(points)
 
     # -- queries ---------------------------------------------------------
 
-    def is_finite(self, tid: int) -> bool:
-        return tid != OUTER
+    def finite_tet_ids(self) -> range:
+        return range(len(self.tets))
 
-    def finite_tet_ids(self) -> list[int]:
-        return list(self.tets)
+    def facets(self):
+        """(tet ids, slots) of every facet once: each interior facet from
+        its lower tet id, every hull facet from its one finite tet, in
+        row-major order."""
+        nb = self.neighbor_array
+        return np.nonzero((nb == OUTER) | (np.arange(len(nb))[:, None] < nb))
 
     def find_vertex(self, point, radius: float = MERGE_RADIUS) -> int:
         """Vertex id of the mesh point nearest `point`.

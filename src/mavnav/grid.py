@@ -46,8 +46,8 @@ class OccupancyGrid:
     """Axis-aligned voxel grid of free/occupied/unknown states."""
 
     def __init__(self, origin, resolution: float, dims, params: LogOddsParams | None = None):
-        if resolution <= 0:
-            raise ValueError("resolution must be positive")
+        if not (np.isfinite(resolution) and resolution > 0):
+            raise ValueError(f"resolution must be finite and positive, got {resolution}")
         self.origin = np.asarray(origin, dtype=float)
         self.resolution = float(resolution)
         self.dims = tuple(int(d) for d in dims)

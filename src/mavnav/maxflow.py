@@ -1,123 +1,70 @@
-"""Exact s-t min-cut via Dinic's augmenting-path max-flow.
+"""Exact s-t min-cut on `scipy.sparse.csgraph.maximum_flow`.
 
-Capacities are floats; residuals below 1e-12 count as saturated. Sized
-for desk-scale graphs (tens of thousands of nodes), where exactness of
-the cut matters and speed does not.
+The network is built once from arrays: per-node source and sink
+capacities and undirected edges, all non-negative integers whose total
+fits in int32, so that the flow is exact. The source side of the cut is
+the set of nodes reachable from the source in the residual graph. That
+set is the same for every maximum flow, so the labels do not depend on
+which augmenting paths the solver took.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import numpy as np
 
-_EPS = 1e-12
+
+def _caps(values, n: int) -> np.ndarray:
+    caps = np.broadcast_to(np.asarray(values), (n,))
+    if caps.size and not np.issubdtype(caps.dtype, np.integer):
+        raise ValueError(f"capacities must be integers, got {caps.dtype}")
+    caps = caps.astype(np.int64)
+    if np.any(caps < 0):
+        raise ValueError("negative capacity")
+    return caps
 
 
 class FlowNetwork:
-    """Flow network over nodes 0..n-1 plus implicit source and sink."""
+    """Flow network over nodes 0..n-1 plus a source (n) and a sink (n+1).
 
-    def __init__(self, n_nodes: int):
-        self.n = n_nodes
-        self.source = n_nodes
-        self.sink = n_nodes + 1
-        self._to: list[int] = []
-        self._cap: list[float] = []
-        self._adj: list[list[int]] = [[] for _ in range(n_nodes + 2)]
-        self.source_cap = [0.0] * n_nodes
-        self.sink_cap = [0.0] * n_nodes
-        self._finalized = False
+    `edges` is an (m, 2) array of node pairs, each an arc of capacity
+    `edge_caps` (one per edge, or one for all) in both directions.
+    """
 
-    def add_edge(self, u: int, v: int, cap: float, rcap: float = 0.0) -> None:
-        if cap < 0 or rcap < 0:
-            raise ValueError("negative capacity")
-        self._adj[u].append(len(self._to))
-        self._to.append(v)
-        self._cap.append(cap)
-        self._adj[v].append(len(self._to))
-        self._to.append(u)
-        self._cap.append(rcap)
+    def __init__(self, source_caps, sink_caps, edges, edge_caps):
+        from scipy.sparse import csr_array
 
-    def add_source_cap(self, v: int, cap: float) -> None:
-        self.source_cap[v] += cap
+        n = len(source_caps)
+        self.n, self.source, self.sink = n, n, n + 1
+        src, snk = _caps(source_caps, n), _caps(sink_caps, n)
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        w = _caps(edge_caps, len(edges))
+        if int(src.sum()) + int(snk.sum()) + int(w.sum()) > np.iinfo(np.int32).max:
+            raise ValueError("total capacity does not fit in int32")
+        nodes = np.arange(n)
+        rows = np.concatenate([np.full(n, n), nodes, edges[:, 0], edges[:, 1]])
+        cols = np.concatenate([nodes, np.full(n, n + 1), edges[:, 1], edges[:, 0]])
+        caps = np.concatenate([src, snk, w, w]).astype(np.int32)
+        keep = caps > 0
+        self.graph = csr_array((caps[keep], (rows[keep], cols[keep])), shape=(n + 2, n + 2))
+        self._residual = None
 
-    def add_sink_cap(self, v: int, cap: float) -> None:
-        self.sink_cap[v] += cap
-
-    def _finalize(self) -> None:
-        if self._finalized:
-            return
-        for v in range(self.n):
-            if self.source_cap[v] > 0:
-                self.add_edge(self.source, v, self.source_cap[v])
-            if self.sink_cap[v] > 0:
-                self.add_edge(v, self.sink, self.sink_cap[v])
-        self._finalized = True
-
-    def solve(self) -> float:
+    def solve(self) -> int:
         """Max-flow value == min-cut energy."""
-        self._finalize()
-        to, cap, adj = self._to, self._cap, self._adj
-        s, t = self.source, self.sink
-        total = 0.0
-        while True:
-            level = [-1] * (self.n + 2)
-            level[s] = 0
-            q = deque([s])
-            while q:
-                u = q.popleft()
-                for eid in adj[u]:
-                    v = to[eid]
-                    if level[v] < 0 and cap[eid] > _EPS:
-                        level[v] = level[u] + 1
-                        q.append(v)
-            if level[t] < 0:
-                return total
-            it = [0] * (self.n + 2)
-            while True:
-                pushed = self._dfs(s, t, float("inf"), level, it)
-                if pushed <= 0.0:
-                    break
-                total += pushed
+        from scipy.sparse.csgraph import maximum_flow
 
-    def _dfs(self, u, t, limit, level, it) -> float:
-        # iterative blocking-flow DFS to keep deep graphs off the stack
-        to, cap, adj = self._to, self._cap, self._adj
-        path: list[int] = []
-        node = u
-        while True:
-            if node == t:
-                push = min(limit, min(cap[eid] for eid in path))
-                for eid in path:
-                    cap[eid] -= push
-                    cap[eid ^ 1] += push
-                return push
-            advanced = False
-            while it[node] < len(adj[node]):
-                eid = adj[node][it[node]]
-                v = to[eid]
-                if cap[eid] > _EPS and level[v] == level[node] + 1:
-                    path.append(eid)
-                    node = v
-                    advanced = True
-                    break
-                it[node] += 1
-            if not advanced:
-                level[node] = -1
-                if not path:
-                    return 0.0
-                node_eid = path.pop()
-                node = to[node_eid ^ 1]
-                it[node] += 1
+        res = maximum_flow(self.graph, self.source, self.sink)
+        # the flow is antisymmetric, so this also holds the reverse
+        # residuals; csgraph reads a stored zero as an edge
+        self._residual = self.graph - res.flow
+        self._residual.eliminate_zeros()
+        return int(res.flow_value)
 
-    def min_cut_source_side(self) -> list[bool]:
-        """After solve(): nodes reachable from the source in the residual."""
-        seen = [False] * (self.n + 2)
-        seen[self.source] = True
-        q = deque([self.source])
-        while q:
-            u = q.popleft()
-            for eid in self._adj[u]:
-                v = self._to[eid]
-                if not seen[v] and self._cap[eid] > _EPS:
-                    seen[v] = True
-                    q.append(v)
-        return seen[: self.n]
+    def min_cut_source_side(self) -> np.ndarray:
+        """After solve(): bool per node, reachable from the source in the residual."""
+        from scipy.sparse.csgraph import breadth_first_order
+
+        if self._residual is None:
+            raise RuntimeError("solve() first")
+        side = np.zeros(self.n + 2, dtype=bool)
+        side[breadth_first_order(self._residual, self.source, return_predecessors=False)] = True
+        return side[: self.n]

@@ -10,8 +10,9 @@ reconstructed surface, which is finally rasterized to an occupancy grid.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -52,11 +53,26 @@ def select_keyframes(poses, trans_thresh: float, rot_thresh: float) -> list[Pose
     return selected
 
 
+# Every cut weight is a whole multiple of this quantum, so that the cut
+# runs on exact integer capacities.
+CUT_QUANTUM = 0.01
+
+
 @dataclass(frozen=True)
 class CutWeights:
+    """Per-ray outside vote, inside vote behind each point, and facet
+    smoothness. Each must be a non-negative multiple of `CUT_QUANTUM`."""
+
     alpha_vis: float = 1.0
     alpha_behind: float = 5.0
     lambda_qual: float = 0.5
+
+    def __post_init__(self):
+        for f in fields(self):
+            w = getattr(self, f.name)
+            q = w / CUT_QUANTUM
+            if not (math.isfinite(w) and w >= 0 and math.isclose(q, round(q), rel_tol=1e-9)):
+                raise ValueError(f"{f.name} must be a non-negative multiple of {CUT_QUANTUM}: {w}")
 
 
 @dataclass
@@ -70,13 +86,15 @@ class SurfaceMesh:
 
 @dataclass
 class CutProblem:
-    """s-t cut instance over finite tets plus one outer (infinite) node."""
+    """s-t cut instance over finite tets plus one outer (infinite) node.
+    Node ids are tet ids, the outer node last, where OUTER (-1) indexes."""
 
     node_of_tet: dict[int, int]
     outer_node: int
     source_caps: np.ndarray  # outside affinity per node
     sink_caps: np.ndarray  # inside affinity per node
-    edges: list[tuple[int, int, float]]  # undirected smoothness arcs
+    edges: np.ndarray  # (m, 2) undirected smoothness arcs
+    edge_cap: float  # capacity of every smoothness arc
     n_rays: int = 0
 
     @property
@@ -87,10 +105,8 @@ class CutProblem:
         """Cut energy of an arbitrary labeling (True = outside)."""
         outside = np.asarray(outside, dtype=bool)
         e = float(self.source_caps[~outside].sum() + self.sink_caps[outside].sum())
-        for u, v, w in self.edges:
-            if outside[u] != outside[v]:
-                e += w
-        return e
+        cut = np.count_nonzero(outside[self.edges[:, 0]] != outside[self.edges[:, 1]])
+        return e + cut * self.edge_cap
 
 
 def _segment_exits_facet(verts, tri, origin, target, eps: float) -> bool:
@@ -113,8 +129,7 @@ def _hull_entry(mesh: TetMesh, origin, target, target_vid: int, eps: float):
     the reversed segment exits it."""
     touched = None
     for tid, k in mesh.hull_facets:
-        vs = mesh.tets[tid]
-        tri = tuple(vs[i] for i in FACET_OPP[k])
+        tri = [mesh.tets[tid][i] for i in FACET_OPP[k]]
         if _segment_exits_facet(mesh.verts, tri, target, origin, eps):
             if target_vid not in tri:
                 return tid, False
@@ -196,12 +211,8 @@ def build_cut_problem(mesh: TetMesh, keyframes, weights: CutWeights = CutWeights
     Every keyframe point must already be a mesh vertex (the mesh is built
     from the union of keyframe observations).
     """
-    node_of_tet = {tid: i for i, tid in enumerate(mesh.finite_tet_ids())}
-    outer = len(node_of_tet)
-    node_of_tet[OUTER] = outer
-
-    source = np.zeros(outer + 1)
-    sink = np.zeros(outer + 1)
+    n = len(mesh.tets)
+    crossed_all, behind_all = [], []
     n_rays = 0
     for kf in keyframes:
         cam = kf.pose.position
@@ -211,17 +222,20 @@ def build_cut_problem(mesh: TetMesh, keyframes, weights: CutWeights = CutWeights
             if terminal is None:
                 continue
             n_rays += 1
-            for tid in crossed:
-                source[node_of_tet[tid]] += weights.alpha_vis
+            crossed_all += crossed
             if behind is not None:
-                sink[node_of_tet[behind]] += weights.alpha_behind
+                behind_all.append(behind)
 
-    edges = []
-    for tid, nbs in mesh.neighbors.items():
-        for nb in nbs:
-            if nb == OUTER or tid < nb:  # each facet once
-                edges.append((node_of_tet[tid], node_of_tet[nb], weights.lambda_qual))
-    return CutProblem(node_of_tet, outer, source, sink, edges, n_rays)
+    # node = tet id; OUTER (-1) wraps to the last node, n
+    def votes(tids, weight):
+        return np.bincount(np.asarray(tids, dtype=np.intp) % (n + 1), minlength=n + 1) * weight
+
+    t, k = mesh.facets()
+    nb = mesh.neighbor_array[t, k]
+    edges = np.stack([t, np.where(nb == OUTER, n, nb)], axis=1)
+    node_of_tet = {**{tid: tid for tid in range(n)}, OUTER: n}
+    source, sink = votes(crossed_all, weights.alpha_vis), votes(behind_all, weights.alpha_behind)
+    return CutProblem(node_of_tet, n, source, sink, edges, weights.lambda_qual, n_rays)
 
 
 def label_tets(mesh: TetMesh, keyframes, weights: CutWeights = CutWeights()):
@@ -233,49 +247,30 @@ def label_tets(mesh: TetMesh, keyframes, weights: CutWeights = CutWeights()):
     problem = build_cut_problem(mesh, keyframes, weights)
     if problem.n_rays == 0:
         warnings.warn("no visibility rays; labeling every tetrahedron inside")
-        for tid in problem.node_of_tet:
-            mesh.labels[tid] = TetMesh.INSIDE
+        mesh.labels[:] = TetMesh.INSIDE
         return problem, 0.0
 
-    net = FlowNetwork(problem.n_nodes)
-    for v in range(problem.n_nodes):
-        if problem.source_caps[v] > 0:
-            net.add_source_cap(v, float(problem.source_caps[v]))
-        if problem.sink_caps[v] > 0:
-            net.add_sink_cap(v, float(problem.sink_caps[v]))
-    for u, v, w in problem.edges:
-        net.add_edge(u, v, w, w)
-    energy = net.solve()
-    outside = net.min_cut_source_side()
-    for tid, node in problem.node_of_tet.items():
-        mesh.labels[tid] = TetMesh.OUTSIDE if outside[node] else TetMesh.INSIDE
+    def quanta(caps):
+        return np.rint(np.asarray(caps) / CUT_QUANTUM).astype(np.int64)
+
+    src, snk, w = (quanta(c) for c in (problem.source_caps, problem.sink_caps, problem.edge_cap))
+    net = FlowNetwork(src, snk, problem.edges, w)
+    energy = net.solve() * CUT_QUANTUM
+    mesh.labels[:] = np.where(net.min_cut_source_side(), TetMesh.OUTSIDE, TetMesh.INSIDE)
     return problem, energy
 
 
 def extract_surface(mesh: TetMesh) -> SurfaceMesh:
     """Facets separating differently-labeled tets (hull facets included,
     against OUTER's label), as point-index triangles."""
-    tris = []
-    for tid, vs in mesh.tets.items():
-        for k, nb in enumerate(mesh.neighbors[tid]):
-            if nb != OUTER and nb < tid:  # each interior facet once
-                continue
-            if mesh.labels.get(tid) == mesh.labels.get(nb):
-                continue
-            f = FACET_OPP[k]
-            tris.append((vs[f[0]], vs[f[1]], vs[f[2]]))
-    edge_count: dict[frozenset, int] = {}
-    for t in tris:
-        for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            edge_count[frozenset(e)] = edge_count.get(frozenset(e), 0) + 1
-    watertight = bool(tris) and all(c == 2 for c in edge_count.values())
-    return SurfaceMesh(mesh.points, tris, watertight)
-
-
-def label_and_extract(mesh: TetMesh, keyframes, weights: CutWeights = CutWeights()):
-    """Full labeling + surface extraction; returns (mesh, surface)."""
-    label_tets(mesh, keyframes, weights)
-    return mesh, extract_surface(mesh)
+    t, k = mesh.facets()
+    keep = mesh.labels[t] != mesh.labels[mesh.neighbor_array[t, k]]
+    t, k = t[keep], k[keep]
+    tris = mesh.tet_array[t[:, None], np.array(FACET_OPP)[k]]
+    edges = np.sort(tris[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
+    counts = np.unique(edges, axis=0, return_counts=True)[1]
+    watertight = bool(len(tris)) and bool(np.all(counts == 2))
+    return SurfaceMesh(mesh.points, list(map(tuple, tris.tolist())), watertight)
 
 
 # -- rasterization -------------------------------------------------------
@@ -369,10 +364,8 @@ def rasterize(
     grid = OccupancyGrid(lo, resolution, dims, params)
 
     # state per tet id; OUTER (-1) reads the last entry, which stays UNKNOWN
-    state_of_tet = np.full(len(mesh.tets) + 1, UNKNOWN, dtype=np.uint8)
-    for tid, label in mesh.labels.items():
-        if mesh.is_finite(tid):
-            state_of_tet[tid] = OCCUPIED if label == TetMesh.INSIDE else FREE
+    state_of_tet = np.where(mesh.labels == TetMesh.INSIDE, OCCUPIED, FREE).astype(np.uint8)
+    state_of_tet[OUTER] = UNKNOWN
     centers = lo + (np.indices(dims).reshape(3, -1).T + 0.5) * resolution
     states = state_of_tet[mesh.locate(centers)].reshape(dims)
 

@@ -79,7 +79,7 @@ class TestTetrahedralize:
         pts = np.random.default_rng(3).normal(size=(50, 3))
         mesh = tetrahedralize(pts)
         # every interior facet shared by exactly two mutually-linked tets
-        for tid, nbs in mesh.neighbors.items():
+        for tid, nbs in enumerate(mesh.neighbors):
             for k, nb in enumerate(nbs):
                 if nb == OUTER:
                     continue
@@ -90,6 +90,11 @@ class TestTetrahedralize:
                 back = mesh.neighbors[nb].index(tid)
                 fb = FACET_OPP[back]
                 assert {mesh.tets[nb][i] for i in fb} == tri
+        # facets() lists each interior facet once and every hull facet
+        t, k = mesh.facets()
+        n_hull = len(mesh.hull_facets)
+        assert 2 * len(t) == 4 * len(mesh.tets) + n_hull
+        assert len(set(zip(t.tolist(), k.tolist()))) == len(t)
 
     def test_locate_returns_containing_tet(self):
         from scipy.spatial import ConvexHull

@@ -140,6 +140,12 @@ class TestStates:
         assert s[3, 0, 0] == UNKNOWN
 
 
+@pytest.mark.parametrize("res", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+def test_rejects_resolution_not_finite_and_positive(res):
+    with pytest.raises(ValueError, match="resolution"):
+        OccupancyGrid((0, 0, 0), res, (4, 4, 4))
+
+
 grid_dims = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6))
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mavnav.delaunay import OUTER, TetMesh, tetrahedralize
+from mavnav.delaunay import FACET_OPP, OUTER, TetMesh, tetrahedralize
 from mavnav.geometry import Pose, Quat
 from mavnav.grid import FREE, OCCUPIED, UNKNOWN
 from mavnav.reconstruction import (
@@ -16,7 +16,6 @@ from mavnav.reconstruction import (
     _tri_box_overlaps,
     build_cut_problem,
     extract_surface,
-    label_and_extract,
     label_tets,
     rasterize,
     select_keyframes,
@@ -72,9 +71,9 @@ class TestGraphCut:
         pts = np.random.default_rng(2).uniform(0, 1, (6, 3))
         mesh = tetrahedralize(pts)
         with pytest.warns(UserWarning):
-            mesh, surface = label_and_extract(mesh, [])
-        assert all(lbl == TetMesh.INSIDE for lbl in mesh.labels.values())
-        assert surface.triangles == []
+            label_tets(mesh, [])
+        assert np.all(mesh.labels == TetMesh.INSIDE)
+        assert extract_surface(mesh).triangles == []
 
     def test_wall_scene_matches_brute_force(self):
         pts, wall, cam, keyframes = _wall_scene()
@@ -92,7 +91,7 @@ class TestGraphCut:
             for t in np.linspace(0.05, 0.97, 12):
                 probe = cam.position + t * (wp - cam.position)
                 tid = mesh.locate(probe)
-                if mesh.is_finite(tid):
+                if tid != OUTER:
                     assert mesh.labels[tid] == TetMesh.OUTSIDE
             d = wp - cam.position
             d = d / np.linalg.norm(d)
@@ -166,8 +165,9 @@ class TestRasterize:
             [[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], dtype=float
         )
         mesh = tetrahedralize(corners)
-        for tid in mesh.tets:
-            mesh.labels[tid] = TetMesh.INSIDE if mesh.is_finite(tid) else TetMesh.OUTSIDE
+        for tid in mesh.finite_tet_ids():
+            mesh.labels[tid] = TetMesh.INSIDE
+        mesh.labels[OUTER] = TetMesh.OUTSIDE
         return mesh
 
     def test_unit_cube_matches_analytic_voxelization(self):
@@ -209,6 +209,44 @@ class TestRasterize:
         surface = extract_surface(mesh)
         grid = rasterize(mesh, surface, 0.25, ((-2.1, -2.1, -2.1), (3.1, 3.1, 3.1)))
         assert grid.state_at([-1.8, -1.8, -1.8]) == UNKNOWN
+
+
+# -- surface oracle ------------------------------------------------------
+
+
+def _extract_surface_loop(mesh):
+    """(triangles, watertight) of `extract_surface`, one facet at a time:
+    the oracle of the array version."""
+    tris = []
+    for tid, vs in enumerate(mesh.tets):
+        for k, nb in enumerate(mesh.neighbors[tid]):
+            if nb != OUTER and nb < tid:  # each interior facet once
+                continue
+            if mesh.labels[tid] == mesh.labels[nb]:
+                continue
+            f = FACET_OPP[k]
+            tris.append((vs[f[0]], vs[f[1]], vs[f[2]]))
+    edge_count: dict[frozenset, int] = {}
+    for t in tris:
+        for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+            edge_count[frozenset(e)] = edge_count.get(frozenset(e), 0) + 1
+    return tris, bool(tris) and all(c == 2 for c in edge_count.values())
+
+
+@pytest.mark.parametrize("outer", [TetMesh.OUTSIDE, TetMesh.INSIDE])
+@pytest.mark.parametrize("seed", [0, 1, 2, 5, 9])
+def test_extract_surface_matches_facet_loop(seed, outer):
+    mesh, _ = _random_labelled_mesh(seed)
+    mesh.labels[OUTER] = outer
+    surface = extract_surface(mesh)
+    assert (surface.triangles, surface.watertight) == _extract_surface_loop(mesh)
+
+
+def test_extract_surface_matches_facet_loop_on_cube():
+    mesh = TestRasterize()._cube_mesh_all_inside()
+    surface = extract_surface(mesh)
+    assert (surface.triangles, surface.watertight) == _extract_surface_loop(mesh)
+    assert surface.watertight and len(surface.triangles) == 12
 
 
 # -- rasterization oracles -----------------------------------------------
@@ -302,7 +340,7 @@ def _tri_box_pairs(draw):
 def _random_labelled_mesh(seed):
     rng = np.random.default_rng(seed)
     mesh = tetrahedralize(rng.uniform(0.0, 2.0, size=(30, 3)))
-    for tid in mesh.tets:
+    for tid in mesh.finite_tet_ids():
         mesh.labels[tid] = TetMesh.INSIDE if rng.random() < 0.5 else TetMesh.OUTSIDE
     mesh.labels[OUTER] = TetMesh.OUTSIDE
     return mesh, extract_surface(mesh)
