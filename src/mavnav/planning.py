@@ -1,17 +1,17 @@
 """Roadmap route planning over occupancy grids.
 
 A Euclidean distance transform (unknown counts as obstacle) and a
-probabilistic roadmap are precomputed once per map; queries then run
-Dijkstra under an edge cost that penalizes length, low obstacle
-clearance and altitude change, shorten the raw path under a bounded
-cost increase, and attach a curvature-limited speed plan.
+probabilistic roadmap are precomputed once per map. One batched kernel
+gives every straight segment its clearance and its cost, which penalizes
+length, low obstacle clearance and altitude change. Queries run scipy's
+Dijkstra, shorten the raw path under a bounded cost increase, and attach
+a curvature-limited speed plan.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import ndimage
@@ -37,6 +37,11 @@ class PlannerConfig:
     clearance_radius: float = 0.4  # MAV bounding radius [m]
     goal_connect_count: int = 10
 
+    def __post_init__(self):
+        # positive, so that a sample outside the map (distance 0) is never clear
+        if not (math.isfinite(self.clearance_radius) and self.clearance_radius > 0):
+            raise ValueError(f"clearance_radius must be finite and positive, got {self.clearance_radius}")
+
 
 @dataclass
 class ProximityMap:
@@ -45,9 +50,9 @@ class ProximityMap:
     origin: np.ndarray
     resolution: float
     distances: np.ndarray
-    clamp: float
 
     def distance_at(self, points) -> np.ndarray:
+        """Distance at each point; 0 outside the map."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         idx = np.floor((pts - self.origin) / self.resolution).astype(int)
         inside = np.all((idx >= 0) & (idx < np.array(self.distances.shape)), axis=1)
@@ -55,7 +60,7 @@ class ProximityMap:
         if np.any(inside):
             ii = idx[inside]
             out[inside] = self.distances[ii[:, 0], ii[:, 1], ii[:, 2]]
-        return out if out.size > 1 else float(out[0])
+        return out
 
 
 def build_proximity_map(grid: OccupancyGrid, clamp: float) -> ProximityMap:
@@ -67,15 +72,14 @@ def build_proximity_map(grid: OccupancyGrid, clamp: float) -> ProximityMap:
         dist = np.full(grid.dims, clamp)
     else:
         dist = ndimage.distance_transform_edt(~obstacle) * grid.resolution
-    return ProximityMap(grid.origin.copy(), grid.resolution, np.minimum(dist, clamp), clamp)
+    return ProximityMap(grid.origin.copy(), grid.resolution, np.minimum(dist, clamp))
 
 
 @dataclass
 class Roadmap:
     vertices: np.ndarray
-    adjacency: dict[int, list[tuple[int, float]]]
-    seed: int
-    edges: list[tuple[int, int, float]] = field(default_factory=list)
+    edges: np.ndarray  # (m, 2) vertex pairs i < j
+    weights: np.ndarray  # (m,)
 
 
 @dataclass
@@ -86,47 +90,51 @@ class PlannedPath:
     times: np.ndarray | None = None
 
 
-def _segment_samples(p, q, step: float) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    n = max(int(math.ceil(np.linalg.norm(q - p) / step)), 1)
-    t = np.linspace(0.0, 1.0, n + 1)
-    return p[None, :] + t[:, None] * (q - p)[None, :]
-
-
-def segment_clear(grid: OccupancyGrid, prox: ProximityMap, p, q, cfg: PlannerConfig) -> bool:
-    """Straight segment keeps MAV clearance, sampled at half-resolution."""
-    pts = _segment_samples(p, q, 0.5 * grid.resolution)
-    if not np.all(grid.in_bounds(grid.world_to_index(pts))):
-        return False
-    d = np.atleast_1d(prox.distance_at(pts))
-    return bool(np.all(d >= cfg.clearance_radius))
-
-
-def edge_cost(prox: ProximityMap, p, q, cfg: PlannerConfig) -> float:
-    """Length plus clearance and altitude penalties, midpoint-discretized:
+def _segments(prox: ProximityMap, p, q, cfg: PlannerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Clearance and cost of every straight segment p[i] -> q[i], each
+    sampled once at half resolution. It is clear when every sample keeps
+    cfg.clearance_radius; its cost is midpoint-discretized:
 
         cost = integral of 1 + l_prox * max(0, d_safe - d(x)) / d_safe ds
                + l_alt * |dz|
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    length = float(np.linalg.norm(q - p))
-    if length == 0.0:
-        return 0.0
-    pts = _segment_samples(p, q, 0.5 * prox.resolution)
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    ds = length / len(mids)
-    d = np.atleast_1d(prox.distance_at(mids))
-    penalty = np.maximum(0.0, cfg.d_safe - d) / cfg.d_safe
-    return length + cfg.lambda_prox * float(penalty.sum()) * ds + cfg.lambda_alt * abs(
-        float(q[2] - p[2])
-    )
+    p, q = np.broadcast_arrays(np.atleast_2d(np.asarray(p, dtype=float)),
+                               np.atleast_2d(np.asarray(q, dtype=float)))
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise ValueError("segment endpoints must be finite")
+    d = q - p
+    # each row through the kernel of a 1-D `d @ d`, which rounds as np.linalg.norm does
+    length = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+    n = np.maximum(np.ceil(length / (0.5 * prox.resolution)), 1).astype(int)
+    seg = np.repeat(np.arange(len(d)), n + 1)
+    first = np.cumsum(n + 1) - (n + 1)
+    k = np.arange(len(seg)) - first[seg]  # sample's rank within its segment
+    t = k * (1.0 / n)[seg]  # as np.linspace computes it, last sample exactly 1
+    t[k == n[seg]] = 1.0
+    pts = p[seg] + t[:, None] * d[seg]
+    clear = np.minimum.reduceat(prox.distance_at(pts), first) >= cfg.clearance_radius
+
+    inner = np.flatnonzero(k < n[seg])
+    mids = 0.5 * (pts[inner] + pts[inner + 1])
+    penalty = np.maximum(0.0, cfg.d_safe - prox.distance_at(mids)) / cfg.d_safe
+    ds = length / n
+    cost = length + cfg.lambda_prox * np.add.reduceat(penalty, np.cumsum(n) - n) * ds
+    # a segment whose length rounds to 0 costs 0, whatever its dz
+    return clear, np.where(length > 0, cost + cfg.lambda_alt * np.abs(d[:, 2]), 0.0)
+
+
+def segment_clear(grid: OccupancyGrid, prox: ProximityMap, p, q, cfg: PlannerConfig) -> bool:
+    """Straight segment keeps MAV clearance; `prox` is the proximity map of `grid`."""
+    return bool(_segments(prox, p, q, cfg)[0][0])
 
 
 def path_cost(prox: ProximityMap, waypoints, cfg: PlannerConfig) -> float:
     wps = np.asarray(waypoints, dtype=float)
-    return sum(edge_cost(prox, wps[i], wps[i + 1], cfg) for i in range(len(wps) - 1))
+    return float(np.sum(_segments(prox, wps[:-1], wps[1:], cfg)[1])) if len(wps) > 1 else 0.0
+
+
+# Candidate edges per _segments call: bounds the sample arrays of build_roadmap
+_PAIR_BLOCK = 256
 
 
 def build_roadmap(
@@ -141,56 +149,33 @@ def build_roadmap(
     connection with straight-line collision checks. Deterministic per seed."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if not (math.isfinite(connect_radius) and connect_radius > 0):
+        raise ValueError(f"connect_radius must be finite and positive, got {connect_radius}")
     rng = np.random.default_rng(seed)
     lo = grid.origin
     hi = grid.origin + np.array(grid.dims) * grid.resolution
     states = grid.states()
-    samples = []
-    for _ in range(1000 * n_samples):
-        if len(samples) == n_samples:
+    vertices = np.empty((0, 3))
+    for _ in range(1000):
+        p = rng.uniform(lo, hi, (n_samples, 3))
+        idx = grid.world_to_index(p)
+        free = states[idx[:, 0], idx[:, 1], idx[:, 2]] == FREE
+        vertices = np.vstack([vertices, p[free & (prox.distance_at(p) >= cfg.clearance_radius)]])
+        if len(vertices) >= n_samples:
             break
-        p = rng.uniform(lo, hi)
-        idx = tuple(grid.world_to_index(p)[0])
-        if states[idx] != FREE:
-            continue
-        if prox.distance_at(p) < cfg.clearance_radius:
-            continue
-        samples.append(p)
-    if not samples:
+    if not len(vertices):
         raise PlanningError("no free space to sample")
-    vertices = np.array(samples)
+    vertices = vertices[:n_samples]
 
-    adjacency: dict[int, list[tuple[int, float]]] = {i: [] for i in range(len(vertices))}
-    edges = []
-    tree = cKDTree(vertices)
-    for i, j in sorted(tree.query_pairs(connect_radius)):
-        if not segment_clear(grid, prox, vertices[i], vertices[j], cfg):
-            continue
-        w = edge_cost(prox, vertices[i], vertices[j], cfg)
-        adjacency[i].append((j, w))
-        adjacency[j].append((i, w))
-        edges.append((i, j, w))
-    return Roadmap(vertices, adjacency, seed, edges)
-
-
-def _dijkstra(adjacency, n, start: int, goal: int):
-    dist = [math.inf] * n
-    prev = [-1] * n
-    dist[start] = 0.0
-    heap = [(0.0, start)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u == goal:
-            break
-        if d > dist[u]:
-            continue
-        for v, w in adjacency.get(u, ()):
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                prev[v] = u
-                heapq.heappush(heap, (nd, v))
-    return dist, prev
+    pairs = cKDTree(vertices).query_pairs(connect_radius, output_type="ndarray")
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    clear = np.zeros(len(pairs), dtype=bool)
+    weights = np.zeros(len(pairs))
+    for s in range(0, len(pairs), _PAIR_BLOCK):
+        block = pairs[s : s + _PAIR_BLOCK]
+        clear[s : s + _PAIR_BLOCK], weights[s : s + _PAIR_BLOCK] = _segments(
+            prox, vertices[block[:, 0]], vertices[block[:, 1]], cfg)
+    return Roadmap(vertices, pairs[clear], weights[clear])
 
 
 def plan_path(
@@ -201,54 +186,46 @@ def plan_path(
     goal,
     cfg: PlannerConfig = PlannerConfig(),
 ) -> PlannedPath:
-    """Cost-minimal waypoint route from start to goal through the roadmap."""
+    """Cost-minimal waypoint route from start to goal through the roadmap,
+    which each joins at its goal_connect_count nearest clear links."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import dijkstra
+
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
-    for name, p in (("start", start), ("goal", goal)):
-        if prox.distance_at(p) < cfg.clearance_radius:
+    if not (np.isfinite(start).all() and np.isfinite(goal).all()):
+        raise ValueError("start and goal must be finite")
+    for name, d in zip(("start", "goal"), prox.distance_at([start, goal])):
+        if d < cfg.clearance_radius:
             raise PlanningError(f"{name} position is not in cleared free space")
 
-    if segment_clear(grid, prox, start, goal, cfg):
-        direct = edge_cost(prox, start, goal, cfg)
-    else:
-        direct = math.inf
+    clear, cost = _segments(prox, start, goal, cfg)
+    direct = cost[0] if clear[0] else math.inf
 
-    n = len(rm.vertices)
+    n, k = len(rm.vertices), cfg.goal_connect_count
     s_id, g_id = n, n + 1
-    adjacency = {i: list(v) for i, v in rm.adjacency.items()}
-    adjacency[s_id] = []
-    adjacency[g_id] = []
     order = np.argsort(np.linalg.norm(rm.vertices - start, axis=1))
-    connected = 0
-    for vi in order:
-        if connected >= cfg.goal_connect_count:
-            break
-        if segment_clear(grid, prox, start, rm.vertices[vi], cfg):
-            w = edge_cost(prox, start, rm.vertices[vi], cfg)
-            adjacency[s_id].append((int(vi), w))
-            connected += 1
+    clear, cost = _segments(prox, start, rm.vertices[order], cfg)
+    from_start, w_start = order[clear][:k], cost[clear][:k]
     order = np.argsort(np.linalg.norm(rm.vertices - goal, axis=1))
-    connected = 0
-    for vi in order:
-        if connected >= cfg.goal_connect_count:
-            break
-        if segment_clear(grid, prox, rm.vertices[vi], goal, cfg):
-            w = edge_cost(prox, rm.vertices[vi], goal, cfg)
-            adjacency[int(vi)].append((g_id, w))
-            connected += 1
-
-    dist, prev = _dijkstra(adjacency, n + 2, s_id, g_id)
-    best = dist[g_id]
+    clear, cost = _segments(prox, rm.vertices[order], goal, cfg)
+    to_goal, w_goal = order[clear][:k], cost[clear][:k]
+    e = rm.edges
+    rows = np.concatenate([e[:, 0], e[:, 1], np.full(len(from_start), s_id), to_goal])
+    cols = np.concatenate([e[:, 1], e[:, 0], from_start, np.full(len(to_goal), g_id)])
+    w = np.concatenate([rm.weights, rm.weights, w_start, w_goal])
+    # csr_array keeps the stored zero of a zero-length link, and csgraph reads it as an edge
+    graph = csr_array((w, (rows, cols)), shape=(n + 2, n + 2))
+    dist, prev = dijkstra(graph, indices=s_id, return_predecessors=True)
+    best = float(dist[g_id])
     if math.isfinite(direct) and direct <= best:
-        return PlannedPath(np.array([start, goal]), direct)
+        return PlannedPath(np.array([start, goal]), float(direct))
     if not math.isfinite(best):
         raise UnreachableError("no collision-free route through the roadmap")
-    chain = [g_id]
+    chain = [prev[g_id]]
     while chain[-1] != s_id:
         chain.append(prev[chain[-1]])
-    chain.reverse()
-    wps = [start] + [rm.vertices[i] for i in chain[1:-1]] + [goal]
-    return PlannedPath(np.array(wps), best)
+    return PlannedPath(np.vstack([start, rm.vertices[chain[-2::-1]], goal]), best)
 
 
 def shorten_path(
@@ -262,25 +239,23 @@ def shorten_path(
     A skip-ahead is accepted only if it stays collision-free and the
     whole path's cost does not exceed (1 + budget) x the input cost.
     """
-    wps = [np.asarray(w, dtype=float) for w in path.waypoints]
+    wps = np.array(path.waypoints, dtype=float)
     budget = (1.0 + cfg.shorten_budget) * path_cost(prox, wps, cfg)
     changed = True
     while changed:
         changed = False
         i = 0
         while i < len(wps) - 2:
-            for j in range(len(wps) - 1, i + 1, -1):
-                if j == i + 1:
-                    break
-                if not segment_clear(grid, prox, wps[i], wps[j], cfg):
-                    continue
-                candidate = wps[: i + 1] + wps[j:]
-                if path_cost(prox, candidate, cfg) <= budget + 1e-12:
-                    wps = candidate
+            legs = _segments(prox, wps[:-1], wps[1:], cfg)[1]
+            skips = np.arange(len(wps) - 1, i + 1, -1)  # farthest first
+            clear, cost = _segments(prox, wps[i], wps[skips], cfg)
+            for j, c in zip(skips[clear], cost[clear]):
+                if np.sum(np.concatenate([legs[:i], [c], legs[j:]])) <= budget + 1e-12:
+                    wps = np.concatenate([wps[: i + 1], wps[j:]])
                     changed = True
                     break
             i += 1
-    return PlannedPath(np.array(wps), path_cost(prox, wps, cfg))
+    return PlannedPath(wps, path_cost(prox, wps, cfg))
 
 
 def _curvature(a, b, c) -> float:

@@ -2,22 +2,67 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mavnav.grid import FREE, OCCUPIED, OccupancyGrid
 from mavnav.planning import (
     PlannedPath,
     PlannerConfig,
     PlanningError,
+    ProximityMap,
     Roadmap,
+    _segments,
     build_proximity_map,
     build_roadmap,
-    edge_cost,
     path_cost,
     plan_path,
     segment_clear,
     shorten_path,
     speed_plan,
 )
+
+
+# The scalar sampler, clearance test and edge cost the planner used before
+# its batched kernel `_segments`: the oracles that the kernel must match.
+
+
+def _segment_samples(p, q, step: float) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    n = max(int(math.ceil(np.linalg.norm(q - p) / step)), 1)
+    t = np.linspace(0.0, 1.0, n + 1)
+    return p[None, :] + t[:, None] * (q - p)[None, :]
+
+
+def _segment_clear_loop(grid: OccupancyGrid, prox: ProximityMap, p, q, cfg: PlannerConfig) -> bool:
+    """Straight segment keeps MAV clearance, sampled at half-resolution."""
+    pts = _segment_samples(p, q, 0.5 * grid.resolution)
+    if not np.all(grid.in_bounds(grid.world_to_index(pts))):
+        return False
+    d = np.atleast_1d(prox.distance_at(pts))
+    return bool(np.all(d >= cfg.clearance_radius))
+
+
+def _edge_cost_loop(prox: ProximityMap, p, q, cfg: PlannerConfig) -> float:
+    """Length plus clearance and altitude penalties, midpoint-discretized:
+
+        cost = integral of 1 + l_prox * max(0, d_safe - d(x)) / d_safe ds
+               + l_alt * |dz|
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    length = float(np.linalg.norm(q - p))
+    if length == 0.0:
+        return 0.0
+    pts = _segment_samples(p, q, 0.5 * prox.resolution)
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    ds = length / len(mids)
+    d = np.atleast_1d(prox.distance_at(mids))
+    penalty = np.maximum(0.0, cfg.d_safe - d) / cfg.d_safe
+    return length + cfg.lambda_prox * float(penalty.sum()) * ds + cfg.lambda_alt * abs(
+        float(q[2] - p[2])
+    )
 
 
 def free_grid(dims=(20, 20, 20), res=0.5, origin=(0, 0, 0)):
@@ -71,6 +116,87 @@ class TestProximityMap:
             diff = np.abs(np.diff(d, axis=ax))
             assert diff.max() <= step
 
+    def test_distance_at_returns_array(self):
+        prox = build_proximity_map(free_grid(dims=(4, 4, 4)), clamp=2.0)
+        assert prox.distance_at([1.0, 1.0, 1.0]).shape == (1,)
+        assert prox.distance_at([[1.0, 1.0, 1.0], [9.0, 9.0, 9.0]]).tolist() == [2.0, 0.0]
+
+
+# an obstacle grid whose origin and resolution are not round numbers
+_ORIGIN, _RES, _DIMS = np.array([-0.5, 0.2, 0.1]), 0.3, (12, 10, 8)
+
+
+def _oracle_world():
+    rng = np.random.default_rng(7)
+    g = OccupancyGrid(_ORIGIN, _RES, _DIMS)
+    states = np.where(rng.random(_DIMS) < 0.06, OCCUPIED, FREE).astype(np.uint8)
+    states[rng.random(_DIMS) < 0.02] = 2  # unknown
+    g.set_states(states)
+    return g, build_proximity_map(g, clamp=2.0)
+
+
+@st.composite
+def _segment_rows(draw):
+    """(m, 2, 3) segment endpoints of mixed lengths: anywhere in a box 1 m
+    beyond the grid, of zero length, or axis-parallel on voxel faces."""
+    top = _ORIGIN + np.array(_DIMS) * _RES
+
+    def point():
+        return np.array([draw(st.floats(lo - 1.0, hi + 1.0)) for lo, hi in zip(_ORIGIN, top)])
+
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["any", "zero", "face"]))
+        if kind == "face":
+            p = _ORIGIN + _RES * np.array([draw(st.integers(0, n)) for n in _DIMS], dtype=float)
+            q = p.copy()
+            q[draw(st.integers(0, 2))] += _RES * draw(st.integers(-8, 8))
+        else:
+            p = point()
+            q = p if kind == "zero" else point()
+        rows.append((p, q))
+    return np.array(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_segment_rows(), st.sampled_from([0.1, 0.3, 0.5]))
+def test_segments_match_scalar_oracles(rows, radius):
+    g, prox = _oracle_world()
+    cfg = PlannerConfig(clearance_radius=radius)
+    clear, cost = _segments(prox, rows[:, 0], rows[:, 1], cfg)
+    assert clear.tolist() == [_segment_clear_loop(g, prox, p, q, cfg) for p, q in rows]
+    want = [_edge_cost_loop(prox, p, q, cfg) for p, q in rows]
+    np.testing.assert_allclose(cost, want, rtol=1e-12, atol=0)
+
+
+class TestInputValidation:
+    def setup_method(self):
+        self.g = free_grid(dims=(8, 8, 8))
+        self.prox = build_proximity_map(self.g, clamp=10.0)
+
+    @pytest.mark.parametrize("radius", [math.nan, 0.0, -1.0, math.inf])
+    def test_roadmap_rejects_bad_connect_radius(self, radius):
+        with pytest.raises(ValueError, match="connect_radius"):
+            build_roadmap(self.g, self.prox, 10, radius, seed=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_plan_path_rejects_non_finite_ends(self, bad):
+        rm = build_roadmap(self.g, self.prox, 10, 2.0, seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            plan_path(rm, self.g, self.prox, [1.0, bad, 1.0], [3.0, 3.0, 3.0])
+        with pytest.raises(ValueError, match="finite"):
+            plan_path(rm, self.g, self.prox, [1.0, 1.0, 1.0], [3.0, 3.0, bad])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_segment_clear_rejects_non_finite_ends(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            segment_clear(self.g, self.prox, [1.0, 1.0, 1.0], [bad, 1.0, 1.0], PlannerConfig())
+
+    @pytest.mark.parametrize("radius", [0.0, -0.1, math.nan, math.inf])
+    def test_config_rejects_bad_clearance_radius(self, radius):
+        with pytest.raises(ValueError, match="clearance_radius"):
+            PlannerConfig(clearance_radius=radius)
+
 
 class TestRoadmap:
     def test_free_map_fully_connected(self):
@@ -87,7 +213,7 @@ class TestRoadmap:
                 x = parent[x]
             return x
 
-        for i, j, _ in rm.edges:
+        for i, j in rm.edges:
             parent[find(i)] = find(j)
         assert len({find(i) for i in range(40)}) == 1
 
@@ -107,7 +233,7 @@ class TestRoadmap:
                 x = parent[x]
             return x
 
-        for i, j, _ in rm.edges:
+        for i, j in rm.edges:
             parent[find(i)] = find(j)
         comps = {find(i) for i in range(len(rm.vertices))}
         for v in rm.vertices:
@@ -121,7 +247,8 @@ class TestRoadmap:
         rm1 = build_roadmap(g, prox, 25, 3.0, seed=11)
         rm2 = build_roadmap(g, prox, 25, 3.0, seed=11)
         np.testing.assert_array_equal(rm1.vertices, rm2.vertices)
-        assert rm1.edges == rm2.edges
+        np.testing.assert_array_equal(rm1.edges, rm2.edges)
+        np.testing.assert_array_equal(rm1.weights, rm2.weights)
 
     def test_no_free_space_error(self):
         g = OccupancyGrid((0, 0, 0), 0.5, (5, 5, 5))
@@ -131,22 +258,24 @@ class TestRoadmap:
             build_roadmap(g, prox, 10, 2.0, seed=0)
 
 
+def edge_roadmap(verts, edges):
+    """Roadmap over verts from a list of (i, j, weight) edges."""
+    pairs = np.array([(i, j) for i, j, _ in edges], dtype=int).reshape(-1, 2)
+    return Roadmap(verts, pairs, np.array([w for _, _, w in edges], dtype=float))
+
+
 def lattice_roadmap(prox, cfg, xs, ys, z):
     """4-connected lattice roadmap with the planner's own edge costs."""
     verts = np.array([[x, y, z] for x in xs for y in ys])
     index = {(i, j): i * len(ys) + j for i in range(len(xs)) for j in range(len(ys))}
-    adjacency = {i: [] for i in range(len(verts))}
     edges = []
     for i in range(len(xs)):
         for j in range(len(ys)):
             for di, dj in ((1, 0), (0, 1)):
                 if i + di < len(xs) and j + dj < len(ys):
                     a, b = index[(i, j)], index[(i + di, j + dj)]
-                    w = edge_cost(prox, verts[a], verts[b], cfg)
-                    adjacency[a].append((b, w))
-                    adjacency[b].append((a, w))
-                    edges.append((a, b, w))
-    return Roadmap(verts, adjacency, 0, edges)
+                    edges.append((a, b, path_cost(prox, [verts[a], verts[b]], cfg)))
+    return edge_roadmap(verts, edges)
 
 
 def floyd_warshall(n, edges):
@@ -158,6 +287,24 @@ def floyd_warshall(n, edges):
     for k in range(n):
         d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
     return d
+
+
+def route_cost_oracle(rm, g, prox, start, goal, cfg):
+    """Floyd-Warshall over the roadmap plus the terminal links the scalar
+    planner made: the goal_connect_count nearest vertices with a clear
+    segment, and the straight segment if it is clear."""
+    n = len(rm.vertices)
+    edges = [(i, j, w) for (i, j), w in zip(rm.edges, rm.weights)]
+    for node, end in ((n, start), (n + 1, goal)):
+        linked = 0
+        for vi in np.argsort(np.linalg.norm(rm.vertices - end, axis=1)):
+            p, q = (start, rm.vertices[vi]) if node == n else (rm.vertices[vi], goal)
+            if linked < cfg.goal_connect_count and _segment_clear_loop(g, prox, p, q, cfg):
+                edges.append((node, vi, _edge_cost_loop(prox, p, q, cfg)))
+                linked += 1
+    if _segment_clear_loop(g, prox, start, goal, cfg):
+        edges.append((n, n + 1, _edge_cost_loop(prox, start, goal, cfg)))
+    return floyd_warshall(n + 2, edges)[n, n + 1]
 
 
 class TestPlanPath:
@@ -195,14 +342,10 @@ class TestPlanPath:
         verts = rm.vertices[keep]
         edges = [
             (remap[i], remap[j], w)
-            for i, j, w in rm.edges
+            for (i, j), w in zip(rm.edges, rm.weights)
             if i in remap and j in remap and segment_clear(g, prox, rm.vertices[i], rm.vertices[j], cfg)
         ]
-        adjacency = {i: [] for i in range(len(verts))}
-        for i, j, w in edges:
-            adjacency[i].append((j, w))
-            adjacency[j].append((i, w))
-        rm = Roadmap(verts, adjacency, 0, edges)
+        rm = edge_roadmap(verts, edges)
 
         start, goal = np.array([5.25, 0.75, 0.75]), np.array([5.25, 4.25, 0.75])
         path = plan_path(rm, g, prox, start, goal, cfg)
@@ -220,16 +363,12 @@ class TestPlanPath:
             [[1.2, 1.0, 0.75], [1.2, 4.0, 0.75], [8.2, 1.0, 0.75], [8.2, 4.0, 0.75],
              [5.0, 1.0, 0.75], [5.0, 4.0, 0.75]]
         )
-        adjacency = {i: [] for i in range(len(verts))}
         edges = []
         for i in range(len(verts)):
             for j in range(i + 1, len(verts)):
                 if segment_clear(g, prox, verts[i], verts[j], cfg):
-                    w = edge_cost(prox, verts[i], verts[j], cfg)
-                    adjacency[i].append((j, w))
-                    adjacency[j].append((i, w))
-                    edges.append((i, j, w))
-        rm = Roadmap(verts, adjacency, 0, edges)
+                    edges.append((i, j, _edge_cost_loop(prox, verts[i], verts[j], cfg)))
+        rm = edge_roadmap(verts, edges)
         start, goal = np.array([4.6, 1.0, 0.75]), np.array([4.6, 4.0, 0.75])
         path = plan_path(rm, g, prox, start, goal, cfg)
 
@@ -238,13 +377,44 @@ class TestPlanPath:
         all_edges = list(edges)
         for vi in range(n):
             if segment_clear(g, prox, start, verts[vi], cfg):
-                all_edges.append((n, vi, edge_cost(prox, start, verts[vi], cfg)))
+                all_edges.append((n, vi, _edge_cost_loop(prox, start, verts[vi], cfg)))
             if segment_clear(g, prox, verts[vi], goal, cfg):
-                all_edges.append((vi, n + 1, edge_cost(prox, verts[vi], goal, cfg)))
+                all_edges.append((vi, n + 1, _edge_cost_loop(prox, verts[vi], goal, cfg)))
         if segment_clear(g, prox, start, goal, cfg):
-            all_edges.append((n, n + 1, edge_cost(prox, start, goal, cfg)))
+            all_edges.append((n, n + 1, _edge_cost_loop(prox, start, goal, cfg)))
         oracle = floyd_warshall(n + 2, all_edges)[n, n + 1]
         assert path.cost == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("on_vertex", [False, True])
+    def test_cost_is_graph_optimal_on_sampled_roadmaps(self, seed, on_vertex):
+        rng = np.random.default_rng(seed)
+        dims = (16, 12, 6)
+        g = OccupancyGrid((0, 0, 0), 0.5, dims)
+        g.set_states(np.where(rng.random(dims) < 0.05, OCCUPIED, FREE).astype(np.uint8))
+        prox = build_proximity_map(g, clamp=10.0)
+        # with one link per end, a start on a vertex links only through its
+        # zero-length segment to that vertex
+        cfg = PlannerConfig(clearance_radius=0.3, goal_connect_count=1 if on_vertex else 4)
+        rm = build_roadmap(g, prox, 40, 2.5, seed=seed, cfg=cfg)
+        if on_vertex:
+            ends = rm.vertices
+        else:
+            ends = rng.uniform(0.0, 0.5 * np.array(dims), (200, 3))
+            ends = ends[prox.distance_at(ends) >= cfg.clearance_radius]
+        # the first pair of ends with a blocked straight segment and a route
+        for a, b in rng.integers(len(ends), size=(200, 2)):
+            start, goal = ends[a], ends[b]
+            if _segment_clear_loop(g, prox, start, goal, cfg):
+                continue
+            oracle = route_cost_oracle(rm, g, prox, start, goal, cfg)
+            if math.isfinite(oracle):
+                break
+        else:
+            pytest.fail("no pair of ends with a blocked straight segment and a route")
+        path = plan_path(rm, g, prox, start, goal, cfg)
+        assert path.cost == pytest.approx(oracle, rel=1e-9)
+        assert len(path.waypoints) > 2
 
     def test_altitude_bump_avoided(self):
         g = free_grid(dims=(16, 16, 16), res=0.5)
@@ -254,8 +424,7 @@ class TestPlanPath:
         bump_via = np.array([3.0, 3.0, 3.0])
         verts = np.array([level_via, bump_via])
         cfg = PlannerConfig(goal_connect_count=2)
-        adjacency = {0: [], 1: []}
-        rm = Roadmap(verts, adjacency, 0, [])
+        rm = edge_roadmap(verts, [])
         # force the roadmap route by blocking the straight segment
         states = g.states()
         states[7:9, 5:7, 1:4] = OCCUPIED
