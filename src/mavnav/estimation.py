@@ -88,8 +88,9 @@ def predict(est: NavEstimate, imu: ImuSample) -> NavEstimate:
 class NavFilter:
     """Single-writer prediction/correction filter instance.
 
-    Every prediction is kept, with the IMU sample it came from, for the
-    last BUFFER_SPAN seconds so that a delayed measurement can be replayed.
+    The initial estimate and every prediction are kept, each with the IMU
+    sample it came from (none for the initial one), for the last
+    BUFFER_SPAN seconds so that a delayed measurement can be replayed.
     Innovations beyond GATE_SIGMAS times the steady-state innovation
     sigma are dropped and counted. A string of MAX_GATE_REJECTS
     consecutive drops means the filter itself is off rather than the
@@ -106,8 +107,8 @@ class NavFilter:
         self.estimate = initial
         self.weights = weights
         self.noise = noise
-        self.buffer: deque[tuple[ImuSample, NavEstimate]] = deque(
-            maxlen=round(BUFFER_SPAN / IMU_PERIOD) + 2
+        self.buffer: deque[tuple[ImuSample | None, NavEstimate]] = deque(
+            [(None, initial)], maxlen=round(BUFFER_SPAN / IMU_PERIOD) + 2
         )
         self.dropped_stale = 0
         self.dropped_gated = 0

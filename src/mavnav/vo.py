@@ -5,16 +5,25 @@ pinhole stereo pair along a configurable trajectory; detection is
 abstracted into per-frame stereo observations whose scalar descriptors
 carry configurable ambiguity noise. Matching closes a loop across the
 previous and current stereo pairs (mutual nearest descriptors; the
-within-pair links are given by the rectified pairing), bucketing spreads
-the survivors over the image, and frame-to-frame motion is estimated
-with RANSAC over minimal 3-point samples refined by Gauss-Newton on the
-summed squared reprojection error in both current images. The refit
-weights each match by the inverse of its propagated depth uncertainty:
-a point triangulated from one stereo pair has a depth error growing as
+within-pair links are given by the rectified pairing), and bucketing
+spreads the survivors over the image.
+
+Frame-to-frame motion follows the quad-matching, 3-point RANSAC and
+Gauss-Newton odometry of Kitt, Geiger & Lategahn (2010). Every minimal
+sample of a frame is drawn up front, and all hypotheses are refined from
+the identity by one batched Gauss-Newton on the summed squared
+reprojection error in both current images: one residual-and-Jacobian
+kernel evaluates the whole (hypotheses, points) stack, the 6x6 normal
+equations are solved as a stack, and the line search evaluates all 12
+step halvings of every hypothesis at once, keeping the largest that does
+not raise the cost. Every hypothesis is then scored against every quad
+in one array. The refit runs the same Gauss-Newton on one problem and
+weights each match by the inverse of its propagated depth uncertainty: a
+point triangulated from one stereo pair has a depth error growing as
 z^2, and the disparity variance is carried into the spread of its
-predicted reprojection. Observations
-are used as-is in subpixel mode and quantized to integer pixels first in
-pixel mode.
+predicted reprojection. Observations are used as-is in subpixel mode and
+quantized to integer pixels first in pixel mode; quads with a pixel that
+is not finite are set aside.
 """
 
 from __future__ import annotations
@@ -26,8 +35,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import Pose, Quat, compose, inverse
-
-CAM_DOWN = np.array([0.0, 0.0, -1.0])
 
 
 class VoError(RuntimeError):
@@ -132,15 +139,21 @@ def project_stereo(calib: StereoCalib, p_cam: np.ndarray):
     return u_l, v, u_r
 
 
-def triangulate(calib: StereoCalib, obs: StereoObservation) -> np.ndarray:
-    """Camera-frame 3D point from a rectified stereo observation."""
-    disparity = obs.left[0] - obs.right[0]
-    if disparity <= 0:
+def _triangulate(calib: StereoCalib, px: np.ndarray) -> np.ndarray:
+    """Camera-frame 3D points (n, 3) from rectified stereo pixels (n, 4)
+    laid out (u_left, v_left, u_right, v_right)."""
+    disparity = px[:, 0] - px[:, 2]
+    if np.any(disparity <= 0):
         raise VoError("non-positive disparity")
     z = calib.focal * calib.baseline / disparity
-    x = (obs.left[0] - calib.cx) * z / calib.focal
-    y = (obs.left[1] - calib.cy) * z / calib.focal
-    return np.array([x, y, z])
+    x = (px[:, 0] - calib.cx) * z / calib.focal
+    y = (px[:, 1] - calib.cy) * z / calib.focal
+    return np.column_stack([x, y, z])
+
+
+def triangulate(calib: StereoCalib, obs: StereoObservation) -> np.ndarray:
+    """Camera-frame 3D point from a rectified stereo observation."""
+    return _triangulate(calib, np.array([[*obs.left, *obs.right]], dtype=float))[0]
 
 
 def gen_scene(config: SceneConfig, seed: int, calib: StereoCalib = StereoCalib()) -> StereoScene:
@@ -233,8 +246,10 @@ def quad_match(
     A candidate pair survives only if the descriptor chain
     prev -> cur -> prev returns to the starting observation (the
     within-pair stereo links are identities for rectified synthetic
-    observations). At most `bucket_cap` matches are kept per image
-    bucket, bucketed on the current left pixel.
+    observations). Matches are bucketed on the current left pixel, and
+    each bucket keeps its first `bucket_cap` in previous-frame order. A
+    match whose current left pixel is not finite has no bucket and is
+    dropped.
     """
     if not prev_frame or not cur_frame:
         return []
@@ -242,21 +257,22 @@ def quad_match(
     d_cur = np.array([o.descriptor for o in cur_frame])
     fwd = np.abs(d_prev[:, None] - d_cur[None, :]).argmin(axis=1)
     bwd = np.abs(d_cur[:, None] - d_prev[None, :]).argmin(axis=1)
+    i = np.flatnonzero(bwd[fwd] == np.arange(len(prev_frame)))  # loop closed
+    j = fwd[i]
+    left = np.array([cur_frame[k].left for k in j.tolist()]).reshape(-1, 2)
+    finite = np.isfinite(left).all(axis=1)
+    i, j, left = i[finite], j[finite], left[finite]
 
-    cell_w = calib.width / bucket_grid[0]
-    cell_h = calib.height / bucket_grid[1]
-    bucket_counts: dict[tuple[int, int], int] = {}
-    matches = []
-    for i, j in enumerate(fwd):
-        if bwd[j] != i:
-            continue  # loop not closed
-        u, v = cur_frame[j].left
-        cell = (min(int(u / cell_w), bucket_grid[0] - 1), min(int(v / cell_h), bucket_grid[1] - 1))
-        if bucket_counts.get(cell, 0) >= bucket_cap:
-            continue
-        bucket_counts[cell] = bucket_counts.get(cell, 0) + 1
-        matches.append(QuadMatch(i, i, int(j), int(j)))
-    return matches
+    cell_size = (calib.width / bucket_grid[0], calib.height / bucket_grid[1])
+    cell = np.minimum(np.trunc(left / cell_size), np.subtract(bucket_grid, 1))
+    order = np.lexsort((cell[:, 1], cell[:, 0]))  # stable: match order within a cell
+    c = cell[order]
+    first = np.r_[True, np.any(c[1:] != c[:-1], axis=1)]
+    run_start = np.maximum.accumulate(np.where(first, np.arange(len(c)), 0))
+    rank = np.empty(len(c), dtype=np.int64)
+    rank[order] = np.arange(len(c)) - run_start
+    keep = rank < bucket_cap
+    return [QuadMatch(a, a, b, b) for a, b in zip(i[keep].tolist(), j[keep].tolist())]
 
 
 @dataclass(frozen=True)
@@ -269,100 +285,163 @@ class RansacConfig:
     seed: int = 0
 
 
-def _quantize(obs: StereoObservation) -> StereoObservation:
-    return replace(
-        obs,
-        left=(float(round(obs.left[0])), float(round(obs.left[1]))),
-        right=(float(round(obs.right[0])), float(round(obs.right[1]))),
-    )
+_HALVINGS = 0.5 ** np.arange(12)  # line-search step scales, largest first
 
 
-def _residuals_and_jacobian(xi_points, targets, calib, r_mat, t_vec, want_jacobian=True):
-    """Stacked reprojection residuals (4 per point) of prev-frame points
-    mapped into the current pair, and the Jacobian wrt the local
-    (translation, rotation-vector) increment applied on the left."""
-    n = xi_points.shape[0]
-    p_c = xi_points @ r_mat.T + t_vec
-    x, y, z = p_c[:, 0], p_c[:, 1], p_c[:, 2]
-    z = np.maximum(z, 1e-9)
-    f = calib.focal
-    res = np.empty((n, 4))
-    res[:, 0] = f * x / z + calib.cx - targets[:, 0]
-    res[:, 1] = f * y / z + calib.cy - targets[:, 1]
-    res[:, 2] = f * (x - calib.baseline) / z + calib.cx - targets[:, 2]
-    res[:, 3] = f * y / z + calib.cy - targets[:, 3]
+def _residuals(points, targets, calib, r_mat, t_vec, want_jacobian=False):
+    """Reprojection residuals (4 per point) of prev-frame points mapped
+    into the current pair under each of m poses, and their Jacobian wrt
+    the local (translation, rotation-vector) increment applied on the left.
+
+    points (..., k, 3) and targets (..., k, 4) are shared by the m poses
+    r_mat (..., m, 3, 3), t_vec (..., m, 3); leading axes broadcast. Gives
+    residuals (..., m, k, 4) and a Jacobian (..., m, k, 4, 6), or None.
+    """
+    m = r_mat.shape[-3]
+    # the m rotations side by side, so that the points meet all of them in
+    # one matrix product
+    p_c = points @ r_mat.swapaxes(-1, -3).swapaxes(-1, -2).reshape(r_mat.shape[:-3] + (3, 3 * m))
+    p_c = np.swapaxes(p_c.reshape(p_c.shape[:-1] + (m, 3)), -3, -2) + t_vec[..., None, :]
+    targets = targets[..., None, :, :]
+    x, y = p_c[..., 0], p_c[..., 1]
+    z = np.maximum(p_c[..., 2], 1e-9)
+    f, b = calib.focal, calib.baseline
+    v = f * y / z + calib.cy
+    res = np.empty(z.shape + (4,))
+    res[..., 0] = f * x / z + calib.cx - targets[..., 0]
+    res[..., 1] = v - targets[..., 1]
+    res[..., 2] = f * (x - b) / z + calib.cx - targets[..., 2]
+    res[..., 3] = v - targets[..., 3]
     if not want_jacobian:
         return res, None
-    # d p_c / d xi = [I | -[p_c]x]
-    jac = np.zeros((n, 4, 6))
+    # d p_c / d xi = [I | -[p_c]x], chained through the pinhole projection;
+    # rows u, v, u_right, v. Products are formed in the order of the
+    # (3,) x (3, 6) product they stand for, so each entry rounds as it did.
     inv_z = 1.0 / z
     inv_z2 = inv_z * inv_z
-    du = np.stack([f * inv_z, np.zeros(n), -f * x * inv_z2], axis=1)
-    dv = np.stack([np.zeros(n), f * inv_z, -f * y * inv_z2], axis=1)
-    dur = np.stack([f * inv_z, np.zeros(n), -f * (x - calib.baseline) * inv_z2], axis=1)
-    cross = np.zeros((n, 3, 3))  # -[p_c]x, from d(dtheta x p)/d(dtheta)
-    cross[:, 0, 1] = z
-    cross[:, 0, 2] = -y
-    cross[:, 1, 0] = -z
-    cross[:, 1, 2] = x
-    cross[:, 2, 0] = y
-    cross[:, 2, 1] = -x
-    dp = np.concatenate([np.broadcast_to(np.eye(3), (n, 3, 3)), cross], axis=2)  # (n,3,6)
-    jac[:, 0, :] = np.einsum("nk,nkj->nj", du, dp)
-    jac[:, 1, :] = np.einsum("nk,nkj->nj", dv, dp)
-    jac[:, 2, :] = np.einsum("nk,nkj->nj", dur, dp)
-    jac[:, 3, :] = jac[:, 1, :]
+    fz = f * inv_z
+    du_z = -f * x * inv_z2
+    dv_z = -f * y * inv_z2
+    dur_z = -f * (x - b) * inv_z2
+    jac = np.zeros(res.shape + (6,))
+    jac[..., 0, 0] = fz
+    jac[..., 0, 2] = du_z
+    jac[..., 0, 3] = du_z * y
+    jac[..., 0, 4] = fz * z + du_z * -x
+    jac[..., 0, 5] = fz * -y
+    jac[..., 1, 1] = fz
+    jac[..., 1, 2] = dv_z
+    jac[..., 1, 3] = fz * -z + dv_z * y
+    jac[..., 1, 4] = dv_z * -x
+    jac[..., 1, 5] = fz * x
+    jac[..., 2, 0] = fz
+    jac[..., 2, 2] = dur_z
+    jac[..., 2, 3] = dur_z * y
+    jac[..., 2, 4] = fz * z + dur_z * -x
+    jac[..., 2, 5] = fz * -y
+    jac[..., 3, :] = jac[..., 1, :]
     return res, jac
 
 
+def _norm(v):
+    """Euclidean norm over the last axis, rounded as np.linalg.norm rounds
+    one vector (the square root of a 1-D dot product)."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
+def _halving_rotations(rotvec):
+    """Rotation matrices (..., 12, 3, 3) of rotation vectors (..., 3)
+    scaled by each of _HALVINGS, formed step for step as
+    `Quat.from_rotvec(scale * rotvec).to_matrix()` forms them. Halving a
+    vector halves its norm exactly and keeps its direction, so the norm
+    and the axis are computed once."""
+    angle = _norm(rotvec)[..., None]
+    some = angle >= 1e-12  # else every halving is below 1e-12 as well
+    axis = rotvec / np.where(some, angle, 1.0)
+    factor_n = np.where(some, _norm(axis)[..., None], 1.0)
+    angle = angle * _HALVINGS
+    half = 0.5 * angle
+    tiny = angle < 1e-12  # first-order quaternion, as in Quat.from_rotvec
+    factor = np.sin(half) / factor_n
+    w = np.where(tiny, 1.0, np.cos(half))
+    x, y, z = (
+        np.where(tiny, 0.5 * (_HALVINGS * rotvec[..., i, None]), axis[..., i, None] * factor)
+        for i in range(3)
+    )
+    n = np.sqrt(w * w + x * x + y * y + z * z)
+    w, x, y, z = w / n, x / n, y / n, z / n
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz, wx, wy, wz = x * y, x * z, y * z, w * x, w * y, w * z
+    return np.stack(
+        [
+            1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy),
+            2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx),
+            2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy),
+        ],
+        axis=-1,
+    ).reshape(w.shape + (3, 3))
+
+
 def _gauss_newton(points, targets, calib, cfg: RansacConfig, weights=None):
-    """Minimize summed squared reprojection error over SE(3); returns
-    (r_mat, t_vec, final cost). Step halving keeps the cost monotone.
+    """Minimize the summed squared reprojection error over SE(3), from the
+    identity, for a stack of B independent problems of k points each.
 
-    `weights` (one per point, default 1) scale each point's squared
-    residuals; the refit in `estimate_motion` passes the inverse variance
-    that the point's triangulated depth adds to its reprojection.
+    points (B, k, 3), targets (B, k, 4) and optional weights (B, k), which
+    scale each point's squared residuals; returns r_mat (B, 3, 3), t_vec
+    (B, 3) and the final costs (B,). A problem stops when its gradient is
+    below `grad_tol`, its normal equations are singular, or no step scale
+    of the line search lowers its cost. The line search tries all 12
+    halvings of every step at once and keeps the largest scale that does
+    not raise the cost, so the cost is monotone.
     """
-    sw = None if weights is None else np.sqrt(weights)[:, None]
-
-    def residuals(r_mat, t_vec, want_jacobian=False):
-        res, jac = _residuals_and_jacobian(points, targets, calib, r_mat, t_vec, want_jacobian)
-        if sw is None:
-            return res, jac
-        return sw * res, None if jac is None else sw[:, :, None] * jac
-
-    r_mat = np.eye(3)
-    t_vec = np.zeros(3)
-    res, _ = residuals(r_mat, t_vec)
-    cost = float(np.sum(res**2))
+    n_prob = len(points)
+    sw = (np.ones(points.shape[:-1]) if weights is None else np.sqrt(weights))[:, None, :, None]
+    r_mat = np.tile(np.eye(3), (n_prob, 1, 1))
+    t_vec = np.zeros((n_prob, 3))
+    res, _ = _residuals(points, targets, calib, r_mat[:, None], t_vec[:, None])
+    cost = np.sum((sw * res) ** 2, axis=(-2, -1))[:, 0]
+    active = np.arange(n_prob)
     for _ in range(cfg.max_gn_iters):
-        res, jac = residuals(r_mat, t_vec, True)
-        j_flat = jac.reshape(-1, 6)
-        r_flat = res.reshape(-1)
-        grad = j_flat.T @ r_flat
-        if np.max(np.abs(grad)) < cfg.grad_tol:
+        if not len(active):
             break
-        h = j_flat.T @ j_flat
+        w = sw[active]
+        res, jac = _residuals(points[active], targets[active], calib,
+                              r_mat[active, None], t_vec[active, None], True)
+        r_flat = (w * res).reshape(len(active), -1, 1)
+        j_flat = (w[..., None] * jac).reshape(len(active), -1, 6)
+        grad = (np.swapaxes(j_flat, 1, 2) @ r_flat)[..., 0]
+        moving = ~(np.max(np.abs(grad), axis=1) < cfg.grad_tol)
+        active, grad, j_flat = active[moving], grad[moving], j_flat[moving]
+        h = np.swapaxes(j_flat, 1, 2) @ j_flat + 1e-12 * np.eye(6)
         try:
-            step = np.linalg.solve(h + 1e-12 * np.eye(6), -grad)
-        except np.linalg.LinAlgError:
-            break
-        scale = 1.0
-        improved = False
-        for _ in range(12):
-            dr = Quat.from_rotvec(scale * step[3:]).to_matrix()
-            r_new = dr @ r_mat
-            t_new = dr @ t_vec + scale * step[:3]
-            res_new, _ = residuals(r_new, t_new)
-            cost_new = float(np.sum(res_new**2))
-            if cost_new <= cost:
-                r_mat, t_vec, cost = r_new, t_new, cost_new
-                improved = True
-                break
-            scale *= 0.5
-        if not improved:
-            break
+            step = np.linalg.solve(h, -grad[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # stop only the singular problems
+            step = np.full_like(grad, np.nan)
+            for i in range(len(h)):
+                try:
+                    step[i] = np.linalg.solve(h[i], -grad[i])
+                except np.linalg.LinAlgError:
+                    pass
+            solved = ~np.isnan(step).any(axis=1)
+            active, step = active[solved], step[solved]
+        dr = _halving_rotations(step[:, 3:])  # (A, 12, 3, 3)
+        r_new = dr @ r_mat[active, None]
+        t_new = (dr @ t_vec[active, None, :, None])[..., 0] + _HALVINGS[:, None] * step[:, None, :3]
+        res_new, _ = _residuals(points[active], targets[active], calib, r_new, t_new)
+        cost_new = np.sum((sw[active] * res_new) ** 2, axis=(-2, -1))
+        accepted = cost_new <= cost[active, None]
+        rows = np.flatnonzero(accepted.any(axis=1))
+        scale = np.argmax(accepted[rows], axis=1)  # first accepted = largest scale
+        active = active[rows]
+        r_mat[active] = r_new[rows, scale]
+        t_vec[active] = t_new[rows, scale]
+        cost[active] = cost_new[rows, scale]
     return r_mat, t_vec, cost
+
+
+def _pixel_error(res):
+    """Worse of the two images' pixel distances, per point."""
+    return np.maximum(np.linalg.norm(res[..., :2], axis=-1), np.linalg.norm(res[..., 2:], axis=-1))
 
 
 def estimate_motion(
@@ -375,39 +454,39 @@ def estimate_motion(
 ):
     """RANSAC + Gauss-Newton relative pose from quad matches.
 
-    Consensus counts the quads within `threshold_px` of each 3-point
-    hypothesis. The refit weights each quad by the inverse of the variance
-    its triangulated depth adds to its reprojection, and re-classifies on
-    the error normalized by that spread.
+    Quads with a pixel that is not finite are set aside first. All
+    `cfg.iterations` minimal 3-point samples are drawn up front and
+    refined together by one batched Gauss-Newton from the identity; every
+    hypothesis is then scored against every quad at once, and the first
+    with the most quads within `threshold_px` wins. The refit weights each
+    of its quads by the inverse of the variance that the quad's
+    triangulated depth adds to its reprojection, re-classifies on the
+    error normalized by that spread, and repeats until the set settles.
 
     Returns (pose, inlier_indices): `pose` is the current camera pose
     expressed in the previous camera frame, so concatenating the
-    returned poses integrates the trajectory; the inliers are the quads
-    within `threshold_px` pixels under that pose.
+    returned poses integrates the trajectory; the inliers index `quads`
+    and are the quads within `threshold_px` pixels under that pose.
+    Raises InsufficientDataError below 3 finite quads and
+    NoMotionEstimateError below `cfg.min_consensus` inliers.
     """
     if mode not in ("pixel", "subpixel"):
         raise ValueError(f"unknown mode {mode!r}")
-    if len(quads) < 3:
-        raise InsufficientDataError(f"need >= 3 quad matches, got {len(quads)}")
     threshold = cfg.threshold_px
     if threshold is None:
         threshold = 1.5 if mode == "pixel" else 0.75
 
-    prev_obs = [prev_frame[q.left_prev] for q in quads]
-    cur_obs = [cur_frame[q.left_cur] for q in quads]
+    prev_px = np.array([(*prev_frame[q.left_prev].left, *prev_frame[q.left_prev].right)
+                        for q in quads], dtype=float).reshape(-1, 4)
+    targets = np.array([(*cur_frame[q.left_cur].left, *cur_frame[q.left_cur].right)
+                        for q in quads], dtype=float).reshape(-1, 4)
+    kept = np.flatnonzero(np.isfinite(prev_px).all(axis=1) & np.isfinite(targets).all(axis=1))
+    if len(kept) < 3:
+        raise InsufficientDataError(f"need >= 3 finite quad matches, got {len(kept)}")
+    prev_px, targets = prev_px[kept], targets[kept]
     if mode == "pixel":
-        prev_obs = [_quantize(o) for o in prev_obs]
-        cur_obs = [_quantize(o) for o in cur_obs]
-
-    points = np.array([triangulate(calib, o) for o in prev_obs])
-    targets = np.array([[o.left[0], o.left[1], o.right[0], o.right[1]] for o in cur_obs])
-
-    def pixel_error(res):
-        return np.maximum(np.linalg.norm(res[:, :2], axis=1), np.linalg.norm(res[:, 2:], axis=1))
-
-    def inliers_for(r_mat, t_vec):
-        res, _ = _residuals_and_jacobian(points, targets, calib, r_mat, t_vec, False)
-        return pixel_error(res) <= threshold
+        prev_px, targets = np.round(prev_px), np.round(targets)
+    points = _triangulate(calib, prev_px)
 
     def refit_errors(r_mat, t_vec):
         """Pixel error of every quad; that error over s = sqrt(1 + 2 g^2),
@@ -415,7 +494,7 @@ def estimate_motion(
         (inf for a point behind the current camera); and s. Here g is the
         shift of the reprojection per pixel of previous disparity in the
         worse image; the disparity variance is twice the pixel variance."""
-        res, jac = _residuals_and_jacobian(points, targets, calib, r_mat, t_vec)
+        (res,), (jac,) = _residuals(points, targets, calib, r_mat[None], t_vec[None], True)
         rotated = points @ r_mat.T
         # the translation columns of the Jacobian are d(res)/d(p_c), and a
         # triangulated point scales as 1/disparity: dX/dd = -X z / (f b)
@@ -423,38 +502,35 @@ def estimate_motion(
         shift = np.einsum("nkj,nj->nk", jac[:, :, :3], dp_dd)
         g = np.maximum(np.hypot(shift[:, 0], shift[:, 1]), np.hypot(shift[:, 2], shift[:, 3]))
         scale = np.sqrt(1.0 + 2.0 * g**2)
-        err = pixel_error(res)
+        err = _pixel_error(res)
         in_front = rotated[:, 2] + t_vec[2] > 0
         return err, np.where(in_front, err / scale, np.inf), scale
 
     rng = np.random.default_rng(cfg.seed)
-    n = len(quads)
-    best_pose = None
-    best_mask = None
-    best_count = 0
-    for _ in range(cfg.iterations):
-        sample = rng.choice(n, size=3, replace=False)
-        r_mat, t_vec, _ = _gauss_newton(points[sample], targets[sample], calib, cfg)
-        mask = inliers_for(r_mat, t_vec)
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-            best_pose = (r_mat, t_vec)
-    if best_pose is None or best_count < cfg.min_consensus:
+    n = len(points)
+    samples = np.array(
+        [rng.choice(n, size=3, replace=False) for _ in range(cfg.iterations)], dtype=np.intp
+    ).reshape(-1, 3)
+    hyp_r, hyp_t, _ = _gauss_newton(points[samples], targets[samples], calib, cfg)
+    res = _residuals(points, targets, calib, hyp_r[:, None], hyp_t[:, None])[0][:, 0]
+    counts = np.sum(_pixel_error(res) <= threshold, axis=1)
+    best_count = int(counts.max(initial=0))
+    if best_count < max(cfg.min_consensus, 1):
         raise NoMotionEstimateError(
             f"consensus {best_count} below minimum {cfg.min_consensus}"
         )
+    best = int(np.argmax(counts))  # the first of the largest consensus
 
     # depth-weighted refit from the best hypothesis's inliers, re-classified
     # on the normalized error until the set stabilizes
-    r_mat, t_vec = best_pose
+    r_mat, t_vec = hyp_r[best], hyp_t[best]
     _, _, scale = refit_errors(r_mat, t_vec)
-    mask = best_mask
+    mask = _pixel_error(res[best]) <= threshold
     for _ in range(10):
-        r_mat, t_vec, _ = _gauss_newton(
-            points[mask], targets[mask], calib, cfg, 1.0 / scale[mask] ** 2
+        r_fit, t_fit, _ = _gauss_newton(
+            points[mask][None], targets[mask][None], calib, cfg, (1.0 / scale[mask] ** 2)[None]
         )
+        r_mat, t_vec = r_fit[0], t_fit[0]
         err, norm_err, scale = refit_errors(r_mat, t_vec)
         new_mask = norm_err <= threshold
         if int(new_mask.sum()) < cfg.min_consensus or np.array_equal(new_mask, mask):
@@ -465,7 +541,7 @@ def estimate_motion(
     q = Quat.from_matrix(r_mat)
     w_pose = Pose(t_vec, q, 0.0)
     rel = inverse(w_pose)
-    return Pose(rel.position, rel.orientation, 0.0), np.nonzero(err <= threshold)[0]
+    return Pose(rel.position, rel.orientation, 0.0), kept[err <= threshold]
 
 
 @dataclass

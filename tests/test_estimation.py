@@ -103,6 +103,26 @@ class TestCorrect:
         assert filt.dropped_stale == 1
         assert out is before
 
+    def test_first_measurement_anchors_on_initial_estimate(self):
+        """A measurement captured at the start stamp is blended into the
+        initial estimate and replayed, as if it had arrived at once."""
+        pose = Pose(np.array([0.2, -0.1, 0.05]), Quat.from_yaw(0.1), 0.0)
+        delayed = make_filter()
+        for k in range(1, 11):
+            delayed.predict(imu_at(0.01 * k))
+        delayed.correct(PoseMeasurement(0.0, 0.1, pose))
+        immediate = make_filter()
+        immediate.correct(PoseMeasurement(0.0, 0.0, pose))
+        for k in range(1, 11):
+            immediate.predict(imu_at(0.01 * k))
+        assert delayed.dropped_stale == 0 and immediate.dropped_stale == 0
+        np.testing.assert_allclose(
+            delayed.estimate.pose.position, immediate.estimate.pose.position, atol=1e-12
+        )
+        np.testing.assert_allclose(delayed.estimate.velocity, immediate.estimate.velocity,
+                                   atol=1e-12)
+        assert delayed.estimate.pose.position[0] > 0.05  # the measurement moved it
+
     def test_matches_full_history_refilter_oracle(self):
         """Replay correction == reprocessing the whole history offline."""
         rng = np.random.default_rng(3)

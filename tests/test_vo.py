@@ -1,13 +1,17 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mavnav.geometry import Pose, Quat, compose, inverse, relative
 from mavnav.vo import (
     InsufficientDataError,
     NoMotionEstimateError,
+    QuadMatch,
     RansacConfig,
     SceneConfig,
     StereoCalib,
@@ -20,7 +24,182 @@ from mavnav.vo import (
     run_vo,
     triangulate,
 )
-from mavnav.vo import _gauss_newton, _residuals_and_jacobian
+from mavnav.vo import _gauss_newton, _residuals
+
+
+# -- scalar references -------------------------------------------------------
+# The one-problem-at-a-time forms that the batched code in mavnav.vo
+# replaced, kept as the oracles of its tests.
+
+
+def _scalar_residuals_and_jacobian(xi_points, targets, calib, r_mat, t_vec, want_jacobian=True):
+    """Stacked reprojection residuals (4 per point) of prev-frame points
+    mapped into the current pair, and the Jacobian wrt the local
+    (translation, rotation-vector) increment applied on the left."""
+    n = xi_points.shape[0]
+    p_c = xi_points @ r_mat.T + t_vec
+    x, y, z = p_c[:, 0], p_c[:, 1], p_c[:, 2]
+    z = np.maximum(z, 1e-9)
+    f = calib.focal
+    res = np.empty((n, 4))
+    res[:, 0] = f * x / z + calib.cx - targets[:, 0]
+    res[:, 1] = f * y / z + calib.cy - targets[:, 1]
+    res[:, 2] = f * (x - calib.baseline) / z + calib.cx - targets[:, 2]
+    res[:, 3] = f * y / z + calib.cy - targets[:, 3]
+    if not want_jacobian:
+        return res, None
+    # d p_c / d xi = [I | -[p_c]x]
+    jac = np.zeros((n, 4, 6))
+    inv_z = 1.0 / z
+    inv_z2 = inv_z * inv_z
+    du = np.stack([f * inv_z, np.zeros(n), -f * x * inv_z2], axis=1)
+    dv = np.stack([np.zeros(n), f * inv_z, -f * y * inv_z2], axis=1)
+    dur = np.stack([f * inv_z, np.zeros(n), -f * (x - calib.baseline) * inv_z2], axis=1)
+    cross = np.zeros((n, 3, 3))  # -[p_c]x, from d(dtheta x p)/d(dtheta)
+    cross[:, 0, 1] = z
+    cross[:, 0, 2] = -y
+    cross[:, 1, 0] = -z
+    cross[:, 1, 2] = x
+    cross[:, 2, 0] = y
+    cross[:, 2, 1] = -x
+    dp = np.concatenate([np.broadcast_to(np.eye(3), (n, 3, 3)), cross], axis=2)  # (n,3,6)
+    jac[:, 0, :] = np.einsum("nk,nkj->nj", du, dp)
+    jac[:, 1, :] = np.einsum("nk,nkj->nj", dv, dp)
+    jac[:, 2, :] = np.einsum("nk,nkj->nj", dur, dp)
+    jac[:, 3, :] = jac[:, 1, :]
+    return res, jac
+
+
+def _scalar_gauss_newton(points, targets, calib, cfg: RansacConfig, weights=None, stops=None):
+    """Minimize summed squared reprojection error over SE(3); returns
+    (r_mat, t_vec, final cost). Step halving keeps the cost monotone.
+
+    `stops`, if given, receives (iterations done, reason) with reason one
+    of "gradient", "singular", "no halving" and "iterations"."""
+    sw = None if weights is None else np.sqrt(weights)[:, None]
+
+    def residuals(r_mat, t_vec, want_jacobian=False):
+        res, jac = _scalar_residuals_and_jacobian(
+            points, targets, calib, r_mat, t_vec, want_jacobian
+        )
+        if sw is None:
+            return res, jac
+        return sw * res, None if jac is None else sw[:, :, None] * jac
+
+    r_mat = np.eye(3)
+    t_vec = np.zeros(3)
+    res, _ = residuals(r_mat, t_vec)
+    cost = float(np.sum(res**2))
+    stop = (cfg.max_gn_iters, "iterations")
+    for it in range(cfg.max_gn_iters):
+        res, jac = residuals(r_mat, t_vec, True)
+        j_flat = jac.reshape(-1, 6)
+        r_flat = res.reshape(-1)
+        grad = j_flat.T @ r_flat
+        if np.max(np.abs(grad)) < cfg.grad_tol:
+            stop = (it, "gradient")
+            break
+        h = j_flat.T @ j_flat
+        try:
+            step = np.linalg.solve(h + 1e-12 * np.eye(6), -grad)
+        except np.linalg.LinAlgError:
+            stop = (it, "singular")
+            break
+        scale = 1.0
+        improved = False
+        for _ in range(12):
+            dr = Quat.from_rotvec(scale * step[3:]).to_matrix()
+            r_new = dr @ r_mat
+            t_new = dr @ t_vec + scale * step[:3]
+            res_new, _ = residuals(r_new, t_new)
+            cost_new = float(np.sum(res_new**2))
+            if cost_new <= cost:
+                r_mat, t_vec, cost = r_new, t_new, cost_new
+                improved = True
+                break
+            scale *= 0.5
+        if not improved:
+            stop = (it, "no halving")
+            break
+    if stops is not None:
+        stops.append(stop)
+    return r_mat, t_vec, cost
+
+
+def _loop_quad_match(prev_frame, cur_frame, calib=StereoCalib(), bucket_grid=(8, 5), bucket_cap=10):
+    """Per-match bucketing loop over the mutual nearest descriptors."""
+    if not prev_frame or not cur_frame:
+        return []
+    d_prev = np.array([o.descriptor for o in prev_frame])
+    d_cur = np.array([o.descriptor for o in cur_frame])
+    fwd = np.abs(d_prev[:, None] - d_cur[None, :]).argmin(axis=1)
+    bwd = np.abs(d_cur[:, None] - d_prev[None, :]).argmin(axis=1)
+    cell_w = calib.width / bucket_grid[0]
+    cell_h = calib.height / bucket_grid[1]
+    bucket_counts = {}
+    matches = []
+    for i, j in enumerate(fwd):
+        if bwd[j] != i:
+            continue  # loop not closed
+        u, v = cur_frame[j].left
+        cell = (min(int(u / cell_w), bucket_grid[0] - 1), min(int(v / cell_h), bucket_grid[1] - 1))
+        if bucket_counts.get(cell, 0) >= bucket_cap:
+            continue
+        bucket_counts[cell] = bucket_counts.get(cell, 0) + 1
+        matches.append(QuadMatch(i, i, int(j), int(j)))
+    return matches
+
+
+def _pixels(calib, quads, prev, cur):
+    points = np.array([triangulate(calib, prev[q.left_prev]) for q in quads])
+    targets = np.array(
+        [[cur[q.left_cur].left[0], cur[q.left_cur].left[1],
+          cur[q.left_cur].right[0], cur[q.left_cur].right[1]] for q in quads]
+    )
+    return points, targets
+
+
+def _gn_stack(seed, n_prob, k, noise, weighted, near_singular, singular):
+    """Random 3D-2D problems (n_prob, k): points in front of the camera,
+    targets projected under a small random motion plus pixel noise.
+    `near_singular` lays problem 0's points about one ray through the
+    camera centre, which leaves the rotation about that ray barely
+    observable (cond(H) ~ 7e5 median, ~200 times a random layout's);
+    `singular` makes the last problem one point repeated, whose normal
+    equations are exactly singular."""
+    rng = np.random.default_rng(seed)
+    calib = StereoCalib()
+    points = rng.uniform([-4, -3, 2], [4, 3, 25], (n_prob, k, 3))
+    if near_singular:
+        ray = rng.uniform([-0.3, -0.3, 1.0], [0.3, 0.3, 1.0])
+        points[0] = ray / np.linalg.norm(ray) * rng.uniform(3, 20, (k, 1))
+        points[0] += rng.normal(0, 0.03, (k, 3))
+    if singular:
+        points[-1] = [0.5, -0.25, 4.0]
+    rots = np.array([Quat.from_rotvec(rng.normal(0, 0.05, 3)).to_matrix() for _ in range(n_prob)])
+    trans = rng.normal(0, 0.3, (n_prob, 3))
+    proj = np.stack([
+        _scalar_residuals_and_jacobian(p, np.zeros((k, 4)), calib, r, t, False)[0]
+        for p, r, t in zip(points, rots, trans)
+    ])
+    targets = proj + rng.normal(0, noise, proj.shape)
+    weights = rng.uniform(0.2, 1.0, (n_prob, k)) if weighted else None
+    if singular and weighted:
+        weights[-1] = 1.0  # unequal weights would leave H singular only up to rounding
+    return points, targets, weights
+
+
+def _check_against_scalar(points, targets, weights, cfg, compare_pose, stops=None):
+    calib = StereoCalib()
+    r, t, cost = _gauss_newton(points, targets, calib, cfg, weights)
+    for b in range(len(points)):
+        w = None if weights is None else weights[b]
+        r0, t0, c0 = _scalar_gauss_newton(points[b], targets[b], calib, cfg, w, stops)
+        # a cost below 1e-12 px^2 is rounding residue of noise-free data
+        np.testing.assert_allclose(cost[b], c0, rtol=1e-9, atol=1e-12)
+        if compare_pose:
+            np.testing.assert_allclose(r[b], r0, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(t[b], t0, rtol=0, atol=1e-9)
 
 
 class TestSceneGeneration:
@@ -124,6 +303,35 @@ class TestQuadMatch:
     def test_empty_frames(self):
         assert quad_match([], []) == []
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SceneConfig(n_frames=2, pixel_noise=0.5, outlier_rate=0.1, yaw_rate=0.01),
+            SceneConfig(n_frames=2, step=0.6, descriptor_noise=0.4, outlier_rate=0.2),
+            SceneConfig(n_landmarks=1000, n_frames=2, step=0.05, max_depth=60.0,
+                        descriptor_noise=0.8),
+        ],
+    )
+    def test_matches_per_match_loop(self, cfg, seed):
+        prev, cur = gen_scene(cfg, seed).frames
+        for grid, cap in [((8, 5), 10), ((8, 5), 2), ((3, 7), 1), ((8, 5), 0), ((8, 5), 10**9)]:
+            assert quad_match(prev, cur, bucket_grid=grid, bucket_cap=cap) == _loop_quad_match(
+                prev, cur, bucket_grid=grid, bucket_cap=cap
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_current_pixel_is_not_matched(self, bad):
+        scene = gen_scene(SceneConfig(n_frames=2), seed=4)
+        prev, cur = scene.frames[0], list(scene.frames[1])
+        o = cur[3]
+        cur[3] = StereoObservation(o.feature_id, (bad, o.left[1]), o.right, o.descriptor)
+        matches = quad_match(prev, cur, bucket_cap=10**9)
+        kept = [o for i, o in enumerate(cur) if i != 3]
+        common = {o.feature_id for o in prev} & {o.feature_id for o in kept}
+        assert len(matches) == len(common)
+        assert all(m.left_cur != 3 for m in matches)
+
 
 class TestEstimateMotion:
     def _frames(self, cfg, seed):
@@ -173,17 +381,32 @@ class TestEstimateMotion:
         # independent route: classify every quad from the returned pose
         w = inverse(motion)
         r, t = w.orientation.to_matrix(), w.position
-        points = np.array([triangulate(calib, prev[q.left_prev]) for q in quads])
-        targets = np.array(
-            [[cur[q.left_cur].left[0], cur[q.left_cur].left[1],
-              cur[q.left_cur].right[0], cur[q.left_cur].right[1]] for q in quads]
-        )
-        res, _ = _residuals_and_jacobian(points, targets, calib, r, t, False)
+        points, targets = _pixels(calib, quads, prev, cur)
+        res, _ = _scalar_residuals_and_jacobian(points, targets, calib, r, t, False)
         err = np.maximum(
             np.linalg.norm(res[:, :2], axis=1), np.linalg.norm(res[:, 2:], axis=1)
         )
         expected = set(np.nonzero(err <= 0.75)[0])
         assert set(inliers.tolist()) == expected
+
+    def test_kernel_matches_scalar_residuals_for_every_pose(self):
+        """Points shared by m poses, leading axes broadcast: every pose's
+        residuals and Jacobian are the scalar form's."""
+        calib = StereoCalib()
+        rng = np.random.default_rng(4)
+        points = rng.uniform([-4, -3, 2], [4, 3, 25], (5, 7, 3))
+        targets = rng.uniform([0, 0, 0, 0], [752, 480, 752, 480], (5, 7, 4))
+        r = np.array([[Quat.from_rotvec(rng.normal(0, 0.2, 3)).to_matrix() for _ in range(12)]
+                      for _ in range(5)])
+        t = rng.normal(0, 0.5, (5, 12, 3))
+        res, jac = _residuals(points, targets, calib, r, t, True)
+        assert res.shape == (5, 12, 7, 4) and jac.shape == (5, 12, 7, 4, 6)
+        for b in range(5):
+            for m in range(12):
+                res0, jac0 = _scalar_residuals_and_jacobian(points[b], targets[b], calib,
+                                                            r[b, m], t[b, m])
+                np.testing.assert_allclose(res[b, m], res0, rtol=1e-12, atol=1e-9)
+                np.testing.assert_allclose(jac[b, m], jac0, rtol=1e-12, atol=1e-9)
 
     def test_jacobian_matches_finite_differences(self):
         calib = StereoCalib()
@@ -194,7 +417,7 @@ class TestEstimateMotion:
             targets = rng.uniform([0, 0, 0, 0], [752, 480, 752, 480], (6, 4))
             r0 = Quat.from_rotvec(rng.normal(0, 0.2, 3)).to_matrix()
             t0 = rng.normal(0, 0.5, 3)
-            _, jac = _residuals_and_jacobian(points, targets, calib, r0, t0)
+            _, (jac,) = _residuals(points, targets, calib, r0[None], t0[None], True)
             eps = 1e-6
             for i in range(6):
                 xi = np.zeros(6)
@@ -203,8 +426,8 @@ class TestEstimateMotion:
                 dr_m = Quat.from_rotvec(-xi[3:]).to_matrix()
                 rp, tp = dr_p @ r0, dr_p @ t0 + xi[:3]
                 rm, tm = dr_m @ r0, dr_m @ t0 - xi[:3]
-                res_p, _ = _residuals_and_jacobian(points, targets, calib, rp, tp, False)
-                res_m, _ = _residuals_and_jacobian(points, targets, calib, rm, tm, False)
+                (res_p,), _ = _residuals(points, targets, calib, rp[None], tp[None])
+                (res_m,), _ = _residuals(points, targets, calib, rm[None], tm[None])
                 fd = (res_p - res_m) / (2 * eps)
                 scale = np.maximum(np.abs(fd), 1.0)
                 worst = max(worst, float(np.max(np.abs(fd - jac[:, :, i]) / scale)))
@@ -215,15 +438,97 @@ class TestEstimateMotion:
         scene, prev, cur = self._frames(cfg, seed=5)
         quads = quad_match(prev, cur)
         calib = StereoCalib()
-        points = np.array([triangulate(calib, prev[q.left_prev]) for q in quads])
-        targets = np.array(
-            [[cur[q.left_cur].left[0], cur[q.left_cur].left[1],
-              cur[q.left_cur].right[0], cur[q.left_cur].right[1]] for q in quads]
-        )
-        res0, _ = _residuals_and_jacobian(points, targets, calib, np.eye(3), np.zeros(3), False)
-        r, t, cost = _gauss_newton(points, targets, calib, RansacConfig())
+        points, targets = _pixels(calib, quads, prev, cur)
+        (res0,), _ = _residuals(points, targets, calib, np.eye(3)[None], np.zeros((1, 3)))
+        _, _, (cost,) = _gauss_newton(points[None], targets[None], calib, RansacConfig())
         assert math.isfinite(cost)
         assert cost <= float(np.sum(res0**2)) + 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_prob=st.integers(1, 6),
+        k=st.integers(3, 8),
+        noise=st.sampled_from([0.0, 0.3, 3.0]),
+        weighted=st.booleans(),
+        near_singular=st.booleans(),
+        singular=st.booleans(),
+        iters=st.sampled_from([1, 2, 3, 20]),
+        grad_tol=st.sampled_from([1e-9, 1e-15]),
+    )
+    def test_batched_gauss_newton_matches_scalar_oracle(
+        self, seed, n_prob, k, noise, weighted, near_singular, singular, iters, grad_tol
+    ):
+        """Every problem of a stack ends where the one-at-a-time GN ends.
+
+        Costs agree to 1e-9 relative. Poses are compared to 1e-9 where they
+        are determined to that level: on noise-free data, and within the
+        first three iterations. Past that, noisy problems reach the floor
+        of their cost, where accepted steps lower it by a few ulps; the two
+        summation orders then stop at different points of that flat
+        bottom, up to ~1e-7 m apart, at costs equal to ~1e-15 relative.
+        A noise-free problem's floor is sharp; with grad_tol 1e-15, below
+        what its gradient reaches, it ends when no halving lowers its cost.
+        """
+        points, targets, weights = _gn_stack(
+            seed, n_prob, k, noise, weighted, near_singular, singular
+        )
+        cfg = replace(RansacConfig(), max_gn_iters=iters, grad_tol=grad_tol)
+        _check_against_scalar(points, targets, weights, cfg, noise == 0.0 or iters <= 3)
+
+    def test_gn_stacks_cover_every_stop(self):
+        """The stacks of the test above stop problems at different
+        iterations, and for every reason: gradient, singular normal
+        equations, a step that no halving accepts, and the iteration cap."""
+        stops = []
+        for seed in range(12):
+            for noise, iters, grad_tol in [(0.0, 20, 1e-9), (0.0, 20, 1e-15), (0.3, 3, 1e-9)]:
+                points, targets, weights = _gn_stack(seed, 4, 3 + seed % 4, noise,
+                                                     seed % 3 == 0, seed % 2 == 0, seed % 4 == 0)
+                cfg = replace(RansacConfig(), max_gn_iters=iters, grad_tol=grad_tol)
+                _check_against_scalar(points, targets, weights, cfg, True, stops)
+        assert {why for _, why in stops} == {"gradient", "singular", "no halving", "iterations"}
+        assert len({it for it, why in stops if why == "gradient"}) >= 3
+
+    def test_weighted_refit_matches_scalar_oracle(self):
+        """B = 1 with per-point weights, as the refit calls it, on a real
+        frame's quads."""
+        cfg = SceneConfig(n_frames=2, step=0.3, pixel_noise=0.4)
+        scene, prev, cur = self._frames(cfg, seed=5)
+        calib = StereoCalib()
+        points, targets = _pixels(calib, quad_match(prev, cur), prev, cur)
+        weights = np.random.default_rng(1).uniform(0.05, 1.0, len(points))
+        for iters in (1, 2, 3):
+            _check_against_scalar(points[None], targets[None], weights[None],
+                                  replace(RansacConfig(), max_gn_iters=iters), True)
+        _check_against_scalar(points[None], targets[None], weights[None], RansacConfig(), False)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_quad_set_aside(self, bad):
+        cfg = SceneConfig(n_frames=2, step=0.3, pixel_noise=0.2)
+        scene, prev, cur = self._frames(cfg, seed=5)
+        quads = quad_match(prev, cur)
+        victim = quads[7]
+        prev = list(prev)
+        o = prev[victim.left_prev]
+        prev[victim.left_prev] = StereoObservation(o.feature_id, o.left, (bad, o.right[1]),
+                                                   o.descriptor)
+        motion, inliers = estimate_motion(quads, prev, cur)
+        truth = relative(scene.trajectory[0], scene.trajectory[1])
+        assert np.linalg.norm(motion.position - truth.position) < 0.02
+        assert 7 not in inliers.tolist()
+        assert len(inliers) > len(quads) // 2
+        assert all(prev[quads[i].left_prev].feature_id == cur[quads[i].left_cur].feature_id
+                   for i in inliers)
+
+    @pytest.mark.parametrize("mode", ["subpixel", "pixel"])
+    def test_all_non_finite_quads_raise(self, mode):
+        scene, prev, cur = self._frames(SceneConfig(n_frames=2), seed=1)
+        quads = quad_match(prev, cur)
+        prev = [StereoObservation(o.feature_id, (math.nan, math.nan), o.right, o.descriptor)
+                for o in prev]
+        with pytest.raises(InsufficientDataError):
+            estimate_motion(quads, prev, cur, mode=mode)
 
 
 class TestRunVo:
@@ -252,3 +557,15 @@ class TestRunVo:
         rep_sub = rel_trans_error(scene.trajectory, sub.poses)
         rep_pix = rel_trans_error(scene.trajectory, pix.poses)
         assert rep_pix.average > rep_sub.average
+
+    def test_non_finite_frame_counts_as_failures(self):
+        scene = gen_scene(SceneConfig(n_frames=5, step=0.3, pixel_noise=0.2), seed=5)
+        scene.frames[2] = [
+            StereoObservation(o.feature_id, (math.nan, o.left[1]), (math.nan, o.right[1]),
+                              o.descriptor)
+            for o in scene.frames[2]
+        ]
+        result = run_vo(scene)
+        assert result.failures == 2  # frame 2 as current, then as previous
+        assert len(result.poses) == 5
+        assert all(np.all(np.isfinite(p.position)) for p in result.poses)
