@@ -27,11 +27,16 @@ class DegeneracyError(ValueError):
     """Fewer than 4 unique points, or all points coplanar."""
 
 
-def orient3d(a, b, c, d) -> float:
-    """Positive iff tetrahedron (a, b, c, d) is positively oriented."""
-    bax, bay, baz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
-    cax, cay, caz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
-    dax, day, daz = d[0] - a[0], d[1] - a[1], d[2] - a[2]
+def orient3d(a, b, c, d):
+    """Positive iff tetrahedron (a, b, c, d) is positively oriented.
+
+    Coordinates are on the last axis; the leading axes broadcast, so one
+    call tests a whole stack of tetrahedra.
+    """
+    a, b, c, d = (np.asarray(p, dtype=float) for p in (a, b, c, d))
+    bax, bay, baz = b[..., 0] - a[..., 0], b[..., 1] - a[..., 1], b[..., 2] - a[..., 2]
+    cax, cay, caz = c[..., 0] - a[..., 0], c[..., 1] - a[..., 1], c[..., 2] - a[..., 2]
+    dax, day, daz = d[..., 0] - a[..., 0], d[..., 1] - a[..., 1], d[..., 2] - a[..., 2]
     return (
         bax * (cay * daz - caz * day)
         - bay * (cax * daz - caz * dax)
@@ -43,10 +48,10 @@ class TetMesh:
     """Positively oriented tetrahedralization with adjacency, point
     mapping and label storage.
 
-    Tet ids are 0..n-1. `tets[tid]` holds four vertex ids and
-    `neighbors[tid][k]` the tet across the facet opposite slot k, `OUTER`
-    on the hull; both are lists, and `tet_array`/`neighbor_array` the
-    same as (n, 4) arrays. `labels` is a uint8 array of n + 1 INSIDE or
+    Tet ids are 0..n-1. `tets` is an (n, 4) array of vertex ids and
+    `neighbors[tid, k]` the tet across the facet opposite slot k, `OUTER`
+    on the hull. `verts` holds the (jittered) vertex coordinates the
+    tets were built on. `labels` is a uint8 array of n + 1 INSIDE or
     OUTSIDE values, OUTER's last, so `labels[tid]` reads every id; it
     starts all OUTSIDE.
     """
@@ -59,7 +64,7 @@ class TetMesh:
         rng = np.random.default_rng(_JITTER_SEED)
         verts = points + rng.uniform(-1.0, 1.0, size=points.shape) * (_JITTER_REL * scale)
         self.points = points  # deduped originals
-        self.verts = [tuple(v) for v in verts.tolist()]  # jittered, as triangulated
+        self.verts = verts  # jittered, as triangulated
         self.input_vertex_ids = input_vertex_ids
         self._delaunay = Delaunay(verts)
         simplices = self._delaunay.simplices.copy()
@@ -68,11 +73,8 @@ class TetMesh:
         flip = np.einsum("ij,ij->i", b - a, np.cross(c - a, d - a)) < 0
         simplices[flip, :2] = simplices[flip, 1::-1]
         neighbors[flip, :2] = neighbors[flip, 1::-1]
-        self.tet_array, self.neighbor_array = simplices, neighbors
-        self.tets: list[list[int]] = simplices.tolist()
-        self.neighbors: list[list[int]] = neighbors.tolist()
+        self.tets, self.neighbors = simplices, neighbors
         self.labels = np.full(len(simplices) + 1, TetMesh.OUTSIDE, dtype=np.uint8)
-        self.hull_facets = np.argwhere(neighbors == OUTER).tolist()  # (tid, slot) pairs
         self._orient_eps = 1e-14 * scale**3
         self._tree = cKDTree(points)
 
@@ -85,26 +87,22 @@ class TetMesh:
         """(tet ids, slots) of every facet once: each interior facet from
         its lower tet id, every hull facet from its one finite tet, in
         row-major order."""
-        nb = self.neighbor_array
+        nb = self.neighbors
         return np.nonzero((nb == OUTER) | (np.arange(len(nb))[:, None] < nb))
 
-    def find_vertex(self, point, radius: float = MERGE_RADIUS) -> int:
-        """Vertex id of the mesh point nearest `point`.
+    def find_vertex(self, point, radius: float = MERGE_RADIUS):
+        """Vertex id of the mesh point nearest `point`; for an (n, 3) array
+        of points, an array of n ids.
 
-        Raises KeyError when no mesh vertex is within `radius`.
+        Raises KeyError when a point has no mesh vertex within `radius`.
         """
-        dist, vid = self._tree.query(np.asarray(point, dtype=float))
-        if dist > radius:
-            raise KeyError(f"no mesh vertex within {radius} of {point}")
-        return int(vid)
-
-    def circumsphere(self, tid: int):
-        """Center and radius, solved from the three bisector planes."""
-        a, b, c, d = (np.array(self.verts[v]) for v in self.tets[tid])
-        m = 2.0 * np.array([b - a, c - a, d - a])
-        rhs = np.array([b @ b - a @ a, c @ c - a @ a, d @ d - a @ a])
-        center = np.linalg.solve(m, rhs)
-        return center, float(np.linalg.norm(a - center))
+        point = np.asarray(point, dtype=float)
+        dist, vid = self._tree.query(point)
+        far = np.flatnonzero(np.atleast_1d(dist) > radius)
+        if far.size:
+            bad = point.reshape(-1, 3)[far[0]]
+            raise KeyError(f"no mesh vertex within {radius} of {bad}")
+        return int(vid) if point.ndim == 1 else vid
 
     def locate(self, p):
         """Id of the tet containing point p, or OUTER outside the hull.

@@ -235,6 +235,18 @@ def partial_rotation(q_from: Quat, q_to: Quat, weight: float) -> Quat:
     return (q_from * Quat.from_rotvec(weight * rv)).normalized()
 
 
+def row_dot(a, b) -> np.ndarray:
+    """Row-wise dot product over the last axis, broadcasting the rest.
+
+    Each row goes through the kernel of a 1-D `a @ b`, so the sums round
+    as that does, and `np.sqrt(row_dot(v, v))` as `np.linalg.norm(v)`
+    does for one vector. BLAS's ddot may fuse multiply-adds: with
+    OpenBLAS on x86-64, a hand-written `a0*b0 + a1*b1 + a2*b2` rounds
+    differently in about a third of random cases.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 TRAJECTORY_HEADER = ["t", "x", "y", "z", "qw", "qx", "qy", "qz"]
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
+from .geometry import row_dot
 from .grid import FREE, OccupancyGrid
 
 
@@ -103,8 +104,7 @@ def _segments(prox: ProximityMap, p, q, cfg: PlannerConfig) -> tuple[np.ndarray,
     if not (np.isfinite(p).all() and np.isfinite(q).all()):
         raise ValueError("segment endpoints must be finite")
     d = q - p
-    # each row through the kernel of a 1-D `d @ d`, which rounds as np.linalg.norm does
-    length = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+    length = np.sqrt(row_dot(d, d))
     n = np.maximum(np.ceil(length / (0.5 * prox.resolution)), 1).astype(int)
     seg = np.repeat(np.arange(len(d)), n + 1)
     first = np.cumsum(n + 1) - (n + 1)

@@ -2,10 +2,12 @@
 
 Visibility rays (camera center to observed point) vote tetrahedra they
 cross toward "outside" and the tetrahedron just behind each observed
-point toward "inside". A constant-capacity smoothness term on shared
-facets completes an s-t cut problem whose exact minimum labels every
-tetrahedron; facets separating differently-labeled tetrahedra form the
-reconstructed surface, which is finally rasterized to an occupancy grid.
+point toward "inside". All rays are walked through the mesh together,
+one tet per step, by array-wide facet exit tests (`walk_rays`). A
+constant-capacity smoothness term on shared facets completes an s-t cut
+problem whose exact minimum labels every tetrahedron; facets separating
+differently-labeled tetrahedra form the reconstructed surface, which is
+finally rasterized to an occupancy grid.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .delaunay import FACET_OPP, OUTER, TetMesh, orient3d
-from .geometry import Pose
+from .geometry import Pose, row_dot
 from .grid import FREE, OCCUPIED, UNKNOWN, LogOddsParams, OccupancyGrid
 from .maxflow import FlowNetwork
 
@@ -30,7 +32,10 @@ class Keyframe:
     points: np.ndarray
 
     def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
+        points = np.asarray(self.points, dtype=float)
+        self.points = points.reshape(0, 3) if points.shape == (0,) else points
+        if self.points.ndim != 2 or self.points.shape[1] != 3:
+            raise ValueError(f"keyframe points must be an (n, 3) array, got shape {points.shape}")
         if not np.all(np.isfinite(self.points)):
             raise ValueError("keyframe points must be finite")
 
@@ -109,132 +114,130 @@ class CutProblem:
         return e + cut * self.edge_cap
 
 
-def _segment_exits_facet(verts, tri, origin, target, eps: float) -> bool:
-    a, b, c = (verts[v] for v in tri)
-    if orient3d(a, b, c, target) >= -eps:
-        return False
-    s1 = orient3d(origin, target, a, b)
-    s2 = orient3d(origin, target, b, c)
-    s3 = orient3d(origin, target, c, a)
-    return (s1 >= -eps and s2 >= -eps and s3 >= -eps) or (
-        s1 <= eps and s2 <= eps and s3 <= eps
-    )
+# Walk result of a ray with no tet there: no terminal tet for a grazing
+# ray, no tet behind the target where the segment ends.
+NO_TET = -2
+
+# (ray, hull facet) pairs per block of the hull-entry test, which bounds
+# the size of its pair arrays.
+_PAIR_BLOCK = 4096
 
 
-def _hull_entry(mesh: TetMesh, origin, target, target_vid: int, eps: float):
-    """Where the segment from `origin`, outside the hull, to `target` meets
-    the hull: (tet, False) for the tet whose hull facet it enters through,
-    (tet, True) for a tet whose hull facet it touches only at the target,
-    (None, False) for a grazing segment. The segment enters a tet where
-    the reversed segment exits it."""
-    touched = None
-    for tid, k in mesh.hull_facets:
-        tri = [mesh.tets[tid][i] for i in FACET_OPP[k]]
-        if _segment_exits_facet(mesh.verts, tri, target, origin, eps):
-            if target_vid not in tri:
-                return tid, False
-            if touched is None:
-                touched = tid
-    return touched, touched is not None
+def _exits(a, b, c, origin, target, eps: float) -> np.ndarray:
+    """Whether the segment from `origin` to `target` leaves through
+    triangle (a, b, c), seen from the side its tet lies on; over the
+    last axis, broadcasting the rest."""
+    s = np.stack([orient3d(origin, target, p, q) for p, q in ((a, b), (b, c), (c, a))])
+    through = np.all(s >= -eps, axis=0) | np.all(s <= eps, axis=0)
+    return (orient3d(a, b, c, target) < -eps) & through
 
 
-def _behind(mesh: TetMesh, origin, target, end: int):
-    """Tet (or OUTER) one step past `target` on the ray from `origin`;
-    None when that is `end`, where the segment ends."""
-    d = np.subtract(target, origin)
-    norm = float(np.linalg.norm(d))
-    if norm == 0.0:
-        return None
-    behind = mesh.locate(np.add(target, d * (1e-6 / norm)))
-    return None if behind == end else behind
+def _hull_entries(mesh: TetMesh, origins, targets, vids, eps: float):
+    """(tet, touched) per segment from `origins`, outside the hull, to mesh
+    vertices `vids` at `targets`: the tet whose hull facet it enters
+    through, the first in (tet, slot) order; else the first whose hull
+    facet it touches only at the target (touched); else NO_TET. A segment
+    enters where the reversed one exits. The (ray, hull facet) pairs are
+    tested `_PAIR_BLOCK` at a time."""
+    ht, hk = np.nonzero(mesh.neighbors == OUTER)
+    tris = mesh.tets[ht[:, None], np.array(FACET_OPP)[hk]]
+    n_pairs, hits = len(vids) * len(ht), [np.empty(0, dtype=np.intp)]
+    for start in range(0, n_pairs, _PAIR_BLOCK):
+        pair = np.arange(start, min(start + _PAIR_BLOCK, n_pairs))
+        ray, f = np.divmod(pair, len(ht))
+        a, b, c = (mesh.verts[tris[f, i]] for i in range(3))
+        hits.append(pair[_exits(a, b, c, targets[ray], origins[ray], eps)])
+    ray, f = np.divmod(np.concatenate(hits), len(ht))
+    touched = np.any(tris[f] == vids[ray, None], axis=1)
+    order = np.lexsort((f, touched, ray))  # per ray, entering facets first
+    first = order[np.unique(ray[order], return_index=True)[1]]
+    tet, is_touched = np.full(len(vids), NO_TET), np.zeros(len(vids), dtype=bool)
+    tet[ray[first]], is_touched[ray[first]] = ht[f[first]], touched[first]
+    return tet, is_touched
 
 
-def walk_ray(mesh: TetMesh, origin, target_vid: int):
-    """Tets crossed by the segment from `origin` to mesh vertex `target_vid`.
+def walk_rays(mesh: TetMesh, origins, vids):
+    """Tets crossed by the segments from `origins` (n, 3) to mesh vertices
+    `vids` (n,), all walked together one tet per step.
 
-    Returns (crossed_tids, terminal_tid, behind_tid). A camera outside
-    the hull puts OUTER first in `crossed_tids`, once. The terminal tet
-    holds the target and ends `crossed_tids`, except for a segment that
-    stays outside the hull and touches it only at the target: that
-    segment crosses OUTER alone. `behind_tid` is the tet (or OUTER)
-    entered one step past the target point, or None when that is where
-    the segment ends. For a grazing ray that misses the target both are
-    None.
+    Returns (ray, tet, terminal, behind). The pairs (ray[j], tet[j]) list
+    in walk order the tets crossed by each ray that reaches its target;
+    from outside the hull, OUTER first, once. The terminal tet holds the
+    target and is crossed last, except by a segment that touches the hull
+    only at the target: that one crosses OUTER alone. `behind` is the tet
+    (or OUTER) one step past the target, NO_TET where the segment ends
+    there. A grazing ray crosses nothing; its terminal and behind are
+    NO_TET. Each step leaves every ray's tet through the first facet
+    that the segment exits, skipping the facet back to the previous tet
+    and those holding the target vertex. Raises RuntimeError for a walk
+    that does not terminate.
     """
-    origin = (float(origin[0]), float(origin[1]), float(origin[2]))
-    target = mesh.verts[target_vid]
-    eps = mesh._orient_eps
-    crossed = [mesh.locate(origin)]
-    prev = None
-    if crossed[0] == OUTER:
-        entry, touched = _hull_entry(mesh, origin, target, target_vid, eps)
-        if entry is None:
-            return crossed, None, None
-        if touched:
-            return crossed, entry, _behind(mesh, origin, target, OUTER)
-        prev = OUTER
-        crossed.append(entry)
-
-    tid = crossed[-1]
+    origins = np.asarray(origins, dtype=float).reshape(-1, 3)
+    vids = np.asarray(vids, dtype=np.intp)
+    targets, eps, n = mesh.verts[vids], mesh._orient_eps, len(vids)
+    cams, cam_of_ray = np.unique(origins, axis=0, return_inverse=True)
+    tid = mesh.locate(cams)[cam_of_ray.reshape(-1)].astype(np.intp)
+    steps = [(np.arange(n), tid.copy())]  # (ray, tet) crossed, step by step
+    out = np.flatnonzero(tid == OUTER)
+    prev, touched = np.full(n, NO_TET), np.zeros(n, dtype=bool)
+    tid[out], touched[out] = _hull_entries(mesh, origins[out], targets[out], vids[out], eps)
+    prev[out] = OUTER
+    active = np.flatnonzero((tid >= 0) & ~touched)
+    entered = np.intersect1d(active, out)
+    steps.append((entered, tid[entered]))
     for _ in range(1_000_000):
-        vs = mesh.tets[tid]
-        exit_slot = None
-        for k in range(4):
-            if mesh.neighbors[tid][k] == prev:
-                continue
-            f = FACET_OPP[k]
-            tri = (vs[f[0]], vs[f[1]], vs[f[2]])
-            if target_vid in tri:
-                continue
-            if _segment_exits_facet(mesh.verts, tri, origin, target, eps):
-                exit_slot = k
-                break
-        if exit_slot is None:
+        if not active.size:
             break
-        nb = mesh.neighbors[tid][exit_slot]
-        if nb == OUTER:
-            break
-        prev = tid
-        tid = nb
-        crossed.append(tid)
+        tri = mesh.tets[tid[active]][:, np.array(FACET_OPP)]  # (rays, 4 facets, 3)
+        v, nb = mesh.verts[tri], mesh.neighbors[tid[active]]
+        exits = _exits(v[..., 0, :], v[..., 1, :], v[..., 2, :],
+                       origins[active, None], targets[active, None], eps)
+        exits &= (nb != prev[active, None]) & ~np.any(tri == vids[active, None, None], axis=2)
+        nxt = nb[np.arange(len(active)), np.argmax(exits, axis=1)]
+        go = exits.any(axis=1) & (nxt != OUTER)
+        active = active[go]
+        prev[active], tid[active] = tid[active], nxt[go]
+        steps.append((active, nxt[go]))
     else:
         raise RuntimeError("ray walk did not terminate")
 
-    if target_vid not in mesh.tets[tid]:
-        return crossed, None, None  # grazing ray; caller skips it
-    return crossed, tid, _behind(mesh, origin, target, tid)
+    holds = np.any(mesh.tets[tid] == vids[:, None], axis=1) & (tid >= 0)
+    d = targets - origins
+    norm = np.sqrt(row_dot(d, d))
+    past = np.flatnonzero(holds & (norm != 0.0))
+    hit = mesh.locate(targets[past] + d[past] * (1e-6 / norm[past])[:, None])
+    behind = np.full(n, NO_TET)
+    behind[past] = np.where(hit == np.where(touched, OUTER, tid)[past], NO_TET, hit)
+    ray, tet = (np.concatenate(x) for x in zip(*steps))
+    return ray[holds[ray]], tet[holds[ray]], np.where(holds, tid, NO_TET), behind
 
 
 def build_cut_problem(mesh: TetMesh, keyframes, weights: CutWeights = CutWeights()) -> CutProblem:
     """Accumulate visibility affinities and smoothness arcs for the cut.
 
     Every keyframe point must already be a mesh vertex (the mesh is built
-    from the union of keyframe observations).
+    from the union of keyframe observations). The rays of all keyframes
+    are walked together.
     """
     n = len(mesh.tets)
-    crossed_all, behind_all = [], []
-    n_rays = 0
-    for kf in keyframes:
-        cam = kf.pose.position
-        for point in kf.points:
-            vid = mesh.find_vertex(point)
-            crossed, terminal, behind = walk_ray(mesh, cam, vid)
-            if terminal is None:
-                continue
-            n_rays += 1
-            crossed_all += crossed
-            if behind is not None:
-                behind_all.append(behind)
+    none = [np.empty((0, 3))]
+    points = np.concatenate([kf.points for kf in keyframes] + none)
+    origins = np.concatenate(
+        [np.broadcast_to(kf.pose.position, kf.points.shape) for kf in keyframes] + none
+    )
+    _, crossed, terminal, behind = walk_rays(mesh, origins, mesh.find_vertex(points))
 
     # node = tet id; OUTER (-1) wraps to the last node, n
     def votes(tids, weight):
-        return np.bincount(np.asarray(tids, dtype=np.intp) % (n + 1), minlength=n + 1) * weight
+        return np.bincount(tids % (n + 1), minlength=n + 1) * weight
 
     t, k = mesh.facets()
-    nb = mesh.neighbor_array[t, k]
+    nb = mesh.neighbors[t, k]
     edges = np.stack([t, np.where(nb == OUTER, n, nb)], axis=1)
     node_of_tet = {**{tid: tid for tid in range(n)}, OUTER: n}
-    source, sink = votes(crossed_all, weights.alpha_vis), votes(behind_all, weights.alpha_behind)
+    source = votes(crossed, weights.alpha_vis)
+    sink = votes(behind[behind != NO_TET], weights.alpha_behind)
+    n_rays = int(np.count_nonzero(terminal != NO_TET))
     return CutProblem(node_of_tet, n, source, sink, edges, weights.lambda_qual, n_rays)
 
 
@@ -264,9 +267,9 @@ def extract_surface(mesh: TetMesh) -> SurfaceMesh:
     """Facets separating differently-labeled tets (hull facets included,
     against OUTER's label), as point-index triangles."""
     t, k = mesh.facets()
-    keep = mesh.labels[t] != mesh.labels[mesh.neighbor_array[t, k]]
+    keep = mesh.labels[t] != mesh.labels[mesh.neighbors[t, k]]
     t, k = t[keep], k[keep]
-    tris = mesh.tet_array[t[:, None], np.array(FACET_OPP)[k]]
+    tris = mesh.tets[t[:, None], np.array(FACET_OPP)[k]]
     edges = np.sort(tris[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
     counts = np.unique(edges, axis=0, return_counts=True)[1]
     watertight = bool(len(tris)) and bool(np.all(counts == 2))
@@ -282,17 +285,6 @@ def extract_surface(mesh: TetMesh) -> SurfaceMesh:
 # 0.8 MB (median); blocks of 32 (~500 pairs) add 0.3 MB, for ~9 ms more per
 # pass than 64.
 _TRI_BLOCK = 32
-
-
-def _dot(a, b) -> np.ndarray:
-    """Row-wise dot product over the last axis, broadcasting the rest.
-
-    Each row goes through the kernel of a 1-D `a @ b`, so the sums round
-    as that does. BLAS's ddot may fuse multiply-adds: with OpenBLAS on
-    x86-64, a hand-written `a0*b0 + a1*b1 + a2*b2` rounds differently in
-    about a third of random cases.
-    """
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _apart(p: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -319,7 +311,7 @@ def _tri_box_overlaps(tris: np.ndarray, centers: np.ndarray, half: np.ndarray) -
     # box face axes, then the triangle normal axis
     n = np.cross(edges[:, 0], edges[:, 1])
     hit = ~np.any(_apart(v, half), axis=1)
-    hit &= np.abs(_dot(n, v[:, 0])) <= _dot(np.abs(n), half)
+    hit &= np.abs(row_dot(n, v[:, 0])) <= row_dot(np.abs(n), half)
     # nine edge axes e x unit_k on the pairs left
     idx = np.flatnonzero(hit)
     v, e = v[idx], edges[idx]
@@ -329,8 +321,8 @@ def _tri_box_overlaps(tris: np.ndarray, centers: np.ndarray, half: np.ndarray) -
     a[:, :, 1, 0], a[:, :, 1, 2] = -ez, ex  # e x y = (-e_z, 0, e_x)
     a[:, :, 2, 0], a[:, :, 2, 1] = ey, -ex  # e x z = (e_y, -e_x, 0)
     a = a.reshape(-1, 9, 3)
-    p = _dot(a[:, None], v[:, :, None])  # (pairs, 3 vertices, 9 axes)
-    hit[idx] = ~np.any(_apart(p, _dot(np.abs(a), half)), axis=1)
+    p = row_dot(a[:, None], v[:, :, None])  # (pairs, 3 vertices, 9 axes)
+    hit[idx] = ~np.any(_apart(p, row_dot(np.abs(a), half)), axis=1)
     return hit
 
 

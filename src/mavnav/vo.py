@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Pose, Quat, compose, inverse
+from .geometry import Pose, Quat, compose, inverse, row_dot
 
 
 class VoError(RuntimeError):
@@ -343,22 +343,16 @@ def _residuals(points, targets, calib, r_mat, t_vec, want_jacobian=False):
     return res, jac
 
 
-def _norm(v):
-    """Euclidean norm over the last axis, rounded as np.linalg.norm rounds
-    one vector (the square root of a 1-D dot product)."""
-    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
-
-
 def _halving_rotations(rotvec):
     """Rotation matrices (..., 12, 3, 3) of rotation vectors (..., 3)
     scaled by each of _HALVINGS, formed step for step as
     `Quat.from_rotvec(scale * rotvec).to_matrix()` forms them. Halving a
     vector halves its norm exactly and keeps its direction, so the norm
     and the axis are computed once."""
-    angle = _norm(rotvec)[..., None]
+    angle = np.sqrt(row_dot(rotvec, rotvec))[..., None]
     some = angle >= 1e-12  # else every halving is below 1e-12 as well
     axis = rotvec / np.where(some, angle, 1.0)
-    factor_n = np.where(some, _norm(axis)[..., None], 1.0)
+    factor_n = np.where(some, np.sqrt(row_dot(axis, axis))[..., None], 1.0)
     angle = angle * _HALVINGS
     half = 0.5 * angle
     tiny = angle < 1e-12  # first-order quaternion, as in Quat.from_rotvec

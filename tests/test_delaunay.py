@@ -11,6 +11,16 @@ from mavnav.delaunay import (
 )
 
 
+def circumsphere(mesh: TetMesh, tid: int):
+    """Center and radius of a tet's circumsphere, solved from the three
+    bisector planes."""
+    a, b, c, d = mesh.verts[mesh.tets[tid]]
+    m = 2.0 * np.array([b - a, c - a, d - a])
+    rhs = np.array([b @ b - a @ a, c @ c - a @ a, d @ d - a @ a])
+    center = np.linalg.solve(m, rhs)
+    return center, float(np.linalg.norm(a - center))
+
+
 def circumsphere_violations(mesh: TetMesh, tol: float = 1e-6) -> int:
     """Oracle route: circumcenter by linear solve, then vectorized distances.
 
@@ -19,7 +29,7 @@ def circumsphere_violations(mesh: TetMesh, tol: float = 1e-6) -> int:
     """
     bad = 0
     for tid in mesh.finite_tet_ids():
-        center, radius = mesh.circumsphere(tid)
+        center, radius = circumsphere(mesh, tid)
         d = np.linalg.norm(mesh.points - center, axis=1)
         bad += int(np.sum(d < radius * (1.0 - tol) - tol))
     return bad
@@ -30,6 +40,9 @@ class TestPredicates:
         a, b, c, d = [0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]
         assert orient3d(a, b, c, d) > 0
         assert orient3d(a, c, b, d) < 0
+        # a stack of tetrahedra gives each one's value
+        stack = orient3d(np.array([a, a]), np.array([b, c]), np.array([c, b]), np.array([d, d]))
+        assert stack.tolist() == [orient3d(a, b, c, d), orient3d(a, c, b, d)]
 
 
 class TestTetrahedralize:
@@ -78,23 +91,33 @@ class TestTetrahedralize:
     def test_adjacency_consistent(self):
         pts = np.random.default_rng(3).normal(size=(50, 3))
         mesh = tetrahedralize(pts)
+        tets, neighbors = mesh.tets.tolist(), mesh.neighbors.tolist()
         # every interior facet shared by exactly two mutually-linked tets
-        for tid, nbs in enumerate(mesh.neighbors):
+        for tid, nbs in enumerate(neighbors):
             for k, nb in enumerate(nbs):
                 if nb == OUTER:
                     continue
-                assert tid in mesh.neighbors[nb]
+                assert tid in neighbors[nb]
                 f = FACET_OPP[k]
-                tri = {mesh.tets[tid][i] for i in f}
-                assert tri < set(mesh.tets[nb]) | tri
-                back = mesh.neighbors[nb].index(tid)
+                tri = {tets[tid][i] for i in f}
+                assert tri < set(tets[nb]) | tri
+                back = neighbors[nb].index(tid)
                 fb = FACET_OPP[back]
-                assert {mesh.tets[nb][i] for i in fb} == tri
+                assert {tets[nb][i] for i in fb} == tri
         # facets() lists each interior facet once and every hull facet
         t, k = mesh.facets()
-        n_hull = len(mesh.hull_facets)
+        n_hull = np.count_nonzero(mesh.neighbors == OUTER)
         assert 2 * len(t) == 4 * len(mesh.tets) + n_hull
         assert len(set(zip(t.tolist(), k.tolist()))) == len(t)
+
+    def test_find_vertex_of_one_point_or_many(self):
+        pts = np.random.default_rng(6).uniform(0, 1, size=(30, 3))
+        mesh = tetrahedralize(pts)
+        assert mesh.find_vertex(pts[7]) == mesh.input_vertex_ids[7]
+        assert mesh.find_vertex(pts).tolist() == mesh.input_vertex_ids
+        assert mesh.find_vertex(np.empty((0, 3))).shape == (0,)
+        with pytest.raises(KeyError):
+            mesh.find_vertex(np.vstack([pts[:3], [[2.0, 2.0, 2.0]]]))
 
     def test_locate_returns_containing_tet(self):
         from scipy.spatial import ConvexHull

@@ -5,21 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mavnav.delaunay import FACET_OPP, OUTER, TetMesh, tetrahedralize
-from mavnav.geometry import Pose, Quat
+from test_delaunay import circumsphere
+
+from mavnav import reconstruction
+from mavnav.delaunay import FACET_OPP, OUTER, TetMesh, orient3d, tetrahedralize
+from mavnav.geometry import Pose, Quat, row_dot
 from mavnav.grid import FREE, OCCUPIED, UNKNOWN
 from mavnav.reconstruction import (
+    NO_TET,
     CutWeights,
     Keyframe,
     SurfaceMesh,
-    _dot,
     _tri_box_overlaps,
-    build_cut_problem,
     extract_surface,
     label_tets,
     rasterize,
     select_keyframes,
-    walk_ray,
+    walk_rays,
 )
 
 
@@ -101,7 +103,7 @@ class TestGraphCut:
         # surface stays near the wall plane (within one circumradius)
         surface = extract_surface(mesh)
         assert surface.triangles
-        max_r = max(mesh.circumsphere(t)[1] for t in mesh.finite_tet_ids())
+        max_r = max(circumsphere(mesh, t)[1] for t in mesh.finite_tet_ids())
         for tri in surface.triangles:
             for v in tri:
                 assert abs(surface.vertices[v][0] - 2.0) <= max_r + 1e-9
@@ -129,16 +131,30 @@ class TestGraphCut:
             checked += 1
         assert checked >= 6
 
+    def test_empty_scan_labels_all_inside(self):
+        mesh = tetrahedralize(np.random.default_rng(2).uniform(0, 1, (6, 3)))
+        kf = Keyframe(Pose(np.array([0.5, 0.5, 0.5])), [])
+        assert kf.points.shape == (0, 3)
+        with pytest.warns(UserWarning, match="no visibility rays"):
+            problem, energy = label_tets(mesh, [kf])
+        assert problem.n_rays == 0 and energy == 0.0
+        assert np.all(mesh.labels == TetMesh.INSIDE)
+
+    @pytest.mark.parametrize("points", [np.zeros(3), np.zeros((2, 2)), np.zeros((4, 3, 1)), [[]]])
+    def test_keyframe_rejects_shapes_other_than_n_by_3(self, points):
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            Keyframe(Pose(np.zeros(3)), points)
+
     def test_ray_walk_reaches_target(self):
         pts = np.random.default_rng(4).uniform(0, 3, size=(40, 3))
         mesh = tetrahedralize(pts)
-        ok = 0
-        for vid in mesh.input_vertex_ids[:20]:
-            crossed, terminal, behind = walk_ray(mesh, [-1.0, -0.7, -0.9], vid)
-            if terminal is not None:
-                assert vid in mesh.tets[terminal]
-                ok += 1
-        assert ok >= 18
+        vids = np.array(mesh.input_vertex_ids[:20])
+        ray, tet, terminal, behind = walk_rays(mesh, np.tile([-1.0, -0.7, -0.9], (20, 1)), vids)
+        reached = terminal != NO_TET
+        assert np.all(np.any(mesh.tets[terminal[reached]] == vids[reached, None], axis=1))
+        assert np.count_nonzero(reached) >= 18
+        assert np.all(behind[~reached] == NO_TET)
+        assert set(ray.tolist()) == set(np.flatnonzero(reached).tolist())
 
     def test_ray_from_outside_crosses_outer_once(self):
         from scipy.spatial import ConvexHull
@@ -146,17 +162,16 @@ class TestGraphCut:
         pts = np.random.default_rng(4).uniform(0, 3, size=(40, 3))
         mesh = tetrahedralize(pts)
         on_hull = set(ConvexHull(mesh.points).vertices.tolist())
-        reached = 0
-        for vid in range(len(mesh.points)):
-            crossed, terminal, behind = walk_ray(mesh, [-1.0, -0.7, -0.9], vid)
+        vids = np.arange(len(mesh.points))
+        ray, tet, terminal, _ = walk_rays(mesh, np.tile([-1.0, -0.7, -0.9], (len(vids), 1)), vids)
+        reached = np.flatnonzero(terminal != NO_TET)
+        for vid in reached:
+            crossed = tet[ray == vid].tolist()  # in walk order
             assert crossed[0] == OUTER and crossed.count(OUTER) == 1
-            if terminal is None:
-                continue
-            assert vid in mesh.tets[terminal]
+            assert vid in mesh.tets[terminal[vid]]
             if vid not in on_hull:  # interior target: the walk enters the hull
-                assert crossed[-1] == terminal and len(crossed) >= 2
-            reached += 1
-        assert reached >= 36
+                assert crossed[-1] == terminal[vid] and len(crossed) >= 2
+        assert len(reached) >= 36
 
 
 class TestRasterize:
@@ -218,8 +233,8 @@ def _extract_surface_loop(mesh):
     """(triangles, watertight) of `extract_surface`, one facet at a time:
     the oracle of the array version."""
     tris = []
-    for tid, vs in enumerate(mesh.tets):
-        for k, nb in enumerate(mesh.neighbors[tid]):
+    for tid, vs in enumerate(mesh.tets.tolist()):
+        for k, nb in enumerate(mesh.neighbors[tid].tolist()):
             if nb != OUTER and nb < tid:  # each interior facet once
                 continue
             if mesh.labels[tid] == mesh.labels[nb]:
@@ -247,6 +262,168 @@ def test_extract_surface_matches_facet_loop_on_cube():
     surface = extract_surface(mesh)
     assert (surface.triangles, surface.watertight) == _extract_surface_loop(mesh)
     assert surface.watertight and len(surface.triangles) == 12
+
+
+# -- ray-walk oracle -----------------------------------------------------
+
+
+def _segment_exits_facet(verts, tri, origin, target, eps: float) -> bool:
+    a, b, c = (verts[v] for v in tri)
+    if orient3d(a, b, c, target) >= -eps:
+        return False
+    s1 = orient3d(origin, target, a, b)
+    s2 = orient3d(origin, target, b, c)
+    s3 = orient3d(origin, target, c, a)
+    return (s1 >= -eps and s2 >= -eps and s3 >= -eps) or (
+        s1 <= eps and s2 <= eps and s3 <= eps
+    )
+
+
+def _hull_entry(mesh, tets, verts, origin, target, target_vid: int, eps: float):
+    """Where the segment from `origin`, outside the hull, to `target` meets
+    the hull: (tet, False) for the tet whose hull facet it enters through,
+    (tet, True) for a tet whose hull facet it touches only at the target,
+    (None, False) for a grazing segment."""
+    touched = None
+    for tid, k in np.argwhere(mesh.neighbors == OUTER).tolist():
+        tri = [tets[tid][i] for i in FACET_OPP[k]]
+        if _segment_exits_facet(verts, tri, target, origin, eps):
+            if target_vid not in tri:
+                return tid, False
+            if touched is None:
+                touched = tid
+    return touched, touched is not None
+
+
+def _behind(mesh, origin, target, end: int):
+    d = np.subtract(target, origin)
+    norm = float(np.linalg.norm(d))
+    if norm == 0.0:
+        return None
+    behind = mesh.locate(np.add(target, d * (1e-6 / norm)))
+    return None if behind == end else behind
+
+
+def walk_ray(mesh, origin, target_vid: int):
+    """(crossed_tids, terminal_tid, behind_tid) of one ray, walked one tet
+    and one facet test at a time: the oracle of `walk_rays`."""
+    tets, neighbors = mesh.tets.tolist(), mesh.neighbors.tolist()
+    verts = [tuple(v) for v in mesh.verts.tolist()]
+    origin = (float(origin[0]), float(origin[1]), float(origin[2]))
+    target = verts[target_vid]
+    eps = mesh._orient_eps
+    crossed = [mesh.locate(origin)]
+    prev = None
+    if crossed[0] == OUTER:
+        entry, touched = _hull_entry(mesh, tets, verts, origin, target, target_vid, eps)
+        if entry is None:
+            return crossed, None, None
+        if touched:
+            return crossed, entry, _behind(mesh, origin, target, OUTER)
+        prev = OUTER
+        crossed.append(entry)
+
+    tid = crossed[-1]
+    for _ in range(1_000_000):
+        vs = tets[tid]
+        exit_slot = None
+        for k in range(4):
+            if neighbors[tid][k] == prev:
+                continue
+            f = FACET_OPP[k]
+            tri = (vs[f[0]], vs[f[1]], vs[f[2]])
+            if target_vid in tri:
+                continue
+            if _segment_exits_facet(verts, tri, origin, target, eps):
+                exit_slot = k
+                break
+        if exit_slot is None:
+            break
+        nb = neighbors[tid][exit_slot]
+        if nb == OUTER:
+            break
+        prev = tid
+        tid = nb
+        crossed.append(tid)
+    else:
+        raise RuntimeError("ray walk did not terminate")
+
+    if target_vid not in tets[tid]:
+        return crossed, None, None  # grazing ray
+    return crossed, tid, _behind(mesh, origin, target, tid)
+
+
+@st.composite
+def _ray_fans(draw):
+    """(mesh, camera): a random mesh and one camera inside its hull,
+    outside it, on a mesh vertex (a zero-length ray to that vertex, and
+    rays that start on facets), or on a facet's centroid or an edge's
+    midpoint, where the facet tests tie."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mesh = tetrahedralize(rng.uniform(0.0, 2.0, size=(draw(st.integers(5, 30)), 3)))
+    kind = draw(st.sampled_from(["inside", "outside", "vertex", "facet", "edge"]))
+    corners = mesh.verts[mesh.tets[draw(st.integers(0, len(mesh.tets) - 1))]]
+    if kind == "inside":  # a convex combination of the vertices
+        cam = rng.dirichlet(np.ones(len(mesh.verts))) @ mesh.verts
+    elif kind == "outside":
+        d = rng.normal(size=3)
+        cam = 1.0 + d * (draw(st.floats(1.8, 6.0)) / np.linalg.norm(d))
+    else:
+        cam = corners[: {"vertex": 1, "edge": 2, "facet": 3}[kind]].mean(axis=0)
+    return mesh, cam
+
+
+def _walks(mesh, cam):
+    """Per target vertex, (crossed, terminal, behind) from the batched walk
+    and from the oracle, crossed as the oracle lists it for a reached
+    target and empty for a grazing one."""
+    vids = np.arange(len(mesh.verts))
+    ray, tet, terminal, behind = walk_rays(mesh, np.tile(cam, (len(vids), 1)), vids)
+    got, want = [], []
+    for vid in vids:
+        t, b = terminal[vid], behind[vid]
+        got.append((tet[ray == vid].tolist(),
+                    None if t == NO_TET else int(t), None if b == NO_TET else int(b)))
+        crossed, t, b = walk_ray(mesh, cam, vid)
+        want.append((crossed if t is not None else [], t, b))
+    return got, want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ray_fans())
+def test_batched_walk_matches_scalar_walk(fan):
+    mesh, cam = fan
+    got, want = _walks(mesh, cam)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "kind, case",
+    [("inside", "walked"), ("outside", "walked"), ("outside", "touched"),
+     ("vertex", "zero-length")],
+)
+def test_batched_walk_covers_each_case(kind, case, monkeypatch):
+    # fixed fans on which the oracle takes the named branch: a walk to the
+    # target, a target on the hull touched from outside, a zero-length ray;
+    # the hull-entry pairs split into many blocks
+    monkeypatch.setattr(reconstruction, "_PAIR_BLOCK", 7)
+    seen = set()
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        mesh = tetrahedralize(rng.uniform(0.0, 2.0, size=(25, 3)))
+        cam = {"inside": rng.dirichlet(np.ones(len(mesh.verts))) @ mesh.verts,
+               "outside": np.array([-2.0, -1.5, 3.5]),
+               "vertex": mesh.verts[seed]}[kind]
+        got, want = _walks(mesh, cam)
+        assert got == want
+        for vid, (crossed, t, b) in enumerate(want):
+            if crossed == [OUTER] and t is not None:
+                seen.add("touched")
+            elif np.array_equal(cam, mesh.verts[vid]) and t is not None and b is None:
+                seen.add("zero-length")
+            elif t is not None and len(crossed) > 1:
+                seen.add("walked")
+    assert case in seen
 
 
 # -- rasterization oracles -----------------------------------------------
@@ -352,7 +529,7 @@ class TestRasterizeOracles:
         # dot products round as the scalar `a @ b` does
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=(2, 2000, 3))
-        assert _dot(a, b).tolist() == [float(x @ y) for x, y in zip(a, b)]
+        assert row_dot(a, b).tolist() == [float(x @ y) for x, y in zip(a, b)]
 
     @settings(max_examples=200, deadline=None)
     @given(_tri_box_pairs())
