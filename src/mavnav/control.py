@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import NavEstimate
+from .geometry import cross3
 from .simulation import GRAVITY, VehicleParams
 from .trajectory import RefPoint
 
@@ -123,13 +124,13 @@ def desired_attitude(f_vec: np.ndarray, heading: float) -> np.ndarray:
     """Rotation matrix with body z along f_vec and yaw from heading."""
     z_b = f_vec / np.linalg.norm(f_vec)
     x_c = np.array([math.cos(heading), math.sin(heading), 0.0])
-    y_b = np.cross(z_b, x_c)
+    y_b = np.array(cross3(z_b, x_c))
     n = np.linalg.norm(y_b)
     if n < 1e-9:  # thrust collinear with heading axis; fall back to world y
         y_b = np.array([0.0, 1.0, 0.0])
         n = 1.0
     y_b = y_b / n
-    x_b = np.cross(y_b, z_b)
+    x_b = np.array(cross3(y_b, z_b))
     return np.column_stack([x_b, y_b, z_b])
 
 
@@ -181,8 +182,7 @@ class Controller:
         c1 = np.array([g.att_stiffness, g.att_stiffness, g.kp_yaw])
         c2 = np.array([g.att_damping, g.att_damping, g.kd_yaw])
         inertia = np.asarray(p.inertia)
-        torque = inertia * (-c1 * e_rot - c2 * e_rate) + np.cross(
-            np.asarray(body_rate, dtype=float), inertia * np.asarray(body_rate, dtype=float)
-        )
+        rate = np.asarray(body_rate, dtype=float)
+        torque = inertia * (-c1 * e_rot - c2 * e_rate) + np.array(cross3(rate, inertia * rate))
         torque = np.clip(torque, -p.max_torque, p.max_torque)
         return thrust, torque

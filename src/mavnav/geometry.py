@@ -42,45 +42,22 @@ class Quat:
         return Quat(1.0, 0.0, 0.0, 0.0)
 
     def normalized(self) -> "Quat":
-        """Unit-norm, canonical-sign representative of this rotation.
-
-        On w == 0 exactly, the sign is fixed so the largest-magnitude
-        vector component is positive (ties broken in x, y, z order),
-        which keeps antipodal handling deterministic.
-        """
-        n = math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-        if n < _EPS:
-            return Quat.identity()
-        w, x, y, z = self.w / n, self.x / n, self.y / n, self.z / n
-        if w < 0.0:
-            w, x, y, z = -w, -x, -y, -z
-        elif w == 0.0:
-            comps = (x, y, z)
-            lead = max(range(3), key=lambda i: (abs(comps[i]), -i))
-            if comps[lead] < 0.0:
-                x, y, z = -x, -y, -z
-        return Quat(w, x, y, z)
+        """Unit-norm, canonical-sign representative of this rotation
+        (see `quat_normalize`)."""
+        return Quat(*quat_normalize(self.w, self.x, self.y, self.z))
 
     def __mul__(self, other: "Quat") -> "Quat":
         """Hamilton product, renormalized."""
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-        return Quat(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ).normalized()
+        return Quat(*quat_mul((self.w, self.x, self.y, self.z),
+                              (other.w, other.x, other.y, other.z))).normalized()
 
     def conjugate(self) -> "Quat":
         return Quat(self.w, -self.x, -self.y, -self.z).normalized()
 
     def rotate(self, v) -> np.ndarray:
         """Rotate a 3-vector from body to world frame."""
-        v = np.asarray(v, dtype=float)
-        qv = np.array([self.x, self.y, self.z])
-        t = 2.0 * np.cross(qv, v)
-        return v + self.w * t + np.cross(qv, t)
+        return np.array(quat_rotate((self.w, self.x, self.y, self.z),
+                                    np.asarray(v, dtype=float).tolist()))
 
     def to_matrix(self) -> np.ndarray:
         w, x, y, z = self.w, self.x, self.y, self.z
@@ -123,22 +100,11 @@ class Quat:
 
     @staticmethod
     def from_axis_angle(axis, angle: float) -> "Quat":
-        axis = np.asarray(axis, dtype=float)
-        n = float(np.linalg.norm(axis))
-        if n < _EPS:
-            return Quat.identity()
-        half = 0.5 * angle
-        s = math.sin(half) / n
-        return Quat(math.cos(half), axis[0] * s, axis[1] * s, axis[2] * s).normalized()
+        return Quat(*quat_from_axis_angle(np.asarray(axis, dtype=float).tolist(), angle))
 
     @staticmethod
     def from_rotvec(rv) -> "Quat":
-        rv = np.asarray(rv, dtype=float)
-        angle = float(np.linalg.norm(rv))
-        if angle < _EPS:
-            # first-order quaternion keeps tiny increments exact to O(angle^2)
-            return Quat(1.0, 0.5 * rv[0], 0.5 * rv[1], 0.5 * rv[2]).normalized()
-        return Quat.from_axis_angle(rv / angle, angle)
+        return Quat(*quat_from_rotvec(np.asarray(rv, dtype=float).tolist()))
 
     def as_rotvec(self) -> np.ndarray:
         """Rotation vector of the canonical representative, angle in [0, pi]."""
@@ -245,6 +211,113 @@ def row_dot(a, b) -> np.ndarray:
     differently in about a third of random cases.
     """
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def point_rows(points, what: str) -> np.ndarray:
+    """`points` as a finite (n, 3) float array; `[]` is the empty one.
+
+    Any other shape, or a non-finite value, raises ValueError naming `what`.
+    """
+    arr = np.asarray(points, dtype=float)
+    rows = arr.reshape(0, 3) if arr.shape == (0,) else arr
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError(f"{what} must be an (n, 3) array, got shape {arr.shape}")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError(f"{what} must be finite")
+    return rows
+
+
+# -- plain-float kernels -------------------------------------------------
+#
+# Quaternions are (w, x, y, z) and 3-vectors (x, y, z) sequences of
+# Python floats. These kernels round exactly as the numpy expressions of
+# the same operation: `cross3` as `np.cross` on one pair, and every norm
+# goes through a 1-D dot (see `row_dot`) as `np.linalg.norm` does, never
+# through `x*x + y*y + z*z`. The `Quat` methods and the simulator's
+# rigid-body step share them.
+
+
+def cross3(a, b) -> tuple:
+    """Cross product of two 3-sequences."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def quat_normalize(w: float, x: float, y: float, z: float) -> tuple:
+    """Unit-norm, canonical-sign representative of a quaternion.
+
+    On w == 0 exactly, the sign is fixed so the largest-magnitude
+    vector component is positive (ties broken in x, y, z order),
+    which keeps antipodal handling deterministic. A norm below _EPS
+    gives the identity. The squares are `**2` (libm's pow), which
+    rounds differently from `x * x` for about one value in 1200.
+    """
+    n = math.sqrt(w**2 + x**2 + y**2 + z**2)
+    if n < _EPS:
+        return (1.0, 0.0, 0.0, 0.0)
+    w, x, y, z = w / n, x / n, y / n, z / n
+    if w < 0.0:
+        return (-w, -x, -y, -z)
+    if w == 0.0:
+        comps = (x, y, z)
+        lead = max(range(3), key=lambda i: (abs(comps[i]), -i))
+        if comps[lead] < 0.0:
+            return (w, -x, -y, -z)
+    return (w, x, y, z)
+
+
+def quat_mul(a, b) -> tuple:
+    """Hamilton product a * b, not renormalized."""
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+def quat_rotate(q, v) -> tuple:
+    """v rotated by the unit quaternion q: v + 2w (u x v) + u x 2(u x v)."""
+    w, x, y, z = q
+    u = (x, y, z)
+    c0, c1, c2 = cross3(u, v)
+    t = (2.0 * c0, 2.0 * c1, 2.0 * c2)
+    d0, d1, d2 = cross3(u, t)
+    v0, v1, v2 = v
+    return (v0 + w * t[0] + d0, v1 + w * t[1] + d1, v2 + w * t[2] + d2)
+
+
+def _norm(v) -> float:
+    a = np.array(v)
+    return math.sqrt(a @ a)
+
+
+def quat_from_axis_angle(axis, angle: float) -> tuple:
+    """Unit quaternion of a turn by `angle` about `axis` (any length);
+    the identity for an axis shorter than _EPS."""
+    n = _norm(axis)
+    if n < _EPS:
+        return (1.0, 0.0, 0.0, 0.0)
+    a0, a1, a2 = axis
+    half = 0.5 * angle
+    s = math.sin(half) / n
+    return quat_normalize(math.cos(half), a0 * s, a1 * s, a2 * s)
+
+
+def quat_from_rotvec(rv) -> tuple:
+    """Unit quaternion of the rotation vector rv.
+
+    Below an angle of _EPS the first-order quaternion keeps tiny
+    increments exact to O(angle^2).
+    """
+    r0, r1, r2 = rv
+    angle = _norm(rv)
+    if angle < _EPS:
+        return quat_normalize(1.0, 0.5 * r0, 0.5 * r1, 0.5 * r2)
+    return quat_from_axis_angle((r0 / angle, r1 / angle, r2 / angle), angle)
 
 
 TRAJECTORY_HEADER = ["t", "x", "y", "z", "qw", "qx", "qy", "qz"]

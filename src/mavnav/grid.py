@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose
+from .geometry import Pose, point_rows
 
 FREE = 0
 OCCUPIED = 1
@@ -180,9 +180,9 @@ def integrate_scan(grid: OccupancyGrid, origin: Pose, hits) -> OccupancyGrid:
     Every voxel is updated at most once per scan; endpoint (hit) updates
     win over pass-through (miss) updates. Mutates and returns `grid`.
     """
-    hits = np.atleast_2d(np.asarray(hits, dtype=float))
-    if not np.all(np.isfinite(hits)):
-        raise ValueError("hit points must be finite")
+    hits = point_rows(hits, "hit points")
+    if not len(hits):
+        return grid
     start = origin.position
     free_cells = []
     occ_cells = []

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .delaunay import FACET_OPP, OUTER, TetMesh, orient3d
-from .geometry import Pose, row_dot
+from .geometry import Pose, point_rows, row_dot
 from .grid import FREE, OCCUPIED, UNKNOWN, LogOddsParams, OccupancyGrid
 from .maxflow import FlowNetwork
 
@@ -32,12 +32,7 @@ class Keyframe:
     points: np.ndarray
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
-        self.points = points.reshape(0, 3) if points.shape == (0,) else points
-        if self.points.ndim != 2 or self.points.shape[1] != 3:
-            raise ValueError(f"keyframe points must be an (n, 3) array, got shape {points.shape}")
-        if not np.all(np.isfinite(self.points)):
-            raise ValueError("keyframe points must be finite")
+        self.points = point_rows(self.points, "keyframe points")
 
 
 def select_keyframes(poses, trans_thresh: float, rot_thresh: float) -> list[Pose]:

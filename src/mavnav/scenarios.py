@@ -1,9 +1,9 @@
 """Closed-loop scenario wiring: simulation, estimation and control.
 
-The loop runs the simulator at its internal step, feeds every IMU sample
-to the filter, recomputes the control command at the IMU rate from the
-latest estimate (zero-order hold in between), and applies delayed pose
-corrections as they arrive.
+The loop advances the simulator one IMU tick at a time, feeds every IMU
+sample to the filter, recomputes the control command at the IMU rate
+from the latest estimate (the simulator holds it in between), and
+applies delayed pose corrections as they arrive.
 """
 
 from __future__ import annotations
@@ -25,11 +25,9 @@ class LoopLog:
 
     t: list[float] = field(default_factory=list)
     truth_pos: list[np.ndarray] = field(default_factory=list)
-    truth_rate: list[np.ndarray] = field(default_factory=list)
     est_pos: list[np.ndarray] = field(default_factory=list)
     ref_pos: list[np.ndarray] = field(default_factory=list)
     thrust: list[float] = field(default_factory=list)
-    torque: list[np.ndarray] = field(default_factory=list)
 
     def position_error(self) -> np.ndarray:
         return np.linalg.norm(np.array(self.truth_pos) - np.array(self.ref_pos), axis=1)
@@ -86,23 +84,20 @@ def run_closed_loop(
     t_end = sim.time + duration
     while sim.time < t_end - 1e-9:
         imu, meas = sim.step(thrust, torque)
-        if imu is not None:
-            filt.predict(imu)
-            if meas is not None:
-                filt.correct(meas)
-            est = filt.estimate
-            ref = ref_fn(imu.stamp)
-            body_rate = np.asarray(imu.angular_rate) - est.gyro_bias
-            thrust, torque = controller.step(est, ref, body_rate, IMU_PERIOD)
-            log.t.append(imu.stamp)
-            log.truth_pos.append(sim.state.pose.position.copy())
-            log.truth_rate.append(sim.state.twist.angular.copy())
-            log.est_pos.append(est.pose.position.copy())
-            log.ref_pos.append(ref.position.copy())
-            log.thrust.append(thrust)
-            log.torque.append(torque.copy())
-        elif meas is not None:
+        if sim.time > t_end + 1e-9:
+            break  # this IMU tick lies past the end
+        filt.predict(imu)
+        if meas is not None:
             filt.correct(meas)
+        est = filt.estimate
+        ref = ref_fn(imu.stamp)
+        body_rate = np.asarray(imu.angular_rate) - est.gyro_bias
+        thrust, torque = controller.step(est, ref, body_rate, IMU_PERIOD)
+        log.t.append(imu.stamp)
+        log.truth_pos.append(sim.state.pose.position)
+        log.est_pos.append(est.pose.position.copy())
+        log.ref_pos.append(ref.position.copy())
+        log.thrust.append(thrust)
     return log
 
 

@@ -1,8 +1,9 @@
 """Deterministic hexacopter rigid-body simulation with sensor models.
 
-Dynamics are semi-implicit Euler at a fixed internal step; actuation is
-abstracted to collective thrust along body z plus three body torques,
-clamped to the vehicle limits. Wind enters as a pure drag force
+Dynamics are semi-implicit Euler at a fixed internal step; the simulator
+holds each command over the internal steps up to the next IMU tick.
+Actuation is abstracted to collective thrust along body z plus three body
+torques, clamped to the vehicle limits. Wind enters as a pure drag force
 ``drag * (wind - velocity)``. Sensors run on exact grids: IMU at 100 Hz
 with a slowly random-walking bias, a pose sensor at 10 Hz whose
 measurements arrive 100 ms after capture.
@@ -10,15 +11,19 @@ measurements arrive 100 ms after capture.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, Quat, Twist
+from .geometry import (
+    Pose, Quat, Twist, cross3, quat_from_rotvec, quat_mul, quat_normalize, quat_rotate,
+)
 
 GRAVITY = np.array([0.0, 0.0, -9.81])  # world frame, z up [m/s^2]
 GRAVITY.flags.writeable = False
+_GX, _GY, _GZ = GRAVITY.tolist()
 IMU_PERIOD = 0.01  # [s]
 POSE_PERIOD = 0.1  # [s]
 POSE_DELAY = 0.1  # capture to delivery [s]
@@ -104,6 +109,42 @@ class NoiseConfig:
             raise ValueError("noise std-devs must be non-negative")
 
 
+def _rigid_step(p, v, q, w, thrust, torque, wind, dt, params):
+    """One semi-implicit Euler step of the rigid-body dynamics on floats.
+
+    p, v, w, torque and wind are 3-sequences and q a (w, x, y, z)
+    sequence of floats; returns the new (p, v, q, w) as tuples. Checks
+    the command and wind before the step and the state after it, and
+    rounds as the same expression on numpy 3-vectors and `Quat`s would.
+    """
+    tx, ty, tz = torque
+    ux, uy, uz = wind
+    if not all(map(math.isfinite, (thrust, tx, ty, tz, ux, uy, uz))):
+        raise ValueError("non-finite command or wind")
+    thrust = min(max(thrust, 0.0), params.max_thrust)
+    lim = params.max_torque
+    tx, ty, tz = (min(max(tx, -lim), lim), min(max(ty, -lim), lim), min(max(tz, -lim), lim))
+
+    mass, drag = params.mass, params.drag
+    ix, iy, iz = params.inertia
+    vx, vy, vz = v
+    wx, wy, wz = w
+    bx, by, bz = quat_rotate(q, (0.0, 0.0, 1.0))
+    ax = (thrust * bx + mass * _GX + drag * (ux - vx)) / mass
+    ay = (thrust * by + mass * _GY + drag * (uy - vy)) / mass
+    az = (thrust * bz + mass * _GZ + drag * (uz - vz)) / mass
+    cx, cy, cz = cross3(w, (ix * wx, iy * wy, iz * wz))  # gyroscopic term
+    w_new = (wx + (tx - cx) / ix * dt, wy + (ty - cy) / iy * dt, wz + (tz - cz) / iz * dt)
+    v_new = (vx + ax * dt, vy + ay * dt, vz + az * dt)
+    p_new = (p[0] + v_new[0] * dt, p[1] + v_new[1] * dt, p[2] + v_new[2] * dt)
+    dq = quat_from_rotvec((w_new[0] * dt, w_new[1] * dt, w_new[2] * dt))
+    # as `(q * dq).normalized()`: the product renormalizes, then the step again
+    q_new = quat_normalize(*quat_normalize(*quat_mul(q, dq)))
+    if not all(map(math.isfinite, (*p_new, *v_new, *q_new, *w_new))):
+        raise ValueError("vehicle state must stay finite")
+    return p_new, v_new, q_new, w_new
+
+
 def step_dynamics(
     state: VehicleState,
     thrust: float,
@@ -115,34 +156,15 @@ def step_dynamics(
     """One semi-implicit Euler step of the rigid-body dynamics."""
     if not 0.0 < dt <= 0.02:
         raise ValueError(f"dt must be in (0, 0.02], got {dt}")
-    torque = np.asarray(torque, dtype=float)
-    wind = np.asarray(wind, dtype=float)
-    if not (math.isfinite(thrust) and np.all(np.isfinite(torque)) and np.all(np.isfinite(wind))):
-        raise ValueError("non-finite command or wind")
-
-    thrust = min(max(thrust, 0.0), params.max_thrust)
-    torque = np.clip(torque, -params.max_torque, params.max_torque)
-
     q = state.pose.orientation
-    v = state.twist.linear
-    w = state.twist.angular
-    inertia = np.asarray(params.inertia)
-
-    body_z = q.rotate(np.array([0.0, 0.0, 1.0]))
-    force = thrust * body_z
-    force = force + params.mass * GRAVITY
-    force = force + params.drag * (wind - v)
-    accel = force / params.mass
-
-    w_dot = (torque - np.cross(w, inertia * w)) / inertia
-    w_new = w + w_dot * dt
-    v_new = v + accel * dt
-    p_new = state.pose.position + v_new * dt
-    q_new = (q * Quat.from_rotvec(w_new * dt)).normalized()
-
+    p, v, q, w = _rigid_step(
+        state.pose.position.tolist(), state.twist.linear.tolist(), (q.w, q.x, q.y, q.z),
+        state.twist.angular.tolist(), thrust, np.asarray(torque, dtype=float).tolist(),
+        np.asarray(wind, dtype=float).tolist(), dt, params,
+    )
     return VehicleState(
-        Pose(p_new, q_new, state.pose.stamp + dt),
-        Twist(v_new, w_new),
+        Pose(np.array(p), Quat(*q), state.pose.stamp + dt),
+        Twist(np.array(v), np.array(w)),
         state.accel_bias,
         state.gyro_bias,
     )
@@ -201,8 +223,6 @@ class PoseHistory:
     def at(self, t: float, tol: float = 1e-6) -> Pose:
         if not self._stamps or t < self._stamps[0] - tol or t > self._stamps[-1] + tol:
             raise LookupError(f"history does not cover t={t}")
-        import bisect
-
         i = bisect.bisect_left(self._stamps, t)
         candidates = [j for j in (i - 1, i) if 0 <= j < len(self._stamps)]
         best = min(candidates, key=lambda j: abs(self._stamps[j] - t))
@@ -235,7 +255,11 @@ def sample_pose_sensor(
 
 
 class Simulator:
-    """Fixed-step simulation loop with sensor emission on exact grids."""
+    """Fixed-step simulation loop with sensor emission on exact grids.
+
+    The true state is held as floats between calls; `state` is its
+    `VehicleState` at the last IMU tick.
+    """
 
     INTERNAL_DT = 0.001
 
@@ -255,10 +279,15 @@ class Simulator:
         imu_ss, pose_ss = ss.spawn(2)
         self._rng_imu = np.random.default_rng(imu_ss)
         self._rng_pose = np.random.default_rng(pose_ss)
-        self.state = initial_state or VehicleState()
+        state = initial_state or VehicleState()
+        self._state = state
+        q = state.pose.orientation
+        self._x = (state.pose.position.tolist(), state.twist.linear.tolist(),
+                   (q.w, q.x, q.y, q.z), state.twist.angular.tolist())
+        self._stamp = state.pose.stamp
         self.history = PoseHistory()
-        self.history.push(self.state.pose)
-        self._step_count = round(self.state.pose.stamp / self.INTERNAL_DT)
+        self.history.push(state.pose)
+        self._step_count = round(self._stamp / self.INTERNAL_DT)
         self._imu_every = round(IMU_PERIOD / self.INTERNAL_DT)
         self._pose_every = round(POSE_PERIOD / self.INTERNAL_DT)
 
@@ -266,24 +295,45 @@ class Simulator:
     def time(self) -> float:
         return self._step_count * self.INTERNAL_DT
 
-    def step(self, thrust: float, torque):
-        """Advance one internal step; returns (imu_sample, pose_measurement),
-        either of which may be None off their sampling grids."""
-        t = self.time
-        v_before = self.state.twist.linear
-        self.state = step_dynamics(
-            self.state, thrust, torque, self.wind.wind_at(t), self.INTERNAL_DT, self.params
-        )
-        self._step_count += 1
-        self.history.push(self.state.pose)
+    @property
+    def state(self) -> VehicleState:
+        return self._state
 
-        imu = None
+    def step(self, thrust: float, torque):
+        """Hold the command over the internal steps up to the next IMU
+        tick; returns (imu_sample, pose_measurement), the latter None off
+        the pose sensor's grid.
+
+        The pose grid is a subset of the IMU grid, so the history gets
+        every pose the sensor will ask for: the pose on each pose tick.
+        """
+        torque = np.asarray(torque, dtype=float).tolist()
+        dt = self.INTERNAL_DT
+        p, v, q, w = self._x
+        n, stamp = self._step_count, self._stamp
+        while True:
+            v_before = v
+            wind = self.wind.wind_at(n * dt).tolist()
+            p, v, q, w = _rigid_step(p, v, q, w, thrust, torque, wind, dt, self.params)
+            n += 1
+            stamp += dt
+            if n % self._imu_every == 0:
+                break
+        # only a whole call moves the simulator: one that raises leaves it at its last tick
+        self._x, self._step_count, self._stamp = (p, v, q, w), n, stamp
+
+        state = VehicleState(
+            Pose(np.array(p), Quat(*q), self._stamp), Twist(np.array(v), np.array(w)),
+            self._state.accel_bias, self._state.gyro_bias,
+        )
+        true_accel = np.array([(v[i] - v_before[i]) / dt for i in range(3)])
+        imu, state.accel_bias, state.gyro_bias = sample_imu(
+            state, true_accel, self.noise, self._rng_imu
+        )
+        self._state = state
         meas = None
-        if self._step_count % self._imu_every == 0:
-            true_accel = (self.state.twist.linear - v_before) / self.INTERNAL_DT
-            imu, ab, gb = sample_imu(self.state, true_accel, self.noise, self._rng_imu)
-            self.state.accel_bias = ab
-            self.state.gyro_bias = gb
-        if self._step_count % self._pose_every == 0 and self.time >= POSE_DELAY:
-            meas = sample_pose_sensor(self.history, self.time, self.noise, self._rng_pose)
+        if self._step_count % self._pose_every == 0:
+            self.history.push(state.pose)
+            if self.time >= POSE_DELAY:
+                meas = sample_pose_sensor(self.history, self.time, self.noise, self._rng_pose)
         return imu, meas

@@ -175,11 +175,10 @@ def eval_spline(spline: QuinticSpline, t: float) -> RefPoint:
     elif t > spline.t_end:
         tq, clamped = spline.t_end, True
     seg = min(max(bisect_right(spline.knots, tq) - 1, 0), len(spline.knots) - 2)
-    tau = tq - spline.knots[seg]
+    tau = float(tq - spline.knots[seg])
 
     vals = np.empty((4, 5))
-    for ch in range(4):
-        c = spline.coeffs[seg, ch]
+    for ch, c in enumerate(spline.coeffs[seg].tolist()):
         for order in range(5):
             acc = 0.0
             for p in range(5, order - 1, -1):

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mavnav.geometry import (
     Pose,
     Quat,
     compose,
+    cross3,
     inverse,
     partial_rotation,
     read_trajectory_csv,
@@ -38,6 +39,107 @@ unit_quats = st.tuples(
 unit_axes = st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).filter(
     lambda t: sum(x * x for x in t) > 1e-4
 ).map(lambda t: np.array(t) / np.linalg.norm(t))
+
+
+# -- numpy oracles of the plain-float kernels ------------------------------
+# Quaternion operations as numpy expressions on (w, x, y, z) tuples: np.cross
+# for the rotation, np.linalg.norm for the norms. The kernels behind `Quat`
+# and the simulator must match them bit for bit.
+
+
+def normalized_oracle(q) -> tuple:
+    w, x, y, z = q
+    n = math.sqrt(w**2 + x**2 + y**2 + z**2)
+    if n < 1e-12:
+        return (1.0, 0.0, 0.0, 0.0)
+    w, x, y, z = w / n, x / n, y / n, z / n
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
+    elif w == 0.0:
+        comps = (x, y, z)
+        lead = max(range(3), key=lambda i: (abs(comps[i]), -i))
+        if comps[lead] < 0.0:
+            x, y, z = -x, -y, -z
+    return (w, x, y, z)
+
+
+def mul_oracle(a, b) -> tuple:
+    """Hamilton product, renormalized."""
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return normalized_oracle((
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    ))
+
+
+def rotate_oracle(q, v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    qv = np.array(q[1:])
+    t = 2.0 * np.cross(qv, v)
+    return v + q[0] * t + np.cross(qv, t)
+
+
+def from_rotvec_oracle(rv) -> tuple:
+    rv = np.asarray(rv, dtype=float)
+    angle = float(np.linalg.norm(rv))
+    if angle < 1e-12:
+        return normalized_oracle((1.0, 0.5 * rv[0], 0.5 * rv[1], 0.5 * rv[2]))
+    axis = rv / angle
+    half = 0.5 * angle
+    s = math.sin(half) / float(np.linalg.norm(axis))
+    return normalized_oracle((math.cos(half), axis[0] * s, axis[1] * s, axis[2] * s))
+
+
+def wxyz(q: Quat) -> tuple:
+    return (q.w, q.x, q.y, q.z)
+
+
+vec3 = st.tuples(*[st.floats(-1e3, 1e3)] * 3)
+any_quat = st.tuples(*[st.floats(-2, 2)] * 4).map(lambda t: Quat(*t))
+# half turns (w == 0) with every sign, and increments on both sides of the
+# first-order branch of from_rotvec
+half_turns = st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda t: any(t)).map(
+    lambda t: Quat(0.0, *t))
+rotvecs = st.one_of(
+    vec3, st.tuples(*[st.floats(-1e-12, 1e-12)] * 3), st.tuples(*[st.floats(-10, 10)] * 3))
+
+
+class TestFloatKernels:
+    @given(vec3, vec3)
+    @settings(max_examples=300, deadline=None)
+    def test_cross3_matches_np_cross(self, a, b):
+        assert np.array_equal(cross3(a, b), np.cross(a, b))
+        assert np.array_equal(cross3(np.array(a), np.array(b)), np.cross(a, b))
+
+    @given(st.one_of(any_quat, half_turns, st.just(Quat(0.0, 0.0, 0.0, 0.0))))
+    # a norm that `w * w + ...` rounds one ulp lower than `w**2 + ...`
+    @example(Quat(0.49688105075161415, 0.06962652926561641, 0.29925244866351175,
+                  -0.40871367419338345))
+    @settings(max_examples=300, deadline=None)
+    def test_normalized_matches_oracle(self, q):
+        assert wxyz(q.normalized()) == normalized_oracle(wxyz(q))
+
+    @given(st.one_of(any_quat, half_turns), st.one_of(any_quat, half_turns))
+    @settings(max_examples=300, deadline=None)
+    def test_mul_matches_oracle(self, a, b):
+        assert wxyz(a * b) == mul_oracle(wxyz(a), wxyz(b))
+
+    @given(st.one_of(any_quat, half_turns), vec3)
+    @settings(max_examples=300, deadline=None)
+    def test_rotate_matches_oracle(self, q, v):
+        assert np.array_equal(q.rotate(v), rotate_oracle(wxyz(q), v))
+
+    @given(rotvecs)
+    @settings(max_examples=300, deadline=None)
+    def test_from_rotvec_matches_oracle(self, rv):
+        assert wxyz(Quat.from_rotvec(rv)) == from_rotvec_oracle(rv)
+
+    def test_half_turn_sign_is_canonical(self):
+        assert wxyz(Quat(0.0, -0.6, 0.8, 0.0).normalized()) == (0.0, -0.6, 0.8, 0.0)
+        assert wxyz(Quat(0.0, 0.0, -0.8, 0.6).normalized()) == (0.0, 0.0, 0.8, -0.6)
 
 
 class TestQuat:

@@ -73,6 +73,19 @@ class TestIntegrateScan:
             integrate_scan(g, Pose.identity(), [[3.9, 0.1, 0.1]])
         assert g.log_odds[5, 0, 0] == g.params.l_min
 
+    @pytest.mark.parametrize("hits", [[], np.empty((0, 3))])
+    def test_empty_scan_is_a_no_op(self, hits):
+        g = fresh()
+        integrate_scan(g, Pose.identity(), [[2.5, 0.1, 0.1]])
+        before = g.log_odds.copy()
+        assert integrate_scan(g, Pose.identity(), hits) is g
+        assert np.array_equal(g.log_odds, before)
+
+    @pytest.mark.parametrize("hits", [[1.5, 0.1, 0.1], np.zeros((2, 2)), np.zeros((4, 3, 1)), [[]]])
+    def test_rejects_shapes_other_than_n_by_3(self, hits):
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            integrate_scan(fresh(), Pose.identity(), hits)
+
     def test_hit_beats_miss_within_scan(self):
         # two rays in one scan: one ends in a voxel the other passes through
         g = fresh()

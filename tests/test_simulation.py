@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_geometry import from_rotvec_oracle, mul_oracle, normalized_oracle, rotate_oracle, wxyz
 
 from mavnav.geometry import Pose, Quat, Twist
 from mavnav.simulation import (
@@ -20,6 +23,53 @@ from mavnav.simulation import (
 
 PARAMS = VehicleParams()
 QUIET = NoiseConfig(accel_std=0, gyro_std=0, bias_walk_std=0, pose_pos_std=0, pose_rot_std=0)
+
+
+def step_dynamics_oracle(state, thrust, torque, wind, dt, params=PARAMS):
+    """The rigid-body step as numpy 3-vector expressions, with the numpy
+    quaternion oracles; returns (p, v, q, w), q a (w, x, y, z) tuple."""
+    torque = np.clip(np.asarray(torque, dtype=float), -params.max_torque, params.max_torque)
+    thrust = min(max(thrust, 0.0), params.max_thrust)
+    q = wxyz(state.pose.orientation)
+    v = state.twist.linear
+    w = state.twist.angular
+    inertia = np.asarray(params.inertia)
+
+    force = thrust * rotate_oracle(q, [0.0, 0.0, 1.0])
+    force = force + params.mass * GRAVITY
+    force = force + params.drag * (np.asarray(wind, dtype=float) - v)
+    accel = force / params.mass
+
+    w_dot = (torque - np.cross(w, inertia * w)) / inertia
+    w_new = w + w_dot * dt
+    v_new = v + accel * dt
+    p_new = state.pose.position + v_new * dt
+    q_new = normalized_oracle(mul_oracle(q, from_rotvec_oracle(w_new * dt)))
+    return p_new, v_new, q_new, w_new
+
+
+def assert_matches_oracle(state, thrust, torque, wind, dt, params=PARAMS):
+    out = step_dynamics(state, thrust, torque, wind, dt, params)
+    p, v, q, w = step_dynamics_oracle(state, thrust, torque, wind, dt, params)
+    assert np.array_equal(out.pose.position, p)
+    assert np.array_equal(out.twist.linear, v)
+    assert np.array_equal(out.twist.angular, w)
+    assert wxyz(out.pose.orientation) == q
+    assert out.pose.stamp == state.pose.stamp + dt
+    return out
+
+
+def vec(lim):
+    return st.tuples(*[st.floats(-lim, lim)] * 3).map(np.array)
+
+
+orientations = st.one_of(
+    st.tuples(*[st.floats(-1, 1)] * 4).filter(any).map(lambda t: Quat(*t).normalized()),
+    st.tuples(*[st.floats(-1, 1)] * 4).map(lambda t: Quat(*t)),
+    st.tuples(*[st.floats(-1, 1)] * 3).filter(any).map(lambda t: Quat(0.0, *t).normalized()),
+)
+rates = st.one_of(st.just(np.zeros(3)), vec(1e-10), vec(20.0))
+commands = st.tuples(st.floats(-10.0, 60.0), st.one_of(st.just(np.zeros(3)), vec(8.0)))
 
 
 class TestStepDynamics:
@@ -52,6 +102,29 @@ class TestStepDynamics:
         assert out.twist.linear[2] <= az_max * 0.01 + 1e-9
         wx = out.twist.angular[0]
         assert abs(wx) <= PARAMS.max_torque / PARAMS.inertia[0] * 0.01 + 1e-9
+
+    @given(vec(100.0), vec(20.0), orientations, rates, commands, vec(10.0),
+           st.sampled_from([0.001, 0.01, 0.02]))
+    @settings(max_examples=400, deadline=None)
+    def test_kernel_matches_oracle(self, p, v, q, w, command, wind, dt):
+        state = VehicleState(Pose(p, q, 0.25), Twist(v, w))
+        assert_matches_oracle(state, command[0], command[1], wind, dt)
+
+    def test_kernel_matches_oracle_on_each_branch(self):
+        # clamped thrust and torque
+        assert_matches_oracle(VehicleState(), 1e3, [9.0, -9.0, 4.5], [1.0, 2.0, 0.0], 0.01)
+        assert_matches_oracle(VehicleState(), -5.0, [0.1, -0.2, 0.3], np.zeros(3), 0.01)
+        # the first-order rotvec branch: an increment below 1e-12 rad
+        tiny = VehicleState(twist=Twist(np.zeros(3), np.array([3e-10, -1e-10, 2e-10])))
+        assert_matches_oracle(tiny, 14.0, np.zeros(3), np.zeros(3), 0.001)
+        # a half turn with no increment: w == 0 exactly, and the canonical
+        # sign makes the largest component positive
+        half = VehicleState(pose=Pose(np.zeros(3), Quat(0.0, -0.6, 0.8, 0.0), 0.0))
+        out = assert_matches_oracle(half, 14.0, np.zeros(3), np.zeros(3), 0.01)
+        assert wxyz(out.pose.orientation) == (0.0, -0.6, 0.8, 0.0)
+        flipped = VehicleState(pose=Pose(np.zeros(3), Quat(0.0, 0.0, -0.8, 0.6), 0.0))
+        out = assert_matches_oracle(flipped, 14.0, np.zeros(3), np.zeros(3), 0.01)
+        assert wxyz(out.pose.orientation) == (0.0, 0.0, 0.8, -0.6)
 
     def test_rejects_bad_dt_and_nan(self):
         s = VehicleState()
@@ -148,6 +221,43 @@ class TestSimulator:
             return log
 
         assert run() == run()
+
+    def test_step_lands_on_the_next_imu_tick(self):
+        start = VehicleState(pose=Pose(np.zeros(3), Quat.identity(), 0.005))
+        sim = Simulator(noise=QUIET, initial_state=start)
+        imu, meas = sim.step(PARAMS.hover_thrust, np.zeros(3))
+        assert sim.time == pytest.approx(0.01, abs=1e-12)
+        assert imu.stamp == pytest.approx(0.01, abs=1e-12) and meas is None
+        assert sim.state.pose.stamp == imu.stamp
+        imu, _ = sim.step(PARAMS.hover_thrust, np.zeros(3))
+        assert imu.stamp == pytest.approx(0.02, abs=1e-12)
+
+    def test_non_finite_wind_inside_a_tick_raises_and_keeps_the_tick(self):
+        wind = WindProfile(gusts=((0.015, 1.0, [float("nan"), 0.0, 0.0]),))
+        sim = Simulator(noise=QUIET, wind=wind)
+        sim.step(PARAMS.hover_thrust, np.zeros(3))
+        with pytest.raises(ValueError, match="non-finite"):
+            sim.step(PARAMS.hover_thrust, np.zeros(3))
+        assert sim.time == pytest.approx(0.01, abs=1e-12)
+        assert sim.state.pose.stamp == pytest.approx(0.01, abs=1e-12)
+
+    def test_history_holds_every_capture_stamp(self):
+        """Each measurement is the true pose at its capture tick."""
+        sim = Simulator(noise=QUIET)
+        truth = {0: sim.state.pose}
+        n_meas = 0
+        while sim.time < 3.0 - 1e-9:
+            t = sim.time
+            thrust = PARAMS.hover_thrust + 0.5 * math.sin(3.0 * t)
+            imu, meas = sim.step(thrust, [0.01 * math.cos(t), -0.01, 0.005])
+            truth[round(imu.stamp / IMU_PERIOD)] = sim.state.pose
+            if meas is not None:
+                pose = truth[round(meas.capture_stamp / IMU_PERIOD)]
+                assert meas.capture_stamp == pytest.approx(pose.stamp, abs=1e-9)
+                assert np.array_equal(meas.pose.position, pose.position)
+                assert meas.pose.orientation == pose.orientation
+                n_meas += 1
+        assert n_meas == 30
 
     def test_hover_drift_60s(self):
         sim = Simulator(noise=QUIET)
