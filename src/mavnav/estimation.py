@@ -95,7 +95,9 @@ class NavFilter:
     sigma are dropped and counted. A string of MAX_GATE_REJECTS
     consecutive drops means the filter itself is off rather than the
     measurements, so the gate then stays open until innovations re-enter
-    the band; isolated outliers are still rejected.
+    the band; isolated outliers are still rejected. The sigmas are
+    `innovation_stds` when given (as `steady_state(noise)` returns them),
+    which saves running the steady-state recursion a second time.
     """
 
     def __init__(
@@ -103,6 +105,7 @@ class NavFilter:
         initial: NavEstimate,
         weights: FusionWeights,
         noise: NoiseConfig = NoiseConfig(),
+        innovation_stds: tuple[float, float] | None = None,
     ):
         self.estimate = initial
         self.weights = weights
@@ -117,7 +120,7 @@ class NavFilter:
         self._gate_pos = None
         self._gate_rot = None
         if min(noise.pose_pos_std, noise.pose_rot_std, noise.accel_std, noise.gyro_std) > 0:
-            s_pos, s_rot = steady_state_innovation_stds(noise)
+            s_pos, s_rot = innovation_stds or steady_state(noise)[1]
             self._gate_pos = GATE_SIGMAS * s_pos * math.sqrt(3.0)
             self._gate_rot = GATE_SIGMAS * s_rot * math.sqrt(3.0)
 
@@ -221,14 +224,9 @@ def _chains(noise: NoiseConfig):
     return trans, rot
 
 
-def steady_state_innovation_stds(noise: NoiseConfig) -> tuple[float, float]:
-    """Converged per-axis innovation sigmas (position [m], angle [rad])."""
-    (_, s_t), (_, s_r) = _chains(noise)
-    return math.sqrt(float(s_t[0, 0])), math.sqrt(float(s_r[0, 0]))
-
-
-def steady_state_weights(noise: NoiseConfig = NoiseConfig()) -> FusionWeights:
-    """A priori fusion weights from per-axis steady-state Kalman gains.
+def steady_state(noise: NoiseConfig = NoiseConfig()) -> tuple[FusionWeights, tuple[float, float]]:
+    """A priori fusion weights and the converged per-axis innovation sigmas
+    (position [m], angle [rad]), from one run of the steady-state recursion.
 
     Translation uses a decoupled position/velocity/accel-bias chain
     observed in position; rotation uses an angle/gyro-bias chain observed
@@ -237,11 +235,17 @@ def steady_state_weights(noise: NoiseConfig = NoiseConfig()) -> FusionWeights:
     """
     if min(noise.accel_std, noise.gyro_std, noise.pose_pos_std, noise.pose_rot_std) <= 0:
         raise ValueError("steady-state weights need strictly positive noise")
-    (k_t, _), (k_r, _) = _chains(noise)
-    return FusionWeights(
+    (k_t, s_t), (k_r, s_r) = _chains(noise)
+    weights = FusionWeights(
         position=float(np.clip(k_t[0, 0], 0.0, 1.0)),
         velocity=float(np.clip(k_t[1, 0] * POSE_PERIOD, 0.0, 1.0)),
         orientation=float(np.clip(k_r[0, 0], 0.0, 1.0)),
         accel_bias=float(np.clip(abs(k_t[2, 0]), 0.0, BIAS_GAIN_CLAMP)),
         gyro_bias=float(np.clip(abs(k_r[1, 0]), 0.0, BIAS_GAIN_CLAMP)),
     )
+    return weights, (math.sqrt(float(s_t[0, 0])), math.sqrt(float(s_r[0, 0])))
+
+
+def steady_state_weights(noise: NoiseConfig = NoiseConfig()) -> FusionWeights:
+    """The fusion weights of `steady_state(noise)`."""
+    return steady_state(noise)[0]

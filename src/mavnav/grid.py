@@ -127,51 +127,90 @@ class OccupancyGrid:
         g.touched = self.touched.copy()
         return g
 
-    def _update(self, idx: np.ndarray, delta: float) -> None:
-        if idx.size == 0:
-            return
-        flat = tuple(idx.T)
-        self.log_odds[flat] = np.clip(
-            self.log_odds[flat] + delta, self.params.l_min, self.params.l_max
-        )
-        self.touched[flat] = True
+    def _update(self, missed: np.ndarray, hit: np.ndarray) -> None:
+        """Log-odds update of one scan on flat voxel indices (repeats
+        allowed): each voxel changes once, by l_occ if it is in `hit` and
+        by l_free otherwise, clamped."""
+        p = self.params
+        free = np.clip(np.take(self.log_odds, missed) + p.l_free, p.l_min, p.l_max)
+        occ = np.clip(np.take(self.log_odds, hit) + p.l_occ, p.l_min, p.l_max)
+        np.put(self.log_odds, missed, free)
+        np.put(self.log_odds, hit, occ)  # written last: a hit wins over a miss
+        np.put(self.touched, missed, True)
+        np.put(self.touched, hit, True)
+
+
+def _flat_index(grid: OccupancyGrid, cells: np.ndarray) -> np.ndarray:
+    """Flat index of each column of the (3, m) float voxel indices `cells`,
+    -1 where it lies outside the grid."""
+    nx, ny, nz = grid.dims
+    x, y, z = cells
+    inside = (x >= 0) & (x < nx) & (y >= 0) & (y < ny) & (z >= 0) & (z < nz)
+    return np.where(inside, (x * ny + y) * nz + z, -1.0).astype(np.intp)
+
+
+def _walk(grid: OccupancyGrid, g0: np.ndarray, g1: np.ndarray):
+    """Voxels crossed by every segment g0[:, r] -> g1[:, r], in grid units.
+
+    Parametric voxel-boundary walk (Amanatides & Woo 1987) over all rays
+    at once: the crossing parameters t of each ray with the grid planes,
+    plus t = 0 and t = 1, sorted and merged where equal (a ray through a
+    voxel edge or corner crosses several planes at one t); each segment
+    between consecutive t lies in the voxel of its midpoint. Every plane
+    lies between the endpoints, so its t rounds into [0, 1]. Planes outside
+    [0, dims] bound only out-of-grid voxels, so each ray's plane range is
+    clipped to the grid and a far endpoint costs no more than a near one.
+
+    Returns (passed, end): `passed` are the flat indices of the in-grid
+    voxels each ray passes before its end voxel, ray by ray and in order
+    along each ray, with consecutive repeats merged; `end` is the flat
+    index of each ray's end voxel, -1 outside the grid.
+    """
+    n = g0.shape[1]
+    d = g1 - g0
+    first = np.maximum(np.ceil(np.minimum(g0, g1)), 0.0)
+    last = np.minimum(np.floor(np.maximum(g0, g1)), np.array(grid.dims, dtype=float)[:, None])
+    count = np.where(d != 0.0, np.maximum(last - first + 1.0, 0.0), 0.0).astype(np.intp).ravel()
+    # one entry per (axis, ray, plane), as rasterize enumerates its pairs
+    pair = np.repeat(np.arange(3 * n), count)
+    rank = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
+    t = np.concatenate([np.zeros(n), np.ones(n), (first.ravel()[pair] + rank - g0.ravel()[pair])
+                        / d.ravel()[pair]])
+    ray = np.concatenate([np.arange(n), np.arange(n), pair % n])
+    # sort by (ray, t): rank by t, then sort the exact integer keys (ray, rank)
+    by_t = np.argsort(t)
+    bits = len(t).bit_length()
+    key = np.sort((ray[by_t] << bits) | np.arange(len(t)))
+    ray, t = key >> bits, t[by_t[key & ((1 << bits) - 1)]]
+    distinct = np.ones(len(t), dtype=bool)
+    distinct[1:] = (ray[1:] != ray[:-1]) | (t[1:] != t[:-1])
+    t, ray = t[distinct], ray[distinct]
+
+    seg = ray[1:] == ray[:-1]
+    mids = 0.5 * (t[:-1] + t[1:])[seg]
+    ray = ray[:-1][seg]
+    passed = _flat_index(grid, np.floor(np.take(g0, ray, axis=1) + mids * np.take(d, ray, axis=1)))
+    end = _flat_index(grid, np.floor(g1))
+    keep = (passed >= 0) & (passed != end[ray])
+    passed, ray = passed[keep], ray[keep]
+    # crossings that coincide but round apart leave a sliver segment in a neighbour's voxel
+    new = np.ones(len(ray), dtype=bool)
+    new[1:] = (ray[1:] != ray[:-1]) | (passed[1:] != passed[:-1])
+    return passed[new], end
 
 
 def traverse_ray(grid: OccupancyGrid, start, end):
-    """Voxels crossed by the segment start->end, in order, via parametric DDA.
+    """Voxels crossed by the segment start->end, in order.
 
     Returns (passed, hit): `passed` excludes the voxel containing `end`;
     `hit` is the end voxel index or None when it lies outside the grid.
-    Out-of-grid voxels along the way are dropped.
+    Out-of-grid voxels along the way are dropped. Raises ValueError on a
+    non-finite endpoint.
     """
-    g0 = (np.asarray(start, dtype=float) - grid.origin) / grid.resolution
-    g1 = (np.asarray(end, dtype=float) - grid.origin) / grid.resolution
-    d = g1 - g0
-    ts = [np.array([0.0, 1.0])]
-    for ax in range(3):
-        if d[ax] == 0.0:
-            continue
-        lo, hi = sorted((g0[ax], g1[ax]))
-        first = math.ceil(lo)
-        last = math.floor(hi)
-        if last < first:
-            continue
-        planes = np.arange(first, last + 1, dtype=float)
-        ts.append((planes - g0[ax]) / d[ax])
-    t = np.unique(np.concatenate(ts))
-    t = t[(t >= 0.0) & (t <= 1.0)]
-    mids = 0.5 * (t[:-1] + t[1:])
-    cells = np.floor(g0[None, :] + mids[:, None] * d[None, :]).astype(int)
-    end_idx = np.floor(g1).astype(int)
-    keep = grid.in_bounds(cells) & ~np.all(cells == end_idx, axis=1)
-    # consecutive duplicates can appear when a crossing lands exactly on t=0/1
-    passed = cells[keep]
-    if passed.shape[0] > 1:
-        dedup = np.ones(passed.shape[0], dtype=bool)
-        dedup[1:] = np.any(passed[1:] != passed[:-1], axis=1)
-        passed = passed[dedup]
-    hit = end_idx if grid.in_bounds(end_idx[None, :])[0] else None
-    return passed, hit
+    g = (point_rows([start, end], "ray endpoints") - grid.origin) / grid.resolution
+    passed, end_flat = _walk(grid, g[0][:, None], g[1][:, None])
+    hit = np.array(np.unravel_index(end_flat[0], grid.dims)) if end_flat[0] >= 0 else None
+    return np.column_stack(np.unravel_index(passed, grid.dims)), hit
 
 
 def integrate_scan(grid: OccupancyGrid, origin: Pose, hits) -> OccupancyGrid:
@@ -183,25 +222,10 @@ def integrate_scan(grid: OccupancyGrid, origin: Pose, hits) -> OccupancyGrid:
     hits = point_rows(hits, "hit points")
     if not len(hits):
         return grid
-    start = origin.position
-    free_cells = []
-    occ_cells = []
-    for h in hits:
-        passed, hit = traverse_ray(grid, start, h)
-        if passed.size:
-            free_cells.append(passed)
-        if hit is not None:
-            occ_cells.append(hit)
-    occ = np.unique(np.array(occ_cells), axis=0) if occ_cells else np.empty((0, 3), int)
-    if free_cells:
-        free = np.unique(np.vstack(free_cells), axis=0)
-        if occ.size:
-            occ_set = {tuple(c) for c in occ}
-            free = np.array([c for c in free if tuple(c) not in occ_set], dtype=int)
-    else:
-        free = np.empty((0, 3), int)
-    grid._update(free.reshape(-1, 3), grid.params.l_free)
-    grid._update(occ.reshape(-1, 3), grid.params.l_occ)
+    g0 = (origin.position - grid.origin) / grid.resolution
+    g1 = ((hits - grid.origin) / grid.resolution).T
+    passed, end = _walk(grid, np.broadcast_to(g0[:, None], g1.shape), g1)
+    grid._update(passed, end[end >= 0])
     return grid
 
 

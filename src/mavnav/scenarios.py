@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import Controller, ControllerGains, place_poles
-from .estimation import NavEstimate, NavFilter, steady_state_weights
+from .estimation import NavEstimate, NavFilter, steady_state
 from .geometry import Pose
 from .simulation import IMU_PERIOD, NoiseConfig, Simulator, VehicleParams, VehicleState, WindProfile
 from .trajectory import QuinticSpline, RefPoint, eval_spline
@@ -71,12 +71,13 @@ def run_closed_loop(
     gains = gains or place_poles(vehicle=params)
     controller = Controller(gains, params)
     quiet = min(noise.accel_std, noise.gyro_std, noise.pose_pos_std, noise.pose_rot_std) <= 0
-    weights = steady_state_weights(noise if not quiet else NoiseConfig())
+    weights, innovation_stds = steady_state(noise if not quiet else NoiseConfig())
     filt = NavFilter(
         NavEstimate(pose=sim.state.pose, velocity=sim.state.twist.linear,
                     stamp=sim.state.pose.stamp),
         weights,
         noise,
+        innovation_stds,
     )
 
     log = LoopLog()

@@ -284,7 +284,7 @@ class Simulator:
         q = state.pose.orientation
         self._x = (state.pose.position.tolist(), state.twist.linear.tolist(),
                    (q.w, q.x, q.y, q.z), state.twist.angular.tolist())
-        self._stamp = state.pose.stamp
+        self._stamp = self._start = state.pose.stamp
         self.history = PoseHistory()
         self.history.push(state.pose)
         self._step_count = round(self._stamp / self.INTERNAL_DT)
@@ -334,6 +334,7 @@ class Simulator:
         meas = None
         if self._step_count % self._pose_every == 0:
             self.history.push(state.pose)
-            if self.time >= POSE_DELAY:
+            # a capture before the first pose, like one before t = 0, is skipped
+            if self.time - POSE_DELAY >= self._start - 1e-9:
                 meas = sample_pose_sensor(self.history, self.time, self.noise, self._rng_pose)
         return imu, meas

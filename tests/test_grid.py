@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,8 +19,70 @@ from mavnav.grid import (
 )
 
 
+grid_dims = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6))
+
+
 def fresh(dims=(20, 20, 20), res=0.2, origin=(0, 0, 0)):
     return OccupancyGrid(origin, res, dims)
+
+
+def _traverse_ray_loop(grid, start, end):
+    """Oracle: one ray by the scalar parametric DDA over every plane it crosses."""
+    g0 = (np.asarray(start, dtype=float) - grid.origin) / grid.resolution
+    g1 = (np.asarray(end, dtype=float) - grid.origin) / grid.resolution
+    d = g1 - g0
+    ts = [np.array([0.0, 1.0])]
+    for ax in range(3):
+        if d[ax] == 0.0:
+            continue
+        lo, hi = sorted((g0[ax], g1[ax]))
+        first = math.ceil(lo)
+        last = math.floor(hi)
+        if last < first:
+            continue
+        planes = np.arange(first, last + 1, dtype=float)
+        ts.append((planes - g0[ax]) / d[ax])
+    t = np.unique(np.concatenate(ts))
+    t = t[(t >= 0.0) & (t <= 1.0)]
+    mids = 0.5 * (t[:-1] + t[1:])
+    cells = np.floor(g0[None, :] + mids[:, None] * d[None, :]).astype(int)
+    end_idx = np.floor(g1).astype(int)
+    keep = grid.in_bounds(cells) & ~np.all(cells == end_idx, axis=1)
+    # consecutive duplicates can appear when a crossing lands exactly on t=0/1
+    passed = cells[keep]
+    if passed.shape[0] > 1:
+        dedup = np.ones(passed.shape[0], dtype=bool)
+        dedup[1:] = np.any(passed[1:] != passed[:-1], axis=1)
+        passed = passed[dedup]
+    hit = end_idx if grid.in_bounds(end_idx[None, :])[0] else None
+    return passed, hit
+
+
+def _integrate_scan_loop(grid, origin, hits):
+    """Oracle: `integrate_scan` as one scalar ray walk per hit and a tuple set."""
+    start = origin.position
+    free_cells = []
+    occ_cells = []
+    for h in np.asarray(hits, dtype=float).reshape(-1, 3):
+        passed, hit = _traverse_ray_loop(grid, start, h)
+        if passed.size:
+            free_cells.append(passed)
+        if hit is not None:
+            occ_cells.append(hit)
+    occ = np.unique(np.array(occ_cells), axis=0) if occ_cells else np.empty((0, 3), int)
+    if free_cells:
+        free = np.unique(np.vstack(free_cells), axis=0)
+        if occ.size:
+            occ_set = {tuple(c) for c in occ}
+            free = np.array([c for c in free if tuple(c) not in occ_set], dtype=int)
+    else:
+        free = np.empty((0, 3), int)
+    for cells, delta in ((free, grid.params.l_free), (occ, grid.params.l_occ)):
+        idx = tuple(cells.reshape(-1, 3).T)
+        updated = np.clip(grid.log_odds[idx] + delta, grid.params.l_min, grid.params.l_max)
+        grid.log_odds[idx] = updated
+        grid.touched[idx] = True
+    return grid
 
 
 def brute_force_cells(grid, start, end, n=20001):
@@ -133,6 +197,82 @@ class TestIntegrateScan:
         assert occupied == shell
 
 
+    def test_far_hits_and_outside_start_match_loop(self):
+        # far hits cross ~4e5 planes per axis; the batched walk clips them to the grid
+        g = fresh()
+        ref = g.copy()
+        starts = [[-3.0, 1.0, 2.0], [2.0, 2.0, 2.0], [5.5, -0.7, 9.0]]
+        hits = np.array([
+            [1e5, 1.3, 0.7], [-1e5, -2e4, 3e4], [2.1, 1e5, 1e5], [-6e4, 5e4, -8e4],
+            [1.3, 2.7, 0.9], [30.0, -4.0, 2.2],
+        ])
+        for start in starts:
+            integrate_scan(g, Pose(np.array(start)), hits)
+            _integrate_scan_loop(ref, Pose(np.array(start)), hits)
+        assert g.touched.any()
+        assert np.array_equal(g.log_odds, ref.log_odds)
+        assert np.array_equal(g.touched, ref.touched)
+
+
+def _random_hits(rng, grid, sensor, far):
+    """Hits of one scan from `sensor`, mixing every kind of ray the walk must get right."""
+    dims = np.array(grid.dims)
+    size = dims * grid.resolution
+    n = 5
+    anywhere = grid.origin + rng.uniform(-1.0, 2.0, (n, 3)) * size
+    # voxel corners, points on the half-voxel lattice, then voxel edges
+    corners = grid.origin + rng.integers(-2, dims + 3, (n, 3)) * grid.resolution
+    halves = grid.origin + rng.integers(-4, 2 * dims + 5, (n, 3)) * (0.5 * grid.resolution)
+    edges = corners.copy()
+    edges[np.arange(n), rng.integers(0, 3, n)] += rng.uniform(-1.0, 1.0, n) * grid.resolution
+    # axis-aligned, some ending on a plane
+    axis_aligned = np.repeat(sensor[None, :], 2 * n, axis=0)
+    length = np.concatenate([rng.uniform(-1.5, 1.5, n) * size.max(),
+                             rng.integers(-8, 9, n) * grid.resolution])
+    axis_aligned[np.arange(2 * n), rng.integers(0, 3, 2 * n)] += length
+    direction = rng.normal(size=(2, 3))
+    far_hits = sensor + far * direction / np.linalg.norm(direction, axis=1, keepdims=True)
+    hits = np.vstack([anywhere, corners, halves, edges, axis_aligned, far_hits, sensor[None, :]])
+    duplicates = hits[rng.integers(0, len(hits), 4)]
+    return rng.permutation(np.vstack([hits, duplicates]))
+
+
+@given(
+    res=st.sampled_from([0.2, 0.25, 0.5, 1.0]),
+    dims=grid_dims,
+    grid_origin=st.sampled_from([(0.0, 0.0, 0.0), (-0.5, 0.25, -1.0)]),
+    sensor_kind=st.sampled_from(["inside", "outside", "corner"]),
+    far=st.sampled_from([20.0, 1e3, 1e4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_integrate_scan_matches_per_hit_loop(res, dims, grid_origin, sensor_kind, far, seed):
+    rng = np.random.default_rng(seed)
+    g = OccupancyGrid(grid_origin, res, dims)
+    # a grid already updated in places, some voxels near the clamps
+    g.log_odds = rng.choice([g.params.l_min, -0.3, 0.0, 0.4, g.params.l_max], size=dims)
+    g.touched = rng.random(dims) < 0.5
+    ref = g.copy()
+    size = np.array(dims) * res
+    for _ in range(2):
+        if sensor_kind == "inside":
+            sensor = g.origin + rng.uniform(0.0, 1.0, 3) * size
+        elif sensor_kind == "outside":
+            sensor = g.origin + rng.choice([-1.0, 2.0], 3) * rng.uniform(0.2, 1.0, 3) * size
+        else:
+            sensor = g.origin + rng.integers(-1, np.array(dims) + 2, 3) * res
+        hits = _random_hits(rng, g, sensor, far)
+        for h in hits:
+            passed, hit = traverse_ray(g, sensor, h)
+            passed_ref, hit_ref = _traverse_ray_loop(g, sensor, h)
+            assert np.array_equal(passed, passed_ref)
+            assert (hit is None and hit_ref is None) or np.array_equal(hit, hit_ref)
+        integrate_scan(g, Pose(sensor), hits)
+        _integrate_scan_loop(ref, Pose(sensor), hits)
+        assert np.array_equal(g.log_odds, ref.log_odds)
+        assert np.array_equal(g.touched, ref.touched)
+
+
 class TestStates:
     def test_thresholds_consistent(self):
         g = fresh()
@@ -157,9 +297,6 @@ class TestStates:
 def test_rejects_resolution_not_finite_and_positive(res):
     with pytest.raises(ValueError, match="resolution"):
         OccupancyGrid((0, 0, 0), res, (4, 4, 4))
-
-
-grid_dims = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6))
 
 
 class TestFileFormat:

@@ -232,6 +232,17 @@ class TestSimulator:
         imu, _ = sim.step(PARAMS.hover_thrust, np.zeros(3))
         assert imu.stamp == pytest.approx(0.02, abs=1e-12)
 
+    def test_off_grid_start_skips_captures_before_the_first_pose(self):
+        start = VehicleState(pose=Pose(np.array([0.0, 0.0, 1.0]), Quat.identity(), 0.005))
+        sim = Simulator(noise=QUIET, initial_state=start)
+        captures = []
+        while sim.time < 0.3 - 1e-9:
+            _, meas = sim.step(PARAMS.hover_thrust, np.zeros(3))
+            if meas is not None:
+                captures.append(meas.capture_stamp)
+        # the 0.1 s delivery would capture t = 0, before the flight began at 0.005 s
+        assert captures == pytest.approx([0.1, 0.2], abs=1e-9)
+
     def test_non_finite_wind_inside_a_tick_raises_and_keeps_the_tick(self):
         wind = WindProfile(gusts=((0.015, 1.0, [float("nan"), 0.0, 0.0]),))
         sim = Simulator(noise=QUIET, wind=wind)
