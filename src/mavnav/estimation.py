@@ -91,38 +91,34 @@ class NavFilter:
     The initial estimate and every prediction are kept, each with the IMU
     sample it came from (none for the initial one), for the last
     BUFFER_SPAN seconds so that a delayed measurement can be replayed.
-    Innovations beyond GATE_SIGMAS times the steady-state innovation
-    sigma are dropped and counted. A string of MAX_GATE_REJECTS
-    consecutive drops means the filter itself is off rather than the
-    measurements, so the gate then stays open until innovations re-enter
-    the band; isolated outliers are still rejected. The sigmas are
-    `innovation_stds` when given (as `steady_state(noise)` returns them),
-    which saves running the steady-state recursion a second time.
+    Innovations beyond GATE_SIGMAS times the per-axis innovation sigmas
+    `gate_stds` (position [m], angle [rad], as `steady_state` returns
+    them) are dropped and counted; with `gate_stds=None` nothing is
+    gated. A string of MAX_GATE_REJECTS consecutive drops means the
+    filter itself is off rather than the measurements, so the gate then
+    stays open until innovations re-enter the band; isolated outliers
+    are still rejected.
     """
 
     def __init__(
         self,
         initial: NavEstimate,
         weights: FusionWeights,
-        noise: NoiseConfig = NoiseConfig(),
-        innovation_stds: tuple[float, float] | None = None,
+        gate_stds: tuple[float, float] | None = None,
     ):
         self.estimate = initial
         self.weights = weights
-        self.noise = noise
         self.buffer: deque[tuple[ImuSample | None, NavEstimate]] = deque(
             [(None, initial)], maxlen=round(BUFFER_SPAN / IMU_PERIOD) + 2
         )
         self.dropped_stale = 0
         self.dropped_gated = 0
         self._consecutive_rejects = 0
-        self._recovering = False
-        self._gate_pos = None
-        self._gate_rot = None
-        if min(noise.pose_pos_std, noise.pose_rot_std, noise.accel_std, noise.gyro_std) > 0:
-            s_pos, s_rot = innovation_stds or steady_state(noise)[1]
-            self._gate_pos = GATE_SIGMAS * s_pos * math.sqrt(3.0)
-            self._gate_rot = GATE_SIGMAS * s_rot * math.sqrt(3.0)
+        self._gate_pos = self._gate_rot = None
+        if gate_stds is not None:
+            if not all(math.isfinite(s) and s > 0 for s in gate_stds):
+                raise ValueError(f"gate sigmas must be finite and positive, got {gate_stds}")
+            self._gate_pos, self._gate_rot = (GATE_SIGMAS * s * math.sqrt(3.0) for s in gate_stds)
 
     def predict(self, imu: ImuSample) -> NavEstimate:
         self.estimate = predict(self.estimate, imu)
@@ -148,11 +144,9 @@ class NavFilter:
         big_rot = snap.pose.orientation.angle_to(meas.pose.orientation) > self._gate_rot
         if not (big_pos or big_rot):
             self._consecutive_rejects = 0
-            self._recovering = False
             return False
-        if self._recovering or self._consecutive_rejects >= MAX_GATE_REJECTS:
-            self._recovering = True
-            return False
+        if self._consecutive_rejects >= MAX_GATE_REJECTS:
+            return False  # open until innovations re-enter the band
         self._consecutive_rejects += 1
         return True
 
@@ -244,8 +238,3 @@ def steady_state(noise: NoiseConfig = NoiseConfig()) -> tuple[FusionWeights, tup
         gyro_bias=float(np.clip(abs(k_r[1, 0]), 0.0, BIAS_GAIN_CLAMP)),
     )
     return weights, (math.sqrt(float(s_t[0, 0])), math.sqrt(float(s_r[0, 0])))
-
-
-def steady_state_weights(noise: NoiseConfig = NoiseConfig()) -> FusionWeights:
-    """The fusion weights of `steady_state(noise)`."""
-    return steady_state(noise)[0]

@@ -12,7 +12,6 @@ Conventions (used everywhere, never redefined):
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -119,14 +118,6 @@ class Quat:
         """Geodesic angle in [0, pi] between two rotations."""
         rel = self.conjugate() * other
         return float(np.linalg.norm(rel.as_rotvec()))
-
-    @staticmethod
-    def from_yaw(yaw: float) -> "Quat":
-        return Quat.from_axis_angle([0.0, 0.0, 1.0], yaw)
-
-    def yaw(self) -> float:
-        r = self.to_matrix()
-        return math.atan2(r[1, 0], r[0, 0])
 
 
 @dataclass(frozen=True)
@@ -318,30 +309,3 @@ def quat_from_rotvec(rv) -> tuple:
     if angle < _EPS:
         return quat_normalize(1.0, 0.5 * r0, 0.5 * r1, 0.5 * r2)
     return quat_from_axis_angle((r0 / angle, r1 / angle, r2 / angle), angle)
-
-
-TRAJECTORY_HEADER = ["t", "x", "y", "z", "qw", "qx", "qy", "qz"]
-
-
-def write_trajectory_csv(path, poses) -> None:
-    """Trajectory record: fixed decimal notation, 12 places (>= 9 significant)."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(TRAJECTORY_HEADER)
-        for p in poses:
-            q = p.orientation
-            row = [p.stamp, *p.position, q.w, q.x, q.y, q.z]
-            writer.writerow([f"{v:.12f}" for v in row])
-
-
-def read_trajectory_csv(path) -> list[Pose]:
-    poses = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != TRAJECTORY_HEADER:
-            raise ValueError(f"unexpected trajectory header: {header}")
-        for row in reader:
-            t, x, y, z, qw, qx, qy, qz = map(float, row)
-            poses.append(Pose(np.array([x, y, z]), Quat(qw, qx, qy, qz).normalized(), t))
-    return poses

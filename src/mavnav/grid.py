@@ -9,7 +9,7 @@ exceeds the occupancy threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,9 +18,6 @@ from .geometry import Pose, point_rows
 FREE = 0
 OCCUPIED = 1
 UNKNOWN = 2
-
-_STATE_CHARS = {FREE: "F", OCCUPIED: "O", UNKNOWN: "U"}
-_CHAR_STATES = {v: k for k, v in _STATE_CHARS.items()}
 
 
 @dataclass(frozen=True)
@@ -32,6 +29,13 @@ class LogOddsParams:
     l_min: float = -2.0
     l_max: float = 3.5
     occ_thresh: float = 0.0
+
+    def __post_init__(self):
+        if not (all(math.isfinite(getattr(self, f.name)) for f in fields(self))
+                and 0.0 < self.p_miss < 0.5 < self.p_hit < 1.0
+                and self.l_min <= self.occ_thresh < self.l_max):
+            raise ValueError("need finite values, 0 < p_miss < 0.5 < p_hit < 1 and "
+                             f"l_min <= occ_thresh < l_max, got {self}")
 
     @property
     def l_occ(self) -> float:
@@ -80,19 +84,11 @@ class OccupancyGrid:
         out[occ] = OCCUPIED
         return out
 
-    def state_at(self, point) -> int:
-        idx = self.world_to_index(point)[0]
-        if not self.in_bounds(idx)[0]:
-            return UNKNOWN
-        if not self.touched[tuple(idx)]:
-            return UNKNOWN
-        return OCCUPIED if self.log_odds[tuple(idx)] > self.params.occ_thresh else FREE
-
     def obstacle_mask(self) -> np.ndarray:
         """Voxels a vehicle may not enter: occupied or unknown."""
         return self.states() != FREE
 
-    # -- direct state editing (scene construction, file load) ----------
+    # -- direct state editing (scene construction) ---------------------
 
     def set_states(self, states: np.ndarray) -> None:
         states = np.asarray(states)
@@ -226,77 +222,4 @@ def integrate_scan(grid: OccupancyGrid, origin: Pose, hits) -> OccupancyGrid:
     g1 = ((hits - grid.origin) / grid.resolution).T
     passed, end = _walk(grid, np.broadcast_to(g0[:, None], g1.shape), g1)
     grid._update(passed, end[end >= 0])
-    return grid
-
-
-# -- canonical file format ---------------------------------------------
-
-
-def _rle_encode(states_slab: np.ndarray) -> str:
-    flat = states_slab.reshape(-1)
-    tokens = []
-    run_val = int(flat[0])
-    run_len = 1
-    for v in flat[1:]:
-        if int(v) == run_val:
-            run_len += 1
-        else:
-            tokens.append(f"{run_len}{_STATE_CHARS[run_val]}")
-            run_val = int(v)
-            run_len = 1
-    tokens.append(f"{run_len}{_STATE_CHARS[run_val]}")
-    return " ".join(tokens)
-
-
-def save_grid(grid: OccupancyGrid, path) -> None:
-    """Canonical text format: header, then one run-length line per x-slab.
-
-    Within a slab the ny*nz states are ordered y-major (z fastest).
-    """
-    states = grid.states()
-    nx, ny, nz = grid.dims
-    with open(path, "w") as f:
-        ox, oy, oz = (float(v) for v in grid.origin)
-        f.write("OCCGRID 1\n")
-        f.write(f"res {float(grid.resolution)!r}\n")
-        f.write(f"origin {ox!r} {oy!r} {oz!r}\n")
-        f.write(f"dims {nx} {ny} {nz}\n")
-        f.write("data\n")
-        for i in range(nx):
-            f.write(_rle_encode(states[i]) + "\n")
-
-
-def load_grid(path, params: LogOddsParams | None = None) -> OccupancyGrid:
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    if not lines or lines[0] != "OCCGRID 1":
-        raise ValueError(f"{path}: not an OCCGRID 1 file")
-    header = {}
-    i = 1
-    while i < len(lines) and lines[i] != "data":
-        key, _, rest = lines[i].partition(" ")
-        header[key] = rest
-        i += 1
-    if i == len(lines):
-        raise ValueError(f"{path}: missing data section")
-    res = float(header["res"])
-    origin = np.array([float(v) for v in header["origin"].split()])
-    dims = tuple(int(v) for v in header["dims"].split())
-    grid = OccupancyGrid(origin, res, dims, params)
-    nx, ny, nz = dims
-    states = np.empty(dims, dtype=np.uint8)
-    slabs = lines[i + 1 :]
-    if len([s for s in slabs if s]) != nx:
-        raise ValueError(f"{path}: expected {nx} slab lines")
-    for xi, line in enumerate(s for s in slabs if s):
-        flat = np.empty(ny * nz, dtype=np.uint8)
-        pos = 0
-        for token in line.split():
-            count, ch = int(token[:-1]), token[-1]
-            flat[pos : pos + count] = _CHAR_STATES[ch]
-            pos += count
-        if pos != ny * nz:
-            raise ValueError(f"{path}: slab {xi} has {pos} states, expected {ny * nz}")
-        states[xi] = flat.reshape(ny, nz)
-    grid.set_states(states)
     return grid

@@ -123,9 +123,6 @@ class RelErrorReport:
     average: float
     complete: bool  # False when the trajectory was too short for all distances
 
-    def distances(self) -> tuple[float, ...]:
-        return tuple(sorted(self.errors))
-
 
 def rel_trans_error(
     gt_poses: list[Pose],
@@ -191,33 +188,3 @@ def recovery_time(times, errors, onset: float, threshold: float = 0.1):
     if last_out + 1 >= len(t):
         return None
     return float(t[last_out + 1] - onset)
-
-
-@dataclass(frozen=True)
-class LoopMetrics:
-    position_rms: float
-    angular_velocity_rms: float
-    recovery: float | None = None
-
-
-def rms_metrics(
-    times,
-    positions,
-    references,
-    angular_rates,
-    window_start: float = 0.0,
-    disturbance_onset: float | None = None,
-    threshold: float = 0.1,
-) -> LoopMetrics:
-    """Position RMS, angular-velocity RMS and optional recovery time."""
-    times = np.asarray(times, dtype=float)
-    sel = times >= window_start
-    if not np.any(sel):
-        raise ValueError("empty window")
-    err = np.linalg.norm(np.asarray(positions)[sel] - np.asarray(references)[sel], axis=1)
-    rate = np.linalg.norm(np.asarray(angular_rates)[sel], axis=1)
-    rec = None
-    if disturbance_onset is not None:
-        full_err = np.linalg.norm(np.asarray(positions) - np.asarray(references), axis=1)
-        rec = recovery_time(times, full_err, disturbance_onset, threshold)
-    return LoopMetrics(rms(err), rms(rate), rec)

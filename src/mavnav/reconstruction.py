@@ -35,24 +35,6 @@ class Keyframe:
         self.points = point_rows(self.points, "keyframe points")
 
 
-def select_keyframes(poses, trans_thresh: float, rot_thresh: float) -> list[Pose]:
-    """Poses whose motion since the last selected pose exceeds either
-    threshold. The first pose is always selected; empty in, empty out."""
-    if trans_thresh <= 0 or rot_thresh <= 0:
-        raise ValueError("thresholds must be positive")
-    selected: list[Pose] = []
-    for pose in poses:
-        if not selected:
-            selected.append(pose)
-            continue
-        last = selected[-1]
-        dt = float(np.linalg.norm(pose.position - last.position))
-        dr = last.orientation.angle_to(pose.orientation)
-        if dt > trans_thresh or dr > rot_thresh:
-            selected.append(pose)
-    return selected
-
-
 # Every cut weight is a whole multiple of this quantum, so that the cut
 # runs on exact integer capacities.
 CUT_QUANTUM = 0.01

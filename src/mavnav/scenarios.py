@@ -71,13 +71,12 @@ def run_closed_loop(
     gains = gains or place_poles(vehicle=params)
     controller = Controller(gains, params)
     quiet = min(noise.accel_std, noise.gyro_std, noise.pose_pos_std, noise.pose_rot_std) <= 0
-    weights, innovation_stds = steady_state(noise if not quiet else NoiseConfig())
+    weights, gate_stds = steady_state(noise if not quiet else NoiseConfig())
     filt = NavFilter(
         NavEstimate(pose=sim.state.pose, velocity=sim.state.twist.linear,
                     stamp=sim.state.pose.stamp),
         weights,
-        noise,
-        innovation_stds,
+        None if quiet else gate_stds,
     )
 
     log = LoopLog()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,6 +29,11 @@ POSE_PERIOD = 0.1  # [s]
 POSE_DELAY = 0.1  # capture to delivery [s]
 
 
+def _require_finite_non_negative(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
+
+
 @dataclass(frozen=True)
 class VehicleParams:
     mass: float = 1.5  # [kg]
@@ -38,8 +43,10 @@ class VehicleParams:
     drag: float = 0.25  # linear drag [N s/m]
 
     def __post_init__(self):
-        if self.mass <= 0 or any(i <= 0 for i in self.inertia):
-            raise ValueError("mass and inertia must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.mass, *self.inertia)):
+            raise ValueError("mass and inertia must be finite and positive")
+        for name in ("max_thrust", "max_torque", "drag"):
+            _require_finite_non_negative(name, getattr(self, name))
 
     @property
     def hover_thrust(self) -> float:
@@ -105,8 +112,8 @@ class NoiseConfig:
     pose_rot_std: float = math.radians(0.2)  # [rad]
 
     def __post_init__(self):
-        if min(self.accel_std, self.gyro_std, self.bias_walk_std) < 0:
-            raise ValueError("noise std-devs must be non-negative")
+        for f in fields(self):
+            _require_finite_non_negative(f.name, getattr(self, f.name))
 
 
 def _rigid_step(p, v, q, w, thrust, torque, wind, dt, params):
@@ -274,7 +281,6 @@ class Simulator:
         self.params = params
         self.noise = noise
         self.wind = wind
-        self.seed = seed
         ss = np.random.SeedSequence(seed)
         imu_ss, pose_ss = ss.spawn(2)
         self._rng_imu = np.random.default_rng(imu_ss)

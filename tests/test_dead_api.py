@@ -1,0 +1,49 @@
+"""No public module-level API that only tests call.
+
+Every public top-level function or class in `src/mavnav` must be named
+somewhere in `src/` or `perfbench/` outside its own definition: as a
+name, an attribute, an import, or an identifier string (the perfbench
+tracer patches entry points by name). Docstrings and comments do not
+count. The exceptions are the entry points of oracle tests and of tests
+of the paper's bounds, listed in KEEP.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mavnav"
+KEEP = {"step_dynamics", "traverse_ray", "triangulate", "run_hover", "run_wind_step"}
+
+
+def _references(tree: ast.AST) -> list[tuple[str, int]]:
+    """(identifier, line) of every reference in the code of `tree`."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value if node.value.isidentifier() else None
+        else:
+            continue
+        refs.append((name, getattr(node, "lineno", 0)))
+    return refs
+
+
+def test_every_public_definition_has_a_caller():
+    trees = {p: ast.parse(p.read_text()) for p in (*SRC.glob("*.py"), *ROOT.glob("perfbench/**/*.py"))}
+    refs = {p: _references(tree) for p, tree in trees.items()}
+    uncalled = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(name == node.name and not (p == path and line in own)
+                       for p, file_refs in refs.items() for name, line in file_refs):
+                uncalled.add(node.name)
+    assert not uncalled - KEEP, f"public names that no code calls: {sorted(uncalled - KEEP)}"

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from mavnav.estimation import (
+    MAX_GATE_REJECTS,
     FilterError,
     FusionWeights,
     NavEstimate,
     NavFilter,
     predict,
     riccati_gain,
-    steady_state_weights,
+    steady_state,
 )
 from mavnav.geometry import Pose, Quat, partial_rotation
 from mavnav.simulation import (
@@ -53,7 +54,8 @@ class TestPredict:
         rate = (0.0, 0.0, math.pi / 2)
         for k in range(1, 101):
             est = predict(est, imu_at(0.01 * k, w=rate))
-        assert math.degrees(est.pose.orientation.yaw()) == pytest.approx(90.0, abs=0.5)
+        quarter_turn = Quat.from_axis_angle([0.0, 0.0, 1.0], math.pi / 2)
+        assert est.pose.orientation.angle_to(quarter_turn) < math.radians(0.5)
         # oracle: same integration at dt = 1e-5
         q = Quat.identity()
         for _ in range(100000):
@@ -66,9 +68,9 @@ class TestPredict:
             predict(est, imu_at(0.5))
 
 
-def make_filter(weights=None, noise=QUIET):
+def make_filter(weights=None, gate_stds=None):
     w = weights or FusionWeights(0.3, 0.05, 0.3, 0.01, 0.01)
-    return NavFilter(NavEstimate(), w, noise)
+    return NavFilter(NavEstimate(), w, gate_stds)
 
 
 class TestCorrect:
@@ -86,10 +88,10 @@ class TestCorrect:
         assert out.pose.orientation.angle_to(plain.pose.orientation) < 1e-12
 
     def test_full_trust_snaps_to_measurement(self):
-        filt = NavFilter(NavEstimate(), FusionWeights(1.0, 0.0, 1.0, 0.0, 0.0), QUIET)
+        filt = NavFilter(NavEstimate(), FusionWeights(1.0, 0.0, 1.0, 0.0, 0.0))
         for k in range(1, 31):
             filt.predict(imu_at(0.01 * k))
-        target = Pose(np.array([0.4, -0.2, 0.1]), Quat.from_yaw(0.3), 0.3)
+        target = Pose(np.array([0.4, -0.2, 0.1]), Quat.from_axis_angle([0.0, 0.0, 1.0], 0.3), 0.3)
         out = filt.correct(PoseMeasurement(0.3, 0.3, target))
         np.testing.assert_allclose(out.pose.position, target.position, atol=1e-9)
         assert out.pose.orientation.angle_to(target.orientation) < 1e-9
@@ -106,7 +108,7 @@ class TestCorrect:
     def test_first_measurement_anchors_on_initial_estimate(self):
         """A measurement captured at the start stamp is blended into the
         initial estimate and replayed, as if it had arrived at once."""
-        pose = Pose(np.array([0.2, -0.1, 0.05]), Quat.from_yaw(0.1), 0.0)
+        pose = Pose(np.array([0.2, -0.1, 0.05]), Quat.from_axis_angle([0.0, 0.0, 1.0], 0.1), 0.0)
         delayed = make_filter()
         for k in range(1, 11):
             delayed.predict(imu_at(0.01 * k))
@@ -139,7 +141,7 @@ class TestCorrect:
             pose = Pose(rng.normal(0, 0.3, 3), Quat.from_rotvec(rng.normal(0, 0.1, 3)), t_cap)
             measurements.append(PoseMeasurement(t_cap, t_cap + 0.1, pose))
 
-        filt = NavFilter(NavEstimate(), w, QUIET)
+        filt = NavFilter(NavEstimate(), w)
         meas_iter = iter(measurements)
         pending = next(meas_iter, None)
         for imu in imus:
@@ -176,6 +178,78 @@ class TestCorrect:
         assert final.pose.orientation.angle_to(oracle.pose.orientation) < 1e-9
 
 
+class TestInnovationGate:
+    GATE_STDS = (0.01, 0.01)  # band: 5 * 0.01 * sqrt(3) = 0.087 m and rad
+    WEIGHTS = FusionWeights(0.3, 0.0, 0.3, 0.0, 0.0)  # no velocity kick: p moves only on updates
+
+    @staticmethod
+    def _measure(filt, position, orientation=Quat.identity()):
+        """Ten stationary IMU ticks, then a pose measurement at the new stamp."""
+        t0 = filt.estimate.stamp
+        for k in range(1, 11):
+            filt.predict(imu_at(t0 + 0.01 * k))
+        t = filt.estimate.stamp
+        pose = Pose(np.asarray(position, dtype=float), orientation, t)
+        return filt.correct(PoseMeasurement(t, t, pose))
+
+    @pytest.mark.parametrize(
+        "outlier",
+        [([1.0, 0.0, 0.0], Quat.identity()),
+         ([0.0, 0.0, 0.0], Quat.from_axis_angle([0.0, 0.0, 1.0], 0.5))],
+        ids=["position_1m", "yaw_0.5rad"],
+    )
+    def test_single_outlier_dropped_and_counted(self, outlier):
+        filt = make_filter(self.WEIGHTS, self.GATE_STDS)
+        self._measure(filt, [0.01, 0.0, 0.0])  # inside the band: applied
+        assert filt.estimate.pose.position[0] == pytest.approx(0.003)
+        out = self._measure(filt, *outlier)
+        assert filt.dropped_gated == 1
+        assert out is filt.estimate
+        assert out.pose.position[0] == pytest.approx(0.003)
+        assert out.pose.orientation.angle_to(Quat.identity()) < 1e-12
+        self._measure(filt, [0.01, 0.0, 0.0])  # the next good one is applied
+        assert filt.dropped_gated == 1
+        assert filt.estimate.pose.position[0] == pytest.approx(0.0051)
+
+    def test_persistent_offset_opens_then_closes_gate(self):
+        filt = make_filter(self.WEIGHTS, self.GATE_STDS)
+        offset = [1.0, 0.0, 0.0]
+        for _ in range(MAX_GATE_REJECTS):
+            self._measure(filt, offset)
+        assert filt.dropped_gated == MAX_GATE_REJECTS
+        np.testing.assert_array_equal(filt.estimate.pose.position, np.zeros(3))
+        # that many drops in a row mean the filter is off: the gate opens
+        self._measure(filt, offset)
+        assert filt.dropped_gated == MAX_GATE_REJECTS
+        assert filt.estimate.pose.position[0] == pytest.approx(0.3)
+        # it stays open while the innovation (0.7, 0.49, ... m) is outside the band
+        for _ in range(10):
+            self._measure(filt, offset)
+        assert filt.dropped_gated == MAX_GATE_REJECTS
+        assert filt.estimate.pose.position[0] == pytest.approx(1.0 - 0.7**11)
+        # back inside the band the gate has closed: a lone outlier is dropped again
+        before = filt.estimate.pose.position.copy()
+        self._measure(filt, [0.0, 0.0, 0.0])
+        assert filt.dropped_gated == MAX_GATE_REJECTS + 1
+        np.testing.assert_array_equal(filt.estimate.pose.position, before)
+
+    def test_without_gate_stds_nothing_is_gated(self):
+        filt = make_filter(self.WEIGHTS)
+        for k in range(20):
+            target = 10.0 * (-1.0) ** k
+            before = filt.estimate.pose.position[0]
+            self._measure(filt, [target, 0.0, 0.0], Quat.from_axis_angle([0, 0, 1], 3.0))
+            assert filt.estimate.pose.position[0] == pytest.approx(before + 0.3 * (target - before))
+        assert filt.dropped_gated == 0
+
+    @pytest.mark.parametrize(
+        "stds", [(0.0, 0.01), (-0.01, 0.01), (float("nan"), 0.01), (0.01, float("inf"))]
+    )
+    def test_gate_stds_must_be_finite_and_positive(self, stds):
+        with pytest.raises(ValueError, match="gate"):
+            make_filter(self.WEIGHTS, stds)
+
+
 class TestSteadyStateWeights:
     def test_scalar_matches_closed_form(self):
         k, _ = riccati_gain([[1.0]], [[1.0]], [[1.0]], [[1.0]])
@@ -184,23 +258,21 @@ class TestSteadyStateWeights:
 
     def test_perfect_sensor_limit(self):
         noise = NoiseConfig(pose_pos_std=1e-9)
-        w = steady_state_weights(noise)
+        w = steady_state(noise)[0]
         assert w.position > 0.999
 
     def test_perfect_model_limit(self):
         # position weight falls toward 0 as process noise shrinks
         levels = [1e-3, 1e-4, 1e-5, 1e-6]
         ws = [
-            steady_state_weights(
-                NoiseConfig(accel_std=a, gyro_std=a, bias_walk_std=a * 1e-2)
-            ).position
+            steady_state(NoiseConfig(accel_std=a, gyro_std=a, bias_walk_std=a * 1e-2))[0].position
             for a in levels
         ]
         assert all(b < a for a, b in zip(ws, ws[1:]))
         assert ws[-1] < 0.01
 
     def test_weights_in_range(self):
-        w = steady_state_weights(NoiseConfig())
+        w = steady_state(NoiseConfig())[0]
         for v in (w.position, w.velocity, w.orientation, w.accel_bias, w.gyro_bias):
             assert 0.0 <= v <= 1.0
         assert w.accel_bias <= 0.05 and w.gyro_bias <= 0.05
@@ -254,8 +326,8 @@ class TestFilterBehaviour:
                 by_delivery[round(meas.delivery_stamp, 6)] = meas
 
         w = FusionWeights(0.3, 0.05, 0.3, 0.0, 0.0)
-        delayed = NavFilter(NavEstimate(), w, QUIET)
-        immediate = NavFilter(NavEstimate(), w, QUIET)
+        delayed = NavFilter(NavEstimate(), w)
+        immediate = NavFilter(NavEstimate(), w)
         compared = 0
         for imu in imus:
             delayed.predict(imu)
@@ -277,7 +349,7 @@ class TestFilterBehaviour:
     def test_bias_observability(self):
         noise = NoiseConfig()
         events, truth = _drive_sensors(30.0, noise, seed=5, truth_bias=[0.1, 0.0, 0.0])
-        filt = NavFilter(NavEstimate(), steady_state_weights(noise), noise)
+        filt = NavFilter(NavEstimate(), *steady_state(noise))
         for imu, meas in events:
             filt.predict(imu)
             if meas is not None:
@@ -287,7 +359,7 @@ class TestFilterBehaviour:
     def test_filter_beats_dead_reckoning(self):
         noise = NoiseConfig()
         events, _ = _drive_sensors(60.0, noise, seed=11)
-        filt = NavFilter(NavEstimate(), steady_state_weights(noise), noise)
+        filt = NavFilter(NavEstimate(), *steady_state(noise))
         dead = NavEstimate()
         filt_err, dead_err = [], []
         for imu, meas in events:

@@ -12,8 +12,6 @@ from mavnav.geometry import (
     cross3,
     inverse,
     partial_rotation,
-    read_trajectory_csv,
-    write_trajectory_csv,
 )
 
 RNG = np.random.default_rng(12345)
@@ -308,25 +306,3 @@ class TestPartialRotation:
         r2 = partial_rotation(a, b, 0.5)
         assert r1 == r2
         assert abs(a.angle_to(r1) - math.pi / 2) < 1e-9
-
-
-class TestTrajectoryCsv:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        poses = [random_pose(rng, stamp=0.1 * i) for i in range(7)]
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, poses)
-        back = read_trajectory_csv(path)
-        assert len(back) == len(poses)
-        for p, q in zip(poses, back):
-            assert abs(p.stamp - q.stamp) < 1e-9
-            np.testing.assert_allclose(p.position, q.position, atol=1e-9)
-            assert p.orientation.angle_to(q.orientation) < 1e-8
-
-    def test_header_and_precision(self, tmp_path):
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, [Pose.identity()])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,x,y,z,qw,qx,qy,qz"
-        assert "e" not in lines[1]  # fixed decimal notation
-        assert all(len(tok.split(".")[1]) >= 9 for tok in lines[1].split(","))

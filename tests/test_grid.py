@@ -13,8 +13,6 @@ from mavnav.grid import (
     LogOddsParams,
     OccupancyGrid,
     integrate_scan,
-    load_grid,
-    save_grid,
     traverse_ray,
 )
 
@@ -299,32 +297,27 @@ def test_rejects_resolution_not_finite_and_positive(res):
         OccupancyGrid((0, 0, 0), res, (4, 4, 4))
 
 
-class TestFileFormat:
-    @given(grid_dims, st.integers(0, 2**32 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_roundtrip_random_states(self, tmp_path_factory, dims, seed):
-        rng = np.random.default_rng(seed)
-        g = OccupancyGrid((0.5, -1.0, 2.25), 0.25, dims)
-        g.set_states(rng.integers(0, 3, size=dims).astype(np.uint8))
-        path = tmp_path_factory.mktemp("grids") / "g.occgrid"
-        save_grid(g, path)
-        back = load_grid(path)
-        assert back.dims == g.dims
-        assert back.resolution == g.resolution
-        np.testing.assert_array_equal(back.origin, g.origin)
-        np.testing.assert_array_equal(back.states(), g.states())
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"p_hit": 0.4},  # a hit would free its voxel
+        {"p_hit": 0.5},  # a hit would carry no evidence
+        {"p_hit": 1.0},  # infinite log-odds
+        {"p_miss": 0.6},  # a pass-through would mark its voxel occupied
+        {"p_miss": 0.0},  # infinite log-odds
+        {"l_min": 3.5, "l_max": -2.0},  # clamp inverted
+        {"occ_thresh": 3.5},  # no voxel could ever be occupied
+        {"occ_thresh": -2.5},  # every touched voxel occupied
+        {"p_hit": float("nan")},
+        {"l_min": float("-inf")},
+        {"l_max": float("inf")},
+        {"occ_thresh": float("nan")},
+    ],
+)
+def test_log_odds_params_reject_inverted_or_void_model(bad):
+    with pytest.raises(ValueError):
+        LogOddsParams(**bad)
 
-    def test_save_is_bit_exact_deterministic(self, tmp_path):
-        g = fresh(dims=(4, 3, 2))
-        g.fill_box([0, 0, 0], [0.5, 0.5, 0.5], OCCUPIED)
-        p1, p2 = tmp_path / "a", tmp_path / "b"
-        save_grid(g, p1)
-        save_grid(g, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        assert p1.read_text().startswith("OCCGRID 1\n")
 
-    def test_bad_header_rejected(self, tmp_path):
-        p = tmp_path / "bad"
-        p.write_text("NOTAGRID\n")
-        with pytest.raises(ValueError):
-            load_grid(p)
+def test_log_odds_params_accept_threshold_at_lower_clamp():
+    assert LogOddsParams(occ_thresh=-2.0).occ_thresh == -2.0

@@ -9,7 +9,7 @@ from test_delaunay import circumsphere
 
 from mavnav import reconstruction
 from mavnav.delaunay import FACET_OPP, OUTER, TetMesh, orient3d, tetrahedralize
-from mavnav.geometry import Pose, Quat, row_dot
+from mavnav.geometry import Pose, row_dot
 from mavnav.grid import FREE, OCCUPIED, UNKNOWN
 from mavnav.reconstruction import (
     NO_TET,
@@ -20,7 +20,6 @@ from mavnav.reconstruction import (
     extract_surface,
     label_tets,
     rasterize,
-    select_keyframes,
     walk_rays,
 )
 
@@ -34,28 +33,6 @@ def brute_force_labeling(problem):
         if e < best_e:
             best_e, best = e, bits
     return best_e, best
-
-
-class TestSelectKeyframes:
-    def test_static_stream(self):
-        poses = [Pose(np.zeros(3), Quat.identity(), 0.1 * i) for i in range(50)]
-        assert len(select_keyframes(poses, 0.3, np.radians(10))) == 1
-
-    def test_large_translation_steps(self):
-        poses = [Pose(np.array([0.6 * i, 0, 0]), Quat.identity(), float(i)) for i in range(10)]
-        assert len(select_keyframes(poses, 0.3, np.radians(10))) == 10
-
-    def test_rotation_only_steps(self):
-        rot = np.radians(15)
-        poses = [Pose(np.zeros(3), Quat.from_yaw(rot * i), float(i)) for i in range(10)]
-        assert len(select_keyframes(poses, 0.3, np.radians(10))) == 10
-
-    def test_empty_stream(self):
-        assert select_keyframes([], 0.3, 0.1) == []
-
-    def test_bad_thresholds(self):
-        with pytest.raises(ValueError):
-            select_keyframes([], 0.0, 0.1)
 
 
 def _wall_scene():
@@ -223,7 +200,7 @@ class TestRasterize:
         mesh = self._cube_mesh_all_inside()
         surface = extract_surface(mesh)
         grid = rasterize(mesh, surface, 0.25, ((-2.1, -2.1, -2.1), (3.1, 3.1, 3.1)))
-        assert grid.state_at([-1.8, -1.8, -1.8]) == UNKNOWN
+        assert grid.states()[tuple(grid.world_to_index([-1.8, -1.8, -1.8])[0])] == UNKNOWN
 
 
 # -- surface oracle ------------------------------------------------------

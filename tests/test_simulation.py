@@ -285,3 +285,32 @@ class TestSimulator:
         np.testing.assert_array_equal(w.wind_at(3.5), [1, 0, 0])
         with pytest.raises(ValueError):
             WindProfile(gusts=((0.0, -1.0, [0, 0, 0]),))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["accel_std", "gyro_std", "bias_walk_std", "pose_pos_std", "pose_rot_std"],
+)
+@pytest.mark.parametrize("value", [-0.01, NAN, INF])
+def test_noise_config_rejects_negative_or_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        NoiseConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"mass": 0.0}, {"mass": NAN}, {"mass": INF}, {"inertia": (0.03, NAN, 0.05)},
+     {"inertia": (0.03, 0.03, -0.05)}, {"max_thrust": -1.0}, {"max_thrust": NAN},
+     {"max_torque": NAN}, {"max_torque": INF}, {"drag": -0.5}, {"drag": NAN}],
+)
+def test_vehicle_params_reject_values_that_void_the_model(bad):
+    with pytest.raises(ValueError):
+        VehicleParams(**bad)
+
+
+def test_vehicle_params_allow_zero_limits_and_drag():
+    p = VehicleParams(max_thrust=0.0, max_torque=0.0, drag=0.0)
+    assert (p.max_thrust, p.max_torque, p.drag) == (0.0, 0.0, 0.0)
