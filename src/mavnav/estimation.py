@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, Quat, partial_rotation
+from .geometry import Pose, Quat
 from .simulation import GRAVITY, IMU_PERIOD, POSE_PERIOD, ImuSample, NoiseConfig, PoseMeasurement
 
 BUFFER_SPAN = 0.5  # replayable IMU history; must exceed the pose delay [s]
@@ -125,23 +125,21 @@ class NavFilter:
         self.buffer.append((imu, self.estimate))
         return self.estimate
 
-    def _blend(self, snap: NavEstimate, meas: PoseMeasurement) -> NavEstimate:
+    def _blend(self, snap: NavEstimate, innov_p: np.ndarray, rot_innov: np.ndarray) -> NavEstimate:
         w = self.weights
-        innov_p = meas.pose.position - snap.pose.position
         p = snap.pose.position + w.position * innov_p
         v = snap.velocity + (w.velocity / POSE_PERIOD) * innov_p
-        q = partial_rotation(snap.pose.orientation, meas.pose.orientation, w.orientation)
-        rot_innov = (snap.pose.orientation.conjugate() * meas.pose.orientation).as_rotvec()
+        q = (snap.pose.orientation * Quat.from_rotvec(w.orientation * rot_innov)).normalized()
         r_t = snap.pose.orientation.to_matrix().T
         accel_bias = snap.accel_bias - w.accel_bias * (r_t @ innov_p)
         gyro_bias = snap.gyro_bias - w.gyro_bias * rot_innov
         return NavEstimate(Pose(p, q, snap.stamp), v, accel_bias, gyro_bias, snap.stamp)
 
-    def _gated(self, snap: NavEstimate, meas: PoseMeasurement) -> bool:
+    def _gated(self, innov_p: np.ndarray, rot_innov: np.ndarray) -> bool:
         if self._gate_pos is None:
             return False
-        big_pos = np.linalg.norm(meas.pose.position - snap.pose.position) > self._gate_pos
-        big_rot = snap.pose.orientation.angle_to(meas.pose.orientation) > self._gate_rot
+        big_pos = np.linalg.norm(innov_p) > self._gate_pos
+        big_rot = np.linalg.norm(rot_innov) > self._gate_rot
         if not (big_pos or big_rot):
             self._consecutive_rejects = 0
             return False
@@ -154,7 +152,12 @@ class NavFilter:
         """Blend the snapshot at capture time, then re-apply interim IMU.
 
         The anchor is the latest snapshot at or before the capture time; a
-        measurement older than every snapshot is dropped as stale.
+        measurement older than every snapshot is dropped as stale. The
+        innovation is computed once: the position difference and the
+        rotation vector from the snapshot's orientation to the
+        measured one. Both the gate and the blend use it; the blend turns
+        the orientation a `weights.orientation` fraction of the way along
+        the shorter geodesic.
         """
         idx = -1
         for i, (_, snap) in enumerate(self.buffer):
@@ -166,11 +169,13 @@ class NavFilter:
             return self.estimate
 
         _, snap = self.buffer[idx]
-        if self._gated(snap, meas):
+        innov_p = meas.pose.position - snap.pose.position
+        rot_innov = (snap.pose.orientation.conjugate() * meas.pose.orientation).as_rotvec()
+        if self._gated(innov_p, rot_innov):
             self.dropped_gated += 1
             return self.estimate
 
-        current = self._blend(snap, meas)
+        current = self._blend(snap, innov_p, rot_innov)
         for i in range(idx + 1, len(self.buffer)):
             imu, _ = self.buffer[i]
             current = predict(current, imu)

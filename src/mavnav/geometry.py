@@ -98,10 +98,6 @@ class Quat:
         return q.normalized()
 
     @staticmethod
-    def from_axis_angle(axis, angle: float) -> "Quat":
-        return Quat(*quat_from_axis_angle(np.asarray(axis, dtype=float).tolist(), angle))
-
-    @staticmethod
     def from_rotvec(rv) -> "Quat":
         return Quat(*quat_from_rotvec(np.asarray(rv, dtype=float).tolist()))
 
@@ -177,19 +173,6 @@ def inverse(a: Pose) -> Pose:
 def relative(a: Pose, b: Pose) -> Pose:
     """Pose of b expressed in the frame of a: inverse(a) o b."""
     return compose(inverse(a), b)
-
-
-def partial_rotation(q_from: Quat, q_to: Quat, weight: float) -> Quat:
-    """Rotate `q_from` a fraction `weight` of the way toward `q_to`.
-
-    Travels along the shorter geodesic; weight 0 returns q_from,
-    weight 1 returns q_to (up to the canonical sign).
-    """
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError(f"weight must be in [0, 1], got {weight}")
-    rel = (q_from.conjugate() * q_to).normalized()
-    rv = rel.as_rotvec()
-    return (q_from * Quat.from_rotvec(weight * rv)).normalized()
 
 
 def row_dot(a, b) -> np.ndarray:

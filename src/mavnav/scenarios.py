@@ -4,6 +4,12 @@ The loop advances the simulator one IMU tick at a time, feeds every IMU
 sample to the filter, recomputes the control command at the IMU rate
 from the latest estimate (the simulator holds it in between), and
 applies delayed pose corrections as they arrive.
+
+Every run uses one configuration: the default vehicle, the default
+sensor noise, the controller gains `place_poles` derives for that
+vehicle, and the filter weights and gate `steady_state` derives for that
+noise. Runs differ only in the reference, the duration, the wind, the
+seed and the initial state.
 """
 
 from __future__ import annotations
@@ -12,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import Controller, ControllerGains, place_poles
+from .control import Controller, place_poles
 from .estimation import NavEstimate, NavFilter, steady_state
-from .geometry import Pose
 from .simulation import IMU_PERIOD, NoiseConfig, Simulator, VehicleParams, VehicleState, WindProfile
 from .trajectory import QuinticSpline, RefPoint, eval_spline
 
@@ -39,12 +44,12 @@ class LoopLog:
         return np.array(self.t)
 
 
-def hover_ref_fn(position, heading: float = 0.0):
+def hover_ref_fn(position):
     target = np.asarray(position, dtype=float)
     z = np.zeros(3)
 
     def ref(t: float) -> RefPoint:
-        return RefPoint(target, z, z, z, z, heading, 0.0, t)
+        return RefPoint(target, z, z, z, z, 0.0, 0.0, t)
 
     return ref
 
@@ -59,24 +64,18 @@ def spline_ref_fn(spline: QuinticSpline):
 def run_closed_loop(
     ref_fn,
     duration: float,
-    params: VehicleParams = VehicleParams(),
-    noise: NoiseConfig = NoiseConfig(),
     wind: WindProfile = WindProfile(),
-    gains: ControllerGains | None = None,
     seed: int = 0,
     initial_state: VehicleState | None = None,
 ) -> LoopLog:
     """Fly `ref_fn` for `duration` seconds; returns the synchronized log."""
+    params, noise = VehicleParams(), NoiseConfig()
     sim = Simulator(params, noise, wind, seed, initial_state)
-    gains = gains or place_poles(vehicle=params)
-    controller = Controller(gains, params)
-    quiet = min(noise.accel_std, noise.gyro_std, noise.pose_pos_std, noise.pose_rot_std) <= 0
-    weights, gate_stds = steady_state(noise if not quiet else NoiseConfig())
+    controller = Controller(place_poles(vehicle=params), params)
     filt = NavFilter(
         NavEstimate(pose=sim.state.pose, velocity=sim.state.twist.linear,
                     stamp=sim.state.pose.stamp),
-        weights,
-        None if quiet else gate_stds,
+        *steady_state(noise),
     )
 
     log = LoopLog()
@@ -101,36 +100,17 @@ def run_closed_loop(
     return log
 
 
-def run_hover(
-    duration: float = 60.0,
-    noise: NoiseConfig = NoiseConfig(),
-    seed: int = 0,
-    params: VehicleParams = VehicleParams(),
-    gains: ControllerGains | None = None,
-    offset: float = 0.0,
-) -> LoopLog:
-    """Stationary hover at the origin, optionally starting offset in x."""
-    initial = None
-    if offset:
-        initial = VehicleState(pose=Pose(np.array([offset, 0.0, 0.0])))
-    return run_closed_loop(
-        hover_ref_fn([0.0, 0.0, 0.0]), duration, params, noise,
-        gains=gains, seed=seed, initial_state=initial,
-    )
+def run_hover(duration: float = 60.0, seed: int = 0) -> LoopLog:
+    """Stationary hover at the origin."""
+    return run_closed_loop(hover_ref_fn([0.0, 0.0, 0.0]), duration, seed=seed)
 
 
 def run_wind_step(
     wind_speed: float = 3.0,
     onset: float = 5.0,
     duration: float = 15.0,
-    noise: NoiseConfig = NoiseConfig(),
     seed: int = 0,
-    params: VehicleParams = VehicleParams(),
-    gains: ControllerGains | None = None,
 ) -> LoopLog:
     """Hover through a lateral constant-wind step starting at `onset`."""
     wind = WindProfile(gusts=((onset, 1e6, [wind_speed, 0.0, 0.0]),))
-    return run_closed_loop(
-        hover_ref_fn([0.0, 0.0, 0.0]), duration, params, noise, wind,
-        gains=gains, seed=seed,
-    )
+    return run_closed_loop(hover_ref_fn([0.0, 0.0, 0.0]), duration, wind, seed)

@@ -6,13 +6,15 @@ Actuation is abstracted to collective thrust along body z plus three body
 torques, clamped to the vehicle limits. Wind enters as a pure drag force
 ``drag * (wind - velocity)``. Sensors run on exact grids: IMU at 100 Hz
 with a slowly random-walking bias, a pose sensor at 10 Hz whose
-measurements arrive 100 ms after capture.
+measurements arrive 100 ms after capture. The simulator delays the pose
+sensor with a delay line: a fixed-length queue of the true poses of the
+last pose ticks, whose oldest entry is measured on each pose tick.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
+from collections import deque
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -206,52 +208,15 @@ def sample_imu(
     return ImuSample(state.pose.stamp, f, w), new_ab, new_gb
 
 
-class PoseHistory:
-    """Time-indexed pose buffer for the delayed sensor, keeping the last
-    HORIZON seconds."""
-
-    HORIZON = 2.0  # [s], well beyond POSE_DELAY
-
-    def __init__(self):
-        self._stamps: list[float] = []
-        self._poses: list[Pose] = []
-
-    def push(self, pose: Pose) -> None:
-        self._stamps.append(pose.stamp)
-        self._poses.append(pose)
-        cutoff = pose.stamp - self.HORIZON
-        drop = 0
-        while drop < len(self._stamps) - 1 and self._stamps[drop + 1] <= cutoff:
-            drop += 1
-        if drop:
-            del self._stamps[:drop]
-            del self._poses[:drop]
-
-    def at(self, t: float, tol: float = 1e-6) -> Pose:
-        if not self._stamps or t < self._stamps[0] - tol or t > self._stamps[-1] + tol:
-            raise LookupError(f"history does not cover t={t}")
-        i = bisect.bisect_left(self._stamps, t)
-        candidates = [j for j in (i - 1, i) if 0 <= j < len(self._stamps)]
-        best = min(candidates, key=lambda j: abs(self._stamps[j] - t))
-        if abs(self._stamps[best] - t) > tol:
-            raise LookupError(f"no stored pose within {tol} of t={t}")
-        return self._poses[best]
-
-
 def sample_pose_sensor(
-    history: PoseHistory,
+    truth: Pose,
     now: float,
     noise: NoiseConfig,
     rng: np.random.Generator,
-) -> PoseMeasurement | None:
-    """Delayed pose measurement, emitted only on the sensor's time grid."""
-    ticks = now / POSE_PERIOD
-    if abs(ticks - round(ticks)) > 1e-6:
-        return None
+) -> PoseMeasurement:
+    """Pose measurement of `truth`, captured POSE_DELAY before its delivery
+    at `now`."""
     capture = now - POSE_DELAY
-    if capture < -1e-9:
-        return None
-    truth = history.at(capture)
     pos = truth.position.copy()
     q = truth.orientation
     if noise.pose_pos_std > 0:
@@ -290,12 +255,15 @@ class Simulator:
         q = state.pose.orientation
         self._x = (state.pose.position.tolist(), state.twist.linear.tolist(),
                    (q.w, q.x, q.y, q.z), state.twist.angular.tolist())
-        self._stamp = self._start = state.pose.stamp
-        self.history = PoseHistory()
-        self.history.push(state.pose)
+        self._stamp = state.pose.stamp
         self._step_count = round(self._stamp / self.INTERNAL_DT)
         self._imu_every = round(IMU_PERIOD / self.INTERNAL_DT)
         self._pose_every = round(POSE_PERIOD / self.INTERNAL_DT)
+        # the poses of the last pose ticks, oldest first; POSE_DELAY must be a whole
+        # number of POSE_PERIODs, so that the oldest is the one captured POSE_DELAY ago
+        self._delay_line: deque[Pose] = deque(maxlen=round(POSE_DELAY / POSE_PERIOD))
+        if self._step_count % self._pose_every == 0:
+            self._delay_line.append(state.pose)
 
     @property
     def time(self) -> float:
@@ -310,8 +278,10 @@ class Simulator:
         tick; returns (imu_sample, pose_measurement), the latter None off
         the pose sensor's grid.
 
-        The pose grid is a subset of the IMU grid, so the history gets
-        every pose the sensor will ask for: the pose on each pose tick.
+        The pose grid is a subset of the IMU grid. Each pose tick with a
+        full delay line measures its oldest pose, then appends the
+        current one; until the line fills, as for a start off the pose
+        grid, captures that would precede the first pose are skipped.
         """
         torque = np.asarray(torque, dtype=float).tolist()
         dt = self.INTERNAL_DT
@@ -339,8 +309,8 @@ class Simulator:
         self._state = state
         meas = None
         if self._step_count % self._pose_every == 0:
-            self.history.push(state.pose)
-            # a capture before the first pose, like one before t = 0, is skipped
-            if self.time - POSE_DELAY >= self._start - 1e-9:
-                meas = sample_pose_sensor(self.history, self.time, self.noise, self._rng_pose)
+            line = self._delay_line
+            if len(line) == line.maxlen:
+                meas = sample_pose_sensor(line[0], self.time, self.noise, self._rng_pose)
+            line.append(state.pose)
         return imu, meas

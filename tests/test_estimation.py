@@ -13,11 +13,10 @@ from mavnav.estimation import (
     riccati_gain,
     steady_state,
 )
-from mavnav.geometry import Pose, Quat, partial_rotation
+from mavnav.geometry import Pose, Quat, quat_from_axis_angle
 from mavnav.simulation import (
     ImuSample,
     NoiseConfig,
-    PoseHistory,
     PoseMeasurement,
     Simulator,
     VehicleParams,
@@ -54,7 +53,7 @@ class TestPredict:
         rate = (0.0, 0.0, math.pi / 2)
         for k in range(1, 101):
             est = predict(est, imu_at(0.01 * k, w=rate))
-        quarter_turn = Quat.from_axis_angle([0.0, 0.0, 1.0], math.pi / 2)
+        quarter_turn = Quat(*quat_from_axis_angle([0.0, 0.0, 1.0], math.pi / 2))
         assert est.pose.orientation.angle_to(quarter_turn) < math.radians(0.5)
         # oracle: same integration at dt = 1e-5
         q = Quat.identity()
@@ -91,7 +90,9 @@ class TestCorrect:
         filt = NavFilter(NavEstimate(), FusionWeights(1.0, 0.0, 1.0, 0.0, 0.0))
         for k in range(1, 31):
             filt.predict(imu_at(0.01 * k))
-        target = Pose(np.array([0.4, -0.2, 0.1]), Quat.from_axis_angle([0.0, 0.0, 1.0], 0.3), 0.3)
+        target = Pose(
+            np.array([0.4, -0.2, 0.1]), Quat(*quat_from_axis_angle([0.0, 0.0, 1.0], 0.3)), 0.3
+        )
         out = filt.correct(PoseMeasurement(0.3, 0.3, target))
         np.testing.assert_allclose(out.pose.position, target.position, atol=1e-9)
         assert out.pose.orientation.angle_to(target.orientation) < 1e-9
@@ -108,7 +109,9 @@ class TestCorrect:
     def test_first_measurement_anchors_on_initial_estimate(self):
         """A measurement captured at the start stamp is blended into the
         initial estimate and replayed, as if it had arrived at once."""
-        pose = Pose(np.array([0.2, -0.1, 0.05]), Quat.from_axis_angle([0.0, 0.0, 1.0], 0.1), 0.0)
+        pose = Pose(
+            np.array([0.2, -0.1, 0.05]), Quat(*quat_from_axis_angle([0.0, 0.0, 1.0], 0.1)), 0.0
+        )
         delayed = make_filter()
         for k in range(1, 11):
             delayed.predict(imu_at(0.01 * k))
@@ -156,7 +159,9 @@ class TestCorrect:
             innov = meas.pose.position - est.pose.position
             p = est.pose.position + w.position * innov
             v = est.velocity + (w.velocity / 0.1) * innov
-            q = partial_rotation(est.pose.orientation, meas.pose.orientation, w.orientation)
+            rel = (est.pose.orientation.conjugate() * meas.pose.orientation).normalized()
+            step = Quat.from_rotvec(w.orientation * rel.as_rotvec())
+            q = (est.pose.orientation * step).normalized()
             rot_in = (est.pose.orientation.conjugate() * meas.pose.orientation).as_rotvec()
             r_t = est.pose.orientation.to_matrix().T
             ba = est.accel_bias - w.accel_bias * (r_t @ innov)
@@ -195,7 +200,7 @@ class TestInnovationGate:
     @pytest.mark.parametrize(
         "outlier",
         [([1.0, 0.0, 0.0], Quat.identity()),
-         ([0.0, 0.0, 0.0], Quat.from_axis_angle([0.0, 0.0, 1.0], 0.5))],
+         ([0.0, 0.0, 0.0], Quat(*quat_from_axis_angle([0.0, 0.0, 1.0], 0.5)))],
         ids=["position_1m", "yaw_0.5rad"],
     )
     def test_single_outlier_dropped_and_counted(self, outlier):
@@ -238,7 +243,7 @@ class TestInnovationGate:
         for k in range(20):
             target = 10.0 * (-1.0) ** k
             before = filt.estimate.pose.position[0]
-            self._measure(filt, [target, 0.0, 0.0], Quat.from_axis_angle([0, 0, 1], 3.0))
+            self._measure(filt, [target, 0.0, 0.0], Quat(*quat_from_axis_angle([0, 0, 1], 3.0)))
             assert filt.estimate.pose.position[0] == pytest.approx(before + 0.3 * (target - before))
         assert filt.dropped_gated == 0
 
@@ -277,9 +282,13 @@ class TestSteadyStateWeights:
             assert 0.0 <= v <= 1.0
         assert w.accel_bias <= 0.05 and w.gyro_bias <= 0.05
 
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            FusionWeights(position=1.5)
+    @pytest.mark.parametrize(
+        "field", ["position", "velocity", "orientation", "accel_bias", "gyro_bias"]
+    )
+    @pytest.mark.parametrize("value", [1.5, -0.1])
+    def test_weight_validation(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FusionWeights(**{field: value})
 
 
 def _drive_sensors(duration, noise, seed, truth_bias=None):
@@ -288,19 +297,16 @@ def _drive_sensors(duration, noise, seed, truth_bias=None):
     truth = VehicleState()
     if truth_bias is not None:
         truth.accel_bias = np.asarray(truth_bias, dtype=float)
-    hist = PoseHistory()
-    hist.push(truth.pose)
     events = []
     n = int(round(duration / 0.01))
     for k in range(1, n + 1):
         t = k * 0.01
         truth.pose = Pose(truth.pose.position, truth.pose.orientation, t)
-        hist.push(truth.pose)
         imu, ab, gb = sample_imu(truth, np.zeros(3), noise, rng)
         truth.accel_bias, truth.gyro_bias = ab, gb
         meas = None
         if k % 10 == 0 and t >= 0.1:
-            meas = sample_pose_sensor(hist, t, noise, rng)
+            meas = sample_pose_sensor(truth.pose, t, noise, rng)
         events.append((imu, meas))
     return events, truth
 

@@ -11,7 +11,6 @@ from mavnav.simulation import (
     GRAVITY,
     IMU_PERIOD,
     NoiseConfig,
-    PoseHistory,
     Simulator,
     VehicleParams,
     VehicleState,
@@ -169,31 +168,16 @@ class TestImu:
 
 
 class TestPoseSensor:
-    def _history(self, t_end=1.5, dt=0.001):
-        h = PoseHistory()
-        for i in range(int(t_end / dt) + 1):
-            t = i * dt
-            h.push(Pose(np.array([t, 2 * t, 0.0]), Quat.identity(), t))
-        return h
+    TRUTH = Pose(np.array([0.9, 1.8, 0.0]), Quat.identity(), 0.9)
 
     def test_delay_is_100ms(self):
-        meas = sample_pose_sensor(self._history(), 1.0, QUIET, np.random.default_rng(0))
-        assert meas is not None
+        meas = sample_pose_sensor(self.TRUTH, 1.0, QUIET, np.random.default_rng(0))
         assert meas.capture_stamp == pytest.approx(0.9, abs=1e-12)
         assert meas.delivery_stamp == 1.0
 
-    def test_off_grid_silent(self):
-        assert sample_pose_sensor(self._history(), 1.003, QUIET, np.random.default_rng(0)) is None
-
     def test_zero_noise_exact(self):
-        meas = sample_pose_sensor(self._history(), 1.0, QUIET, np.random.default_rng(0))
+        meas = sample_pose_sensor(self.TRUTH, 1.0, QUIET, np.random.default_rng(0))
         np.testing.assert_allclose(meas.pose.position, [0.9, 1.8, 0.0], atol=1e-12)
-
-    def test_uncovered_history_raises(self):
-        h = PoseHistory()
-        h.push(Pose(np.zeros(3), Quat.identity(), 2.0))
-        with pytest.raises(LookupError):
-            sample_pose_sensor(h, 2.0, QUIET, np.random.default_rng(0))
 
 
 class TestSimulator:
