@@ -50,22 +50,18 @@ def _pair(poles) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ControllerGains:
-    """Pole configuration plus the derived feedback gains."""
+    """Feedback gains derived by `place_poles`."""
 
-    planar_poles: tuple = (-2.0, -2.5)
-    attitude_poles: tuple = (-15.0, -16.0)
-    vertical_poles: tuple = (-2.0, -2.5)
-    ki: float = 2.0
-    integrator_limit: float = 2.0  # [m s]
-    # derived, filled by place_poles
-    kp_planar: float = 0.0
-    kd_planar: float = 0.0
-    att_stiffness: float = 0.0  # c1
-    att_damping: float = 0.0  # c2
-    kp_vertical: float = 0.0
-    kd_vertical: float = 0.0
-    kp_yaw: float = 0.0
-    kd_yaw: float = 0.0
+    ki: float
+    integrator_limit: float  # [m s]
+    kp_planar: float
+    kd_planar: float
+    att_stiffness: float  # c1
+    att_damping: float  # c2
+    kp_vertical: float
+    kd_vertical: float
+    kp_yaw: float
+    kd_yaw: float
 
 
 def place_poles(
@@ -100,9 +96,6 @@ def place_poles(
     if integrator_limit <= 0:
         raise ValueError("integrator limit must be positive")
     return ControllerGains(
-        planar_poles=tuple(planar_poles),
-        attitude_poles=tuple(attitude_poles),
-        vertical_poles=tuple(vertical_poles),
         ki=ki,
         integrator_limit=integrator_limit,
         kp_planar=kp,

@@ -30,7 +30,7 @@ BUFFER_SPAN = 0.5  # replayable IMU history; must exceed the pose delay [s]
 GATE_SIGMAS = 5.0
 MAX_GATE_REJECTS = 5
 BIAS_GAIN_CLAMP = 0.015  # largest bias weight per update
-RICCATI_MAX_ITERS = 100_000
+RICCATI_MAX_DOUBLINGS = 64  # 2^64 updates
 
 
 class FilterError(RuntimeError):
@@ -188,26 +188,34 @@ def riccati_gain(F, Q, H, R, predicts_per_update: int = 1):
     """Converged Kalman gain and innovation covariance of a linear
     covariance recursion.
 
-    Runs P <- F P F' + Q for `predicts_per_update` steps, then one
-    measurement update, until the gain stops moving. Returns (K, S).
-    Raises FilterError on non-convergence.
+    The recursion runs P <- F P F' + Q for `predicts_per_update` = m
+    steps, then one measurement update. Composed into one step, the m
+    predictions are P <- A P A' + W with A = F^m and W = sum F^i Q F^i'
+    (i < m), so the predicted covariance converges to the stabilizing
+    solution X of the discrete algebraic Riccati equation
+    X = A X (I + G X)^-1 A' + W, G = H' R^-1 H. The structure-preserving
+    doubling algorithm (Chu, Fan & Lin 2005) reaches after k doublings
+    the covariance of 2^k updates; it stops once a doubling moves no
+    entry of X by more than 1e-15 of itself. Returns (K, S) with
+    S = H X H' + R and K = X H' S^-1. Raises FilterError on
+    non-convergence.
     """
-    F = np.atleast_2d(np.asarray(F, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
+    F, Q, H, R = (np.atleast_2d(np.asarray(m, dtype=float)) for m in (F, Q, H, R))
     n = F.shape[0]
-    P = np.eye(n)
-    K_prev = None
-    for _ in range(RICCATI_MAX_ITERS):
-        for _ in range(predicts_per_update):
-            P = F @ P @ F.T + Q
-        S = H @ P @ H.T + R
-        K = P @ H.T @ np.linalg.inv(S)
-        P = (np.eye(n) - K @ H) @ P
-        if K_prev is not None and np.max(np.abs(K - K_prev)) < 1e-12:
-            return K, S
-        K_prev = K
+    a, x = np.eye(n), np.zeros((n, n))
+    for _ in range(predicts_per_update):
+        a, x = F @ a, F @ x @ F.T + Q
+    a = a.T  # the doubling runs on the dual (control-form) equation
+    g = H.T @ np.linalg.solve(R, H)
+    for _ in range(RICCATI_MAX_DOUBLINGS):
+        w = np.linalg.inv(np.eye(n) + g @ x)
+        a_w = a @ w
+        a, g, x_next = a_w @ a, g + a_w @ g @ a.T, x + a.T @ x @ w @ a
+        converged = np.all(np.abs(x_next - x) <= 1e-15 * np.abs(x_next))
+        x = x_next
+        if converged:
+            S = H @ x @ H.T + R
+            return x @ H.T @ np.linalg.inv(S), S
     raise FilterError("steady-state gain recursion did not converge")
 
 

@@ -276,6 +276,12 @@ class TestSteadyStateWeights:
         assert all(b < a for a, b in zip(ws, ws[1:]))
         assert ws[-1] < 0.01
 
+    def test_slow_chain_gain_is_the_fixed_point(self):
+        # 4e5 updates of the recursion converge to 0.0029365301230; a stop on an absolute
+        # 1e-12 change of the gain per update halts this slow chain early, at 0.0029466
+        noise = NoiseConfig(accel_std=1e-6, gyro_std=1e-6, bias_walk_std=1e-8)
+        assert steady_state(noise)[0].position == pytest.approx(0.0029365301230, rel=1e-9)
+
     def test_weights_in_range(self):
         w = steady_state(NoiseConfig())[0]
         for v in (w.position, w.velocity, w.orientation, w.accel_bias, w.gyro_bias):
