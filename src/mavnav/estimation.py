@@ -152,12 +152,9 @@ class NavFilter:
         """Blend the snapshot at capture time, then re-apply interim IMU.
 
         The anchor is the latest snapshot at or before the capture time; a
-        measurement older than every snapshot is dropped as stale. The
-        innovation is computed once: the position difference and the
-        rotation vector from the snapshot's orientation to the
-        measured one. Both the gate and the blend use it; the blend turns
-        the orientation a `weights.orientation` fraction of the way along
-        the shorter geodesic.
+        measurement older than every snapshot is dropped as stale. The gate
+        and the blend share one innovation: the position difference and the
+        rotation vector from the snapshot's orientation to the measured one.
         """
         idx = -1
         for i, (_, snap) in enumerate(self.buffer):
@@ -188,17 +185,14 @@ def riccati_gain(F, Q, H, R, predicts_per_update: int = 1):
     """Converged Kalman gain and innovation covariance of a linear
     covariance recursion.
 
-    The recursion runs P <- F P F' + Q for `predicts_per_update` = m
-    steps, then one measurement update. Composed into one step, the m
-    predictions are P <- A P A' + W with A = F^m and W = sum F^i Q F^i'
-    (i < m), so the predicted covariance converges to the stabilizing
-    solution X of the discrete algebraic Riccati equation
-    X = A X (I + G X)^-1 A' + W, G = H' R^-1 H. The structure-preserving
-    doubling algorithm (Chu, Fan & Lin 2005) reaches after k doublings
-    the covariance of 2^k updates; it stops once a doubling moves no
-    entry of X by more than 1e-15 of itself. Returns (K, S) with
-    S = H X H' + R and K = X H' S^-1. Raises FilterError on
-    non-convergence.
+    The recursion runs P <- F P F' + Q for `predicts_per_update` steps,
+    then one measurement update. Composed into one prediction P <- A P A'
+    + W, these converge to the stabilizing solution of the Riccati equation
+    X = A X (I + G X)^-1 A' + W, G = H' R^-1 H, for the predicted P.
+    Structure-preserving doubling (Chu, Fan & Lin 2005) reaches after k
+    doublings the covariance of 2^k updates and stops once a doubling moves
+    no entry of X by more than 1e-15 of itself. Returns (K, S) with
+    S = H X H' + R and K = X H' S^-1. Raises FilterError on non-convergence.
     """
     F, Q, H, R = (np.atleast_2d(np.asarray(m, dtype=float)) for m in (F, Q, H, R))
     n = F.shape[0]
@@ -209,11 +203,9 @@ def riccati_gain(F, Q, H, R, predicts_per_update: int = 1):
     g = H.T @ np.linalg.solve(R, H)
     for _ in range(RICCATI_MAX_DOUBLINGS):
         w = np.linalg.inv(np.eye(n) + g @ x)
-        a_w = a @ w
-        a, g, x_next = a_w @ a, g + a_w @ g @ a.T, x + a.T @ x @ w @ a
-        converged = np.all(np.abs(x_next - x) <= 1e-15 * np.abs(x_next))
-        x = x_next
-        if converged:
+        a_w, step = a @ w, a.T @ x @ w @ a
+        a, g, x = a_w @ a, g + a_w @ g @ a.T, x + step
+        if np.all(np.abs(step) <= 1e-15 * np.abs(x)):
             S = H @ x @ H.T + R
             return x @ H.T @ np.linalg.inv(S), S
     raise FilterError("steady-state gain recursion did not converge")

@@ -5,11 +5,9 @@ sample to the filter, recomputes the control command at the IMU rate
 from the latest estimate (the simulator holds it in between), and
 applies delayed pose corrections as they arrive.
 
-Every run uses one configuration: the default vehicle, the default
-sensor noise, the controller gains `place_poles` derives for that
-vehicle, and the filter weights and gate `steady_state` derives for that
-noise. Runs differ only in the reference, the duration, the wind, the
-seed and the initial state.
+Every run has one configuration: the default vehicle and sensor noise,
+the gains `place_poles` derives for that vehicle, and the filter weights
+and gate `steady_state` derives for that noise.
 """
 
 from __future__ import annotations

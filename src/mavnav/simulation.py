@@ -6,9 +6,8 @@ Actuation is abstracted to collective thrust along body z plus three body
 torques, clamped to the vehicle limits. Wind enters as a pure drag force
 ``drag * (wind - velocity)``. Sensors run on exact grids: IMU at 100 Hz
 with a slowly random-walking bias, a pose sensor at 10 Hz whose
-measurements arrive 100 ms after capture. The simulator delays the pose
-sensor with a delay line: a fixed-length queue of the true poses of the
-last pose ticks, whose oldest entry is measured on each pose tick.
+measurements arrive 100 ms after capture: each pose tick measures the
+oldest entry of a delay line of the true poses of the last pose ticks.
 """
 
 from __future__ import annotations
@@ -259,8 +258,7 @@ class Simulator:
         self._step_count = round(self._stamp / self.INTERNAL_DT)
         self._imu_every = round(IMU_PERIOD / self.INTERNAL_DT)
         self._pose_every = round(POSE_PERIOD / self.INTERNAL_DT)
-        # the poses of the last pose ticks, oldest first; POSE_DELAY must be a whole
-        # number of POSE_PERIODs, so that the oldest is the one captured POSE_DELAY ago
+        # POSE_DELAY must be a whole number of POSE_PERIODs
         self._delay_line: deque[Pose] = deque(maxlen=round(POSE_DELAY / POSE_PERIOD))
         if self._step_count % self._pose_every == 0:
             self._delay_line.append(state.pose)
@@ -278,10 +276,9 @@ class Simulator:
         tick; returns (imu_sample, pose_measurement), the latter None off
         the pose sensor's grid.
 
-        The pose grid is a subset of the IMU grid. Each pose tick with a
-        full delay line measures its oldest pose, then appends the
-        current one; until the line fills, as for a start off the pose
-        grid, captures that would precede the first pose are skipped.
+        The pose grid is a subset of the IMU grid. A pose tick with a full
+        delay line measures its oldest pose, then appends the current one,
+        so no capture precedes the first pose on the grid.
         """
         torque = np.asarray(torque, dtype=float).tolist()
         dt = self.INTERNAL_DT
