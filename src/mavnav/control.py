@@ -67,7 +67,6 @@ class ControllerGains:
 def place_poles(
     planar_poles=(-2.0, -2.5),
     attitude_poles=(-15.0, -16.0),
-    vertical_poles=None,
     vehicle: VehicleParams = VehicleParams(),
     ki: float = 2.0,
     integrator_limit: float = 2.0,
@@ -79,10 +78,9 @@ def place_poles(
     linearization of one planar axis has characteristic polynomial
     s^4 + (c2 + d) s^3 + (c1 + c2 d) s^2 + c1 Kd s + c1 Kp; matching it
     against (s^2 + a1 s + a0)(s^2 + b1 s + b0) places all four poles
-    exactly, with no reliance on inner/outer time-scale separation.
+    exactly, with no reliance on inner/outer time-scale separation. The
+    vertical axis, a double integrator, gets the planar poles.
     """
-    if vertical_poles is None:
-        vertical_poles = planar_poles
     d = vehicle.drag / vehicle.mass
     a0, a1 = _pair(planar_poles)
     b0, b1 = _pair(attitude_poles)
@@ -92,7 +90,6 @@ def place_poles(
         raise ValueError("drag too large for the requested pole set")
     kd = (a1 * b0 + a0 * b1) / c1
     kp = a0 * b0 / c1
-    v0, v1 = _pair(vertical_poles)
     if integrator_limit <= 0:
         raise ValueError("integrator limit must be positive")
     return ControllerGains(
@@ -102,8 +99,8 @@ def place_poles(
         kd_planar=kd,
         att_stiffness=c1,
         att_damping=c2,
-        kp_vertical=v0,
-        kd_vertical=v1,
+        kp_vertical=a0,
+        kd_vertical=a1,
         kp_yaw=b0,
         kd_yaw=b1,
     )
