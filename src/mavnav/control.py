@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import NavEstimate
-from .geometry import cross3
-from .simulation import GRAVITY, VehicleParams
+from .geometry import _norm, cross3
+from .simulation import _GX, _GY, _GZ, VehicleParams
 from .trajectory import RefPoint
 
 
@@ -106,22 +106,17 @@ def place_poles(
     )
 
 
-def _vee(m: np.ndarray) -> np.ndarray:
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-
-def desired_attitude(f_vec: np.ndarray, heading: float) -> np.ndarray:
-    """Rotation matrix with body z along f_vec and yaw from heading."""
-    z_b = f_vec / np.linalg.norm(f_vec)
-    x_c = np.array([math.cos(heading), math.sin(heading), 0.0])
-    y_b = np.array(cross3(z_b, x_c))
-    n = np.linalg.norm(y_b)
+def desired_attitude(z_b, heading: float) -> np.ndarray:
+    """Rotation matrix with body z along the unit 3-vector z_b and yaw
+    from heading."""
+    x_c = (math.cos(heading), math.sin(heading), 0.0)
+    y_b = cross3(z_b, x_c)
+    n = _norm(y_b)
     if n < 1e-9:  # thrust collinear with heading axis; fall back to world y
-        y_b = np.array([0.0, 1.0, 0.0])
-        n = 1.0
-    y_b = y_b / n
-    x_b = np.array(cross3(y_b, z_b))
-    return np.column_stack([x_b, y_b, z_b])
+        y_b, n = (0.0, 1.0, 0.0), 1.0
+    y_b = (y_b[0] / n, y_b[1] / n, y_b[2] / n)
+    x_b = cross3(y_b, z_b)
+    return np.array(tuple(zip(x_b, y_b, z_b)))
 
 
 class Controller:
@@ -130,7 +125,7 @@ class Controller:
     def __init__(self, gains: ControllerGains, vehicle: VehicleParams):
         self.gains = gains
         self.vehicle = vehicle
-        self.integrator = np.zeros(3)
+        self.integrator = (0.0, 0.0, 0.0)
         self.last_r_des = np.eye(3)
         self.freefall_events = 0
 
@@ -139,40 +134,56 @@ class Controller:
 
         `body_rate` is the bias-corrected gyro reading. Position and
         velocity errors feed the outer loop; the integrator adds slow
-        disturbance rejection with a hard anti-windup clamp.
+        disturbance rejection with a hard anti-windup clamp. Runs on
+        floats, rounding as the numpy 3-vector expressions do, and raises
+        ValueError on a non-finite estimate, reference or body rate.
         """
         g = self.gains
         p = self.vehicle
-        e_p = ref.position - est.pose.position
-        e_v = ref.velocity - est.velocity
-        self.integrator = np.clip(
-            self.integrator + e_p * dt, -g.integrator_limit, g.integrator_limit
-        )
+        (px, py, pz), (vx, vy, vz) = est.pose.position.tolist(), est.velocity.tolist()
+        (rx, ry, rz), (rvx, rvy, rvz), (ax, ay, az), (wx, wy, wz) = (
+            np.asarray(a, dtype=float).tolist()
+            for a in (ref.position, ref.velocity, ref.accel, body_rate))
+        if not all(map(math.isfinite, (px, py, pz, vx, vy, vz, rx, ry, rz, rvx, rvy, rvz,
+                                       ax, ay, az, wx, wy, wz, ref.heading, ref.heading_rate))):
+            raise ValueError("non-finite estimate, reference or body rate")
 
-        kp = np.array([g.kp_planar, g.kp_planar, g.kp_vertical])
-        kd = np.array([g.kd_planar, g.kd_planar, g.kd_vertical])
-        a_cmd = ref.accel + kp * e_p + kd * e_v + g.ki * self.integrator
-        a_cmd = a_cmd + (p.drag / p.mass) * est.velocity
+        ex, ey, ez = rx - px, ry - py, rz - pz
+        lim = g.integrator_limit
+        ix, iy, iz = self.integrator
+        ix, iy, iz = (min(max(ix + ex * dt, -lim), lim), min(max(iy + ey * dt, -lim), lim),
+                      min(max(iz + ez * dt, -lim), lim))
+        self.integrator = (ix, iy, iz)
 
-        f_vec = a_cmd - GRAVITY
-        if np.linalg.norm(f_vec) < -0.1 * GRAVITY[2]:
+        kpp, kdp, kpv, kdv, ki = g.kp_planar, g.kd_planar, g.kp_vertical, g.kd_vertical, g.ki
+        dm = p.drag / p.mass
+        f = (ax + kpp * ex + kdp * (rvx - vx) + ki * ix + dm * vx - _GX,
+             ay + kpp * ey + kdp * (rvy - vy) + ki * iy + dm * vy - _GY,
+             az + kpv * ez + kdv * (rvz - vz) + ki * iz + dm * vz - _GZ)
+        f_norm = _norm(f)
+        if f_norm < -0.1 * _GZ:
             r_des = self.last_r_des
             self.freefall_events += 1
         else:
-            r_des = desired_attitude(f_vec, ref.heading)
+            r_des = desired_attitude((f[0] / f_norm, f[1] / f_norm, f[2] / f_norm), ref.heading)
             self.last_r_des = r_des
 
         r_est = est.pose.orientation.to_matrix()
-        thrust = p.mass * float(f_vec @ r_est[:, 2])
+        thrust = p.mass * float(np.array(f).dot(r_est[:, 2]))
         thrust = min(max(thrust, 0.0), p.max_thrust)
 
-        e_rot = 0.5 * _vee(r_des.T @ r_est - r_est.T @ r_des)
-        rate_ff = r_est.T @ np.array([0.0, 0.0, ref.heading_rate])
-        e_rate = np.asarray(body_rate, dtype=float) - rate_ff
-        c1 = np.array([g.att_stiffness, g.att_stiffness, g.kp_yaw])
-        c2 = np.array([g.att_damping, g.att_damping, g.kd_yaw])
-        inertia = np.asarray(p.inertia)
-        rate = np.asarray(body_rate, dtype=float)
-        torque = inertia * (-c1 * e_rot - c2 * e_rate) + np.array(cross3(rate, inertia * rate))
-        torque = np.clip(torque, -p.max_torque, p.max_torque)
-        return thrust, torque
+        # 0.5 vee(M - M.T), M = r_des.T r_est; r_est.T r_des is M.T bit for bit
+        (_, m01, m02), (m10, _, m12), (m20, m21, _) = r_des.T.dot(r_est).tolist()
+        erx, ery, erz = 0.5 * (m21 - m12), 0.5 * (m02 - m20), 0.5 * (m10 - m01)
+        # r_est.T @ (0, 0, heading_rate) is the last row of r_est times the
+        # rate; its zero terms only turn a -0.0 into +0.0
+        ewx, ewy, ewz = (w - (r * ref.heading_rate + 0.0)
+                         for w, r in zip((wx, wy, wz), r_est[2].tolist()))
+        c1, c2, c1z, c2z = g.att_stiffness, g.att_damping, g.kp_yaw, g.kd_yaw
+        jx, jy, jz = p.inertia
+        cx, cy, cz = cross3((wx, wy, wz), (jx * wx, jy * wy, jz * wz))  # gyroscopic term
+        tx = jx * (-c1 * erx - c2 * ewx) + cx
+        ty = jy * (-c1 * ery - c2 * ewy) + cy
+        tz = jz * (-c1z * erz - c2z * ewz) + cz
+        lim = p.max_torque
+        return thrust, (min(max(tx, -lim), lim), min(max(ty, -lim), lim), min(max(tz, -lim), lim))

@@ -13,18 +13,24 @@ No pseudo-velocity is ever differenced from consecutive measurements;
 the velocity state is instead corrected by its steady-state gain acting
 on the position innovation (without this the decoupled error loop is
 unstable: its per-cycle eigenvalues exceed one).
+
+The filter runs on `geometry`'s plain-float kernels: `_predict` steps a
+float state tuple, and a `NavEstimate` is built from it only when read.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, Quat
-from .simulation import GRAVITY, IMU_PERIOD, POSE_PERIOD, ImuSample, NoiseConfig, PoseMeasurement
+from .geometry import Pose, Quat, _norm, quat_from_rotvec, quat_mul, quat_normalize, quat_rotate
+from .simulation import (
+    _GX, _GY, _GZ, IMU_PERIOD, POSE_PERIOD, ImuSample, NoiseConfig, PoseMeasurement,
+)
 
 BUFFER_SPAN = 0.5  # replayable IMU history; must exceed the pose delay [s]
 GATE_SIGMAS = 5.0
@@ -72,25 +78,53 @@ class FusionWeights:
                 raise ValueError(f"{name} weight must be in [0, 1], got {v}")
 
 
+def _state_of(est: NavEstimate) -> tuple:
+    q = est.pose.orientation
+    return (est.pose.position.tolist(), est.velocity.tolist(), (q.w, q.x, q.y, q.z),
+            est.accel_bias.tolist(), est.gyro_bias.tolist(), est.stamp)
+
+
+def _estimate_of(x: tuple) -> NavEstimate:
+    p, v, q, ab, gb, t = x
+    return NavEstimate(Pose(np.array(p), Quat(*q), t), np.array(v), np.array(ab), np.array(gb), t)
+
+
+def _imu_of(imu: ImuSample) -> tuple:
+    f, w = (np.asarray(a, dtype=float).tolist() for a in (imu.specific_force, imu.angular_rate))
+    return imu.stamp, f, w
+
+
+def _predict(x: tuple, stamp: float, f, w) -> tuple:
+    """Euler integration of one IMU sample (stamp, specific force f, angular
+    rate w) onto the float state x, rounding as the numpy expressions do.
+    Raises FilterError on a stamp not after x's, ValueError on a non-finite result.
+    """
+    p, v, q, ab, gb, t = x
+    dt = stamp - t
+    if dt <= 0:
+        raise FilterError(f"non-monotonic IMU stamp: {stamp} after {t}")
+    dq = quat_from_rotvec(((w[0] - gb[0]) * dt, (w[1] - gb[1]) * dt, (w[2] - gb[2]) * dt))
+    q = quat_normalize(*quat_normalize(*quat_mul(q, dq)))  # as `(q * dq).normalized()`
+    ax, ay, az = quat_rotate(q, (f[0] - ab[0], f[1] - ab[1], f[2] - ab[2]))
+    v = (v[0] + (ax + _GX) * dt, v[1] + (ay + _GY) * dt, v[2] + (az + _GZ) * dt)
+    p = (p[0] + v[0] * dt, p[1] + v[1] * dt, p[2] + v[2] * dt)
+    if not all(map(math.isfinite, (stamp, *p, *v, *q))):
+        raise ValueError("IMU sample gave a non-finite estimate")
+    return (p, v, q, ab, gb, stamp)
+
+
 def predict(est: NavEstimate, imu: ImuSample) -> NavEstimate:
     """Euler integration of one IMU sample onto the estimate."""
-    dt = imu.stamp - est.stamp
-    if dt <= 0:
-        raise FilterError(f"non-monotonic IMU stamp: {imu.stamp} after {est.stamp}")
-    rate = np.asarray(imu.angular_rate, dtype=float) - est.gyro_bias
-    q = (est.pose.orientation * Quat.from_rotvec(rate * dt)).normalized()
-    f = np.asarray(imu.specific_force, dtype=float) - est.accel_bias
-    v = est.velocity + (q.rotate(f) + GRAVITY) * dt
-    p = est.pose.position + v * dt
-    return NavEstimate(Pose(p, q, imu.stamp), v, est.accel_bias, est.gyro_bias, imu.stamp)
+    return _estimate_of(_predict(_state_of(est), *_imu_of(imu)))
 
 
 class NavFilter:
     """Single-writer prediction/correction filter instance.
 
-    The initial estimate and every prediction are kept, each with the IMU
-    sample it came from (none for the initial one), for the last
-    BUFFER_SPAN seconds so that a delayed measurement can be replayed.
+    The float states of the initial estimate and of every prediction are
+    kept, each with its IMU sample as (stamp, f, w) floats (none for the
+    initial one), for the last BUFFER_SPAN seconds so that a delayed
+    measurement can be replayed; `estimate` is built once per state.
     Innovations beyond GATE_SIGMAS times the per-axis innovation sigmas
     `gate_stds` (position [m], angle [rad], as `steady_state` returns
     them) are dropped and counted; with `gate_stds=None` nothing is
@@ -106,10 +140,10 @@ class NavFilter:
         weights: FusionWeights,
         gate_stds: tuple[float, float] | None = None,
     ):
-        self.estimate = initial
+        self._x, self._estimate = _state_of(initial), initial
         self.weights = weights
-        self.buffer: deque[tuple[ImuSample | None, NavEstimate]] = deque(
-            [(None, initial)], maxlen=round(BUFFER_SPAN / IMU_PERIOD) + 2
+        self.buffer: deque[tuple[tuple | None, tuple]] = deque(
+            [(None, self._x)], maxlen=round(BUFFER_SPAN / IMU_PERIOD) + 2
         )
         self.dropped_stale = 0
         self.dropped_gated = 0
@@ -120,26 +154,36 @@ class NavFilter:
                 raise ValueError(f"gate sigmas must be finite and positive, got {gate_stds}")
             self._gate_pos, self._gate_rot = (GATE_SIGMAS * s * math.sqrt(3.0) for s in gate_stds)
 
+    @property
+    def estimate(self) -> NavEstimate:
+        if self._estimate is None:
+            self._estimate = _estimate_of(self._x)
+        return self._estimate
+
     def predict(self, imu: ImuSample) -> NavEstimate:
-        self.estimate = predict(self.estimate, imu)
-        self.buffer.append((imu, self.estimate))
+        sample = _imu_of(imu)
+        self._x, self._estimate = _predict(self._x, *sample), None
+        self.buffer.append((sample, self._x))
         return self.estimate
 
-    def _blend(self, snap: NavEstimate, innov_p: np.ndarray, rot_innov: np.ndarray) -> NavEstimate:
+    def _blend(self, snap: tuple, innov_p: list, rot_innov: list) -> tuple:
         w = self.weights
-        p = snap.pose.position + w.position * innov_p
-        v = snap.velocity + (w.velocity / POSE_PERIOD) * innov_p
-        q = (snap.pose.orientation * Quat.from_rotvec(w.orientation * rot_innov)).normalized()
-        r_t = snap.pose.orientation.to_matrix().T
-        accel_bias = snap.accel_bias - w.accel_bias * (r_t @ innov_p)
-        gyro_bias = snap.gyro_bias - w.gyro_bias * rot_innov
-        return NavEstimate(Pose(p, q, snap.stamp), v, accel_bias, gyro_bias, snap.stamp)
+        p, v, q, ab, gb, stamp = snap
+        kv = w.velocity / POSE_PERIOD
+        dq = quat_from_rotvec([w.orientation * r for r in rot_innov])
+        # a 3x3 @ 3-vector product (gemv) rounds unlike per-row dots, so it stays numpy
+        body = (Quat(*q).to_matrix().T @ np.array(innov_p)).tolist()
+        return ([a + w.position * d for a, d in zip(p, innov_p)],
+                [a + kv * d for a, d in zip(v, innov_p)],
+                quat_normalize(*quat_normalize(*quat_mul(q, dq))),
+                [a - w.accel_bias * d for a, d in zip(ab, body)],
+                [a - w.gyro_bias * r for a, r in zip(gb, rot_innov)], stamp)
 
-    def _gated(self, innov_p: np.ndarray, rot_innov: np.ndarray) -> bool:
+    def _gated(self, innov_p: list, rot_innov: list) -> bool:
         if self._gate_pos is None:
             return False
-        big_pos = np.linalg.norm(innov_p) > self._gate_pos
-        big_rot = np.linalg.norm(rot_innov) > self._gate_rot
+        big_pos = _norm(innov_p) > self._gate_pos
+        big_rot = _norm(rot_innov) > self._gate_rot
         if not (big_pos or big_rot):
             self._consecutive_rejects = 0
             return False
@@ -156,28 +200,25 @@ class NavFilter:
         and the blend share one innovation: the position difference and the
         rotation vector from the snapshot's orientation to the measured one.
         """
-        idx = -1
-        for i, (_, snap) in enumerate(self.buffer):
-            if snap.stamp > meas.capture_stamp + 1e-9:
-                break
-            idx = i
+        buf = self.buffer
+        idx = bisect_right(buf, meas.capture_stamp + 1e-9, key=lambda entry: entry[1][5]) - 1
         if idx < 0:
             self.dropped_stale += 1
             return self.estimate
 
-        _, snap = self.buffer[idx]
-        innov_p = meas.pose.position - snap.pose.position
-        rot_innov = (snap.pose.orientation.conjugate() * meas.pose.orientation).as_rotvec()
+        snap = buf[idx][1]
+        innov_p = [a - b for a, b in zip(meas.pose.position.tolist(), snap[0])]
+        rot_innov = (Quat(*snap[2]).conjugate() * meas.pose.orientation).as_rotvec().tolist()
         if self._gated(innov_p, rot_innov):
             self.dropped_gated += 1
             return self.estimate
 
         current = self._blend(snap, innov_p, rot_innov)
-        for i in range(idx + 1, len(self.buffer)):
-            imu, _ = self.buffer[i]
-            current = predict(current, imu)
-            self.buffer[i] = (imu, current)
-        self.estimate = current
+        for i in range(idx + 1, len(buf)):
+            sample = buf[i][0]
+            current = _predict(current, *sample)
+            buf[i] = (sample, current)
+        self._x, self._estimate = current, None
         return self.estimate
 
 

@@ -126,7 +126,7 @@ class Pose:
 
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        if not np.all(np.isfinite(self.position)) or not math.isfinite(self.stamp):
+        if not all(map(math.isfinite, (*self.position.ravel().tolist(), self.stamp))):
             raise ValueError("pose fields must be finite")
 
     @staticmethod
@@ -151,7 +151,8 @@ class Twist:
     def __post_init__(self):
         object.__setattr__(self, "linear", np.asarray(self.linear, dtype=float))
         object.__setattr__(self, "angular", np.asarray(self.angular, dtype=float))
-        if not (np.all(np.isfinite(self.linear)) and np.all(np.isfinite(self.angular))):
+        values = self.linear.ravel().tolist() + self.angular.ravel().tolist()
+        if not all(map(math.isfinite, values)):
             raise ValueError("twist components must be finite")
 
 
@@ -207,8 +208,9 @@ def point_rows(points, what: str) -> np.ndarray:
 # Python floats. These kernels round exactly as the numpy expressions of
 # the same operation: `cross3` as `np.cross` on one pair, and every norm
 # goes through a 1-D dot (see `row_dot`) as `np.linalg.norm` does, never
-# through `x*x + y*y + z*z`. The `Quat` methods and the simulator's
-# rigid-body step share them.
+# through `x*x + y*y + z*z`. The `Quat` methods, the simulator's rigid-body
+# step, the filter's prediction (`estimation._predict`) and the controller's
+# step (`control.Controller.step`) share them.
 
 
 def cross3(a, b) -> tuple:
@@ -266,7 +268,7 @@ def quat_rotate(q, v) -> tuple:
 
 def _norm(v) -> float:
     a = np.array(v)
-    return math.sqrt(a @ a)
+    return math.sqrt(a.dot(a))  # as np.linalg.norm; `a @ a` rounds alike but is slower
 
 
 def quat_from_axis_angle(axis, angle: float) -> tuple:

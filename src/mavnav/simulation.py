@@ -82,26 +82,27 @@ class PoseMeasurement:
 
 @dataclass(frozen=True)
 class WindProfile:
-    constant: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    """Constant wind plus gusts; velocities are held as float 3-tuples."""
+
+    constant: tuple = (0.0, 0.0, 0.0)
     gusts: tuple = ()  # (start [s], duration [s], velocity 3-vector)
 
     def __post_init__(self):
-        object.__setattr__(self, "constant", np.asarray(self.constant, dtype=float))
-        gusts = tuple(
-            (float(s), float(d), np.asarray(v, dtype=float)) for s, d, v in self.gusts
-        )
+        object.__setattr__(self, "constant", tuple(np.asarray(self.constant, dtype=float).tolist()))
+        gusts = tuple((float(s), float(d), tuple(np.asarray(v, dtype=float).tolist()))
+                      for s, d, v in self.gusts)
         if any(d <= 0 for _, d, _ in gusts):
             raise ValueError("gust durations must be positive")
         if list(s for s, _, _ in gusts) != sorted(s for s, _, _ in gusts):
             raise ValueError("gusts must be sorted by start time")
         object.__setattr__(self, "gusts", gusts)
 
-    def wind_at(self, t: float) -> np.ndarray:
-        w = self.constant.copy()
-        for start, duration, vel in self.gusts:
+    def wind_at(self, t: float) -> tuple:
+        wx, wy, wz = self.constant
+        for start, duration, (gx, gy, gz) in self.gusts:
             if start <= t < start + duration:
-                w += vel
-        return w
+                wx, wy, wz = wx + gx, wy + gy, wz + gz
+        return (wx, wy, wz)
 
 
 @dataclass(frozen=True)
@@ -286,8 +287,8 @@ class Simulator:
         n, stamp = self._step_count, self._stamp
         while True:
             v_before = v
-            wind = self.wind.wind_at(n * dt).tolist()
-            p, v, q, w = _rigid_step(p, v, q, w, thrust, torque, wind, dt, self.params)
+            p, v, q, w = _rigid_step(p, v, q, w, thrust, torque, self.wind.wind_at(n * dt), dt,
+                                     self.params)
             n += 1
             stamp += dt
             if n % self._imu_every == 0:

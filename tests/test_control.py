@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_geometry import wxyz
+from test_simulation import orientations, vec
 
 from mavnav.control import (
     Controller,
@@ -12,7 +16,7 @@ from mavnav.control import (
 )
 from mavnav.estimation import NavEstimate
 from mavnav.geometry import Pose, Quat
-from mavnav.simulation import VehicleParams
+from mavnav.simulation import GRAVITY, VehicleParams
 from mavnav.trajectory import RefPoint
 
 PARAMS = VehicleParams()
@@ -21,6 +25,77 @@ PARAMS = VehicleParams()
 def hover_ref(position=(0.0, 0.0, 0.0), heading=0.0):
     z = np.zeros(3)
     return RefPoint(np.asarray(position, dtype=float), z, z, z, z, heading, 0.0, 0.0)
+
+
+def desired_attitude_oracle(f_vec, heading):
+    z_b = f_vec / np.linalg.norm(f_vec)
+    x_c = np.array([math.cos(heading), math.sin(heading), 0.0])
+    y_b = np.cross(z_b, x_c)
+    n = np.linalg.norm(y_b)
+    if n < 1e-9:
+        y_b = np.array([0.0, 1.0, 0.0])
+        n = 1.0
+    y_b = y_b / n
+    x_b = np.cross(y_b, z_b)
+    return np.column_stack([x_b, y_b, z_b])
+
+
+def controller_step_oracle(ctl, est, ref, body_rate, dt):
+    """`Controller.step` as numpy 3-vector expressions, on a copy of the
+    controller's state; returns (thrust, torque, integrator, r_des, freefall)."""
+    g, p = ctl.gains, ctl.vehicle
+    e_p = ref.position - est.pose.position
+    e_v = ref.velocity - est.velocity
+    integrator = np.clip(np.array(ctl.integrator) + e_p * dt, -g.integrator_limit,
+                         g.integrator_limit)
+    kp = np.array([g.kp_planar, g.kp_planar, g.kp_vertical])
+    kd = np.array([g.kd_planar, g.kd_planar, g.kd_vertical])
+    a_cmd = ref.accel + kp * e_p + kd * e_v + g.ki * integrator
+    a_cmd = a_cmd + (p.drag / p.mass) * est.velocity
+    f_vec = a_cmd - GRAVITY
+    freefall = bool(np.linalg.norm(f_vec) < -0.1 * GRAVITY[2])
+    r_des = ctl.last_r_des if freefall else desired_attitude_oracle(f_vec, ref.heading)
+
+    w, x, y, z = wxyz(est.pose.orientation)
+    r_est = np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+    thrust = p.mass * float(f_vec @ r_est[:, 2])
+    thrust = min(max(thrust, 0.0), p.max_thrust)
+
+    e_mat = r_des.T @ r_est - r_est.T @ r_des
+    e_rot = 0.5 * np.array([e_mat[2, 1], e_mat[0, 2], e_mat[1, 0]])
+    rate = np.asarray(body_rate, dtype=float)
+    e_rate = rate - r_est.T @ np.array([0.0, 0.0, ref.heading_rate])
+    c1 = np.array([g.att_stiffness, g.att_stiffness, g.kp_yaw])
+    c2 = np.array([g.att_damping, g.att_damping, g.kd_yaw])
+    inertia = np.asarray(p.inertia)
+    torque = inertia * (-c1 * e_rot - c2 * e_rate) + np.cross(rate, inertia * rate)
+    torque = np.clip(torque, -p.max_torque, p.max_torque)
+    return thrust, torque, integrator, r_des, freefall
+
+
+def assert_step_matches_oracle(ctl, est, ref, body_rate, dt=0.01):
+    """Steps `ctl` and checks every output and state bit against the oracle."""
+    thrust, torque, integrator, r_des, freefall = controller_step_oracle(ctl, est, ref, body_rate,
+                                                                         dt)
+    events = ctl.freefall_events
+    out = ctl.step(est, ref, body_rate, dt)
+    bits = lambda a: np.asarray(a, dtype=float).tobytes()
+    assert bits(out[0]) == bits(thrust)
+    assert bits(out[1]) == bits(torque)
+    assert bits(ctl.integrator) == bits(integrator)
+    assert bits(ctl.last_r_des) == bits(r_des)
+    assert ctl.freefall_events == events + freefall
+    return out
+
+
+def ref_point(position, velocity, accel, heading, heading_rate):
+    z = np.zeros(3)
+    return RefPoint(np.asarray(position, dtype=float), np.asarray(velocity, dtype=float),
+                    np.asarray(accel, dtype=float), z, z, heading, heading_rate, 0.0)
 
 
 class TestIntegratorChainGains:
@@ -95,9 +170,76 @@ class TestControlStep:
         for _ in range(50):
             f = rng.normal(size=3)
             f[2] = abs(f[2]) + 2.0
-            r = desired_attitude(f, rng.uniform(-math.pi, math.pi))
+            r = desired_attitude(f / np.linalg.norm(f), rng.uniform(-math.pi, math.pi))
             np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-12)
             assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestControlKernel:
+    @given(vec(20.0), vec(5.0), orientations, vec(20.0), vec(5.0), vec(10.0),
+           st.floats(-4.0, 4.0), st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), vec(10.0),
+           vec(3.0))
+    @settings(max_examples=400, deadline=None)
+    def test_kernel_matches_oracle(self, p, v, q, rp, rv, ra, heading, heading_rate, rate, integ):
+        ctl = Controller(place_poles(vehicle=PARAMS, integrator_limit=2.0), PARAMS)
+        ctl.integrator = tuple(integ.tolist())
+        est = NavEstimate(pose=Pose(p, q), velocity=v)
+        ref = ref_point(rp, rv, ra, heading, heading_rate)
+        for _ in range(3):  # the integrator and the held attitude carry over
+            assert_step_matches_oracle(ctl, est, ref, rate)
+
+    def test_kernel_matches_oracle_on_each_branch(self):
+        ctl = Controller(place_poles(vehicle=PARAMS, integrator_limit=0.5), PARAMS)
+        level = NavEstimate()
+        # half turns: w == 0 exactly
+        for q in [(0.0, -0.6, 0.8, 0.0), (0.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 0.0)]:
+            est = NavEstimate(pose=Pose(np.array([0.3, -0.2, 0.1]), Quat(*q)))
+            ref = ref_point([1, 2, 0], [0, 0, 1], [0, 1, 0], 0.4, 0.2)
+            assert_step_matches_oracle(ctl, est, ref, [0.1, -0.3, 0.2])
+        # freefall: the commanded force vanishes, the last attitude is held
+        held = ctl.last_r_des.copy()
+        falling = ref_point(np.zeros(3), np.zeros(3), GRAVITY, 1.0, 0.5)
+        assert_step_matches_oracle(ctl, level, falling, [0.2, 0.0, 0.0])
+        assert ctl.freefall_events == 1 and np.array_equal(ctl.last_r_des, held)
+        # clamped thrust, both ends, and clamped torque on every axis
+        thrust, torque = assert_step_matches_oracle(
+            ctl, level, ref_point([0, 0, 50], [0, 0, 10], [0, 0, 30], 0.0, 0.0), [60, -60, 60])
+        assert thrust == PARAMS.max_thrust and np.all(np.abs(torque) == PARAMS.max_torque)
+        upside_down = NavEstimate(pose=Pose(np.zeros(3), Quat(0.0, 1.0, 0.0, 0.0)))
+        thrust, _ = assert_step_matches_oracle(ctl, upside_down, hover_ref(), np.zeros(3))
+        assert thrust == 0.0
+        # thrust along the heading axis: world y is the fallback
+        fresh = Controller(place_poles(vehicle=PARAMS), PARAMS)
+        along_x = ref_point(np.zeros(3), np.zeros(3), [5.0, 0.0, -9.81], 0.0, 0.0)
+        assert_step_matches_oracle(fresh, level, along_x, np.zeros(3))
+        np.testing.assert_array_equal(fresh.last_r_des[:, 1], [0.0, 1.0, 0.0])
+        # a saturated integrator
+        for _ in range(200):
+            assert_step_matches_oracle(ctl, level, hover_ref(position=(5.0, -5.0, 5.0)),
+                                       np.zeros(3))
+        assert ctl.integrator == (0.5, -0.5, 0.5)
+
+    @pytest.mark.parametrize("where", ["position", "velocity", "ref_position", "ref_velocity",
+                                       "ref_accel", "heading", "heading_rate", "body_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, where, value):
+        ctl = Controller(place_poles(vehicle=PARAMS), PARAMS)
+        ctl.step(NavEstimate(), hover_ref(position=(1.0, 0.0, 0.0)), np.zeros(3), 0.01)
+        state = (ctl.integrator, ctl.last_r_des.copy(), ctl.freefall_events)
+        est = NavEstimate(velocity=[value, 0.0, 0.0] if where == "velocity" else np.zeros(3))
+        if where == "position":
+            est.pose.position[1] = value  # Pose checks on construction, not afterwards
+        bad = [0.0, value, 0.0]
+        ref = ref_point(bad if where == "ref_position" else np.zeros(3),
+                        bad if where == "ref_velocity" else np.zeros(3),
+                        bad if where == "ref_accel" else np.zeros(3),
+                        value if where == "heading" else 0.0,
+                        value if where == "heading_rate" else 0.0)
+        rate = bad if where == "body_rate" else np.zeros(3)
+        with pytest.raises(ValueError, match="non-finite"):
+            ctl.step(est, ref, rate, 0.01)
+        assert ctl.integrator == state[0] and ctl.freefall_events == state[2]
+        np.testing.assert_array_equal(ctl.last_r_des, state[1])
 
 
 class TestClosedLoopEigenvalues:

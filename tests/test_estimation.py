@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_geometry import from_rotvec_oracle, mul_oracle, normalized_oracle, rotate_oracle, wxyz
+from test_simulation import orientations, rates, vec
 
 from mavnav.estimation import (
     MAX_GATE_REJECTS,
@@ -15,6 +19,7 @@ from mavnav.estimation import (
 )
 from mavnav.geometry import Pose, Quat, quat_from_axis_angle
 from mavnav.simulation import (
+    GRAVITY,
     ImuSample,
     NoiseConfig,
     PoseMeasurement,
@@ -33,7 +38,49 @@ def imu_at(t, f=(0.0, 0.0, 9.81), w=(0.0, 0.0, 0.0)):
     return ImuSample(t, np.asarray(f, dtype=float), np.asarray(w, dtype=float))
 
 
+def predict_oracle(est, imu):
+    """`predict` as numpy 3-vector expressions with the numpy quaternion
+    oracles; returns (p, v, q), q a (w, x, y, z) tuple."""
+    dt = imu.stamp - est.stamp
+    rate = np.asarray(imu.angular_rate, dtype=float) - est.gyro_bias
+    q = normalized_oracle(mul_oracle(wxyz(est.pose.orientation), from_rotvec_oracle(rate * dt)))
+    f = np.asarray(imu.specific_force, dtype=float) - est.accel_bias
+    v = est.velocity + (rotate_oracle(q, f) + GRAVITY) * dt
+    p = est.pose.position + v * dt
+    return p, v, q
+
+
+def assert_predict_matches_oracle(est, imu):
+    out = predict(est, imu)
+    p, v, q = predict_oracle(est, imu)
+    assert out.pose.position.tobytes() == p.tobytes()
+    assert out.velocity.tobytes() == v.tobytes()
+    assert wxyz(out.pose.orientation) == q
+    assert out.stamp == out.pose.stamp == imu.stamp
+    assert np.array_equal(out.accel_bias, est.accel_bias)
+    assert np.array_equal(out.gyro_bias, est.gyro_bias)
+    return out
+
+
 class TestPredict:
+    @given(vec(100.0), vec(20.0), orientations, vec(1.0), vec(0.1), vec(50.0), rates,
+           st.sampled_from([0.001, 0.01, 0.02]))
+    @settings(max_examples=400, deadline=None)
+    def test_kernel_matches_oracle(self, p, v, q, accel_bias, gyro_bias, force, rate, dt):
+        est = NavEstimate(Pose(p, q, 0.25), v, accel_bias, gyro_bias, 0.25)
+        assert_predict_matches_oracle(est, ImuSample(0.25 + dt, force, rate + gyro_bias))
+
+    def test_kernel_matches_oracle_on_half_turns(self):
+        # w == 0 exactly with no net increment, and the canonical sign makes
+        # the largest component positive
+        for q in [(0.0, -0.6, 0.8, 0.0), (0.0, 0.0, -0.8, 0.6), (0.0, 1.0, 0.0, 0.0)]:
+            est = NavEstimate(Pose(np.ones(3), Quat(*q)), np.ones(3), gyro_bias=[0.1, -0.2, 0.3])
+            out = assert_predict_matches_oracle(est, imu_at(0.01, w=[0.1, -0.2, 0.3]))
+            w, *xyz = wxyz(out.pose.orientation)
+            assert w == 0.0 and max(xyz, key=abs) > 0
+        # the first-order rotvec branch: an increment below 1e-12 rad
+        assert_predict_matches_oracle(NavEstimate(), imu_at(0.001, w=[3e-10, -1e-10, 2e-10]))
+
     def test_stationary_equilibrium(self):
         est = NavEstimate()
         for k in range(1, 101):
@@ -65,6 +112,23 @@ class TestPredict:
         est = NavEstimate(stamp=1.0)
         with pytest.raises(FilterError):
             predict(est, imu_at(0.5))
+
+    @pytest.mark.parametrize("bad", [
+        imu_at(0.06, f=(0.0, math.nan, 9.81)), imu_at(0.06, f=(math.inf, 0.0, 9.81)),
+        imu_at(0.06, w=(0.0, 0.0, math.nan)), imu_at(0.06, w=(-math.inf, 0.0, 0.0)),
+        imu_at(math.nan),
+    ])
+    def test_non_finite_sample_rejected_and_filter_unchanged(self, bad):
+        filt = make_filter()
+        for k in range(1, 6):
+            filt.predict(imu_at(0.01 * k, w=(0.1, 0.0, 0.2)))
+        before, buffer = filt.estimate, list(filt.buffer)
+        with pytest.raises(ValueError):
+            filt.predict(bad)
+        assert filt.estimate is before
+        assert list(filt.buffer) == buffer
+        filt.predict(imu_at(0.06))  # the filter goes on from where it was
+        assert filt.estimate.stamp == 0.06
 
 
 def make_filter(weights=None, gate_stds=None):
