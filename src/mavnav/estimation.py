@@ -14,8 +14,9 @@ the velocity state is instead corrected by its steady-state gain acting
 on the position innovation (without this the decoupled error loop is
 unstable: its per-cycle eigenvalues exceed one).
 
-The filter runs on `geometry`'s plain-float kernels: `_predict` steps a
-float state tuple, and a `NavEstimate` is built from it only when read.
+The filter runs on `geometry`'s plain-float kernels, as the simulator's
+rigid-body step and `control.Controller.step` do: `_predict` steps a float
+state tuple, and a `NavEstimate` is built from it only when read.
 """
 
 from __future__ import annotations
