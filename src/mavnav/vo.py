@@ -8,6 +8,14 @@ previous and current stereo pairs (mutual nearest descriptors; the
 within-pair links are given by the rectified pairing), and bucketing
 spreads the survivors over the image.
 
+Observations and matches are arrays. A `StereoFrame` holds one row per
+observation: the landmark id (ground truth, which matching and
+estimation never read), the pixels (u_left, v_left, u_right, v_right)
+and the descriptor. Observations arrive stereo-paired, so a quad
+(left_prev, right_prev, left_cur, right_cur) is one row in each frame,
+and the quads of a frame pair are an (m, 2) integer array of (previous
+row, current row).
+
 Frame-to-frame motion follows the quad-matching, 3-point RANSAC and
 Gauss-Newton odometry of Kitt, Geiger & Lategahn (2010). Every minimal
 sample of a frame is drawn up front, and all hypotheses are refined from
@@ -33,7 +41,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -52,6 +60,18 @@ class NoMotionEstimateError(VoError):
     pass
 
 
+def _validate(cfg, **checks: bool) -> None:
+    """Raise a ValueError naming the first field of `cfg` that is not
+    finite (None passes), else the first field whose check is False."""
+    for name in (f.name for f in fields(cfg)):
+        value = getattr(cfg, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    for name, ok in checks.items():
+        if not ok:
+            raise ValueError(f"{name} is out of range, got {getattr(cfg, name)}")
+
+
 @dataclass(frozen=True)
 class StereoCalib:
     focal: float = 450.0  # [px]
@@ -62,30 +82,15 @@ class StereoCalib:
     height: int = 480
 
     def __post_init__(self):
-        if self.focal <= 0 or self.baseline <= 0:
-            raise ValueError("focal length and baseline must be positive")
+        _validate(self, focal=self.focal > 0, baseline=self.baseline > 0, width=self.width > 0,
+                  height=self.height > 0)
 
 
-@dataclass(frozen=True)
-class StereoObservation:
-    feature_id: int
-    left: tuple[float, float]
-    right: tuple[float, float]
-    descriptor: float
-
-
-@dataclass(frozen=True)
-class QuadMatch:
-    """Indices into (left_prev, right_prev, left_cur, right_cur).
-
-    Synthetic observations arrive stereo-paired, so the within-frame
-    indices coincide; the temporal links close the matching loop.
-    """
-
-    left_prev: int
-    right_prev: int
-    left_cur: int
-    right_cur: int
+@dataclass(frozen=True, eq=False)
+class StereoFrame:
+    ids: np.ndarray  # (n,) landmark indices
+    px: np.ndarray  # (n, 4): u_left, v_left, u_right, v_right
+    descriptors: np.ndarray  # (n,)
 
 
 @dataclass(frozen=True)
@@ -104,15 +109,19 @@ class SceneConfig:
     closed_loop: bool = False  # circular trajectory returning to start
 
     def __post_init__(self):
-        if self.n_landmarks < 50:
-            raise ValueError("need at least 50 landmarks")
+        _validate(self, n_landmarks=self.n_landmarks >= 50, n_frames=self.n_frames >= 1,
+                  corridor_halfwidth=self.corridor_halfwidth > 0,
+                  corridor_height=self.corridor_height > 0, min_depth=self.min_depth > 0,
+                  max_depth=self.max_depth >= self.min_depth, pixel_noise=self.pixel_noise >= 0,
+                  outlier_rate=0 <= self.outlier_rate <= 1,
+                  descriptor_noise=self.descriptor_noise >= 0)
 
 
 @dataclass
 class StereoScene:
     landmarks: np.ndarray
     trajectory: list[Pose]
-    frames: list[list[StereoObservation]]
+    frames: list[StereoFrame]
     config: SceneConfig
     seed: int
 
@@ -131,15 +140,12 @@ def camera_orientation(forward: np.ndarray) -> Quat:
     return Quat.from_matrix(np.column_stack([r, down, f]))
 
 
-def project_stereo(calib: StereoCalib, p_cam: np.ndarray):
-    """(u_l, v_l, u_r, v_r) of a camera-frame point; None behind camera."""
-    x, y, z = p_cam
-    if z <= 1e-6:
-        return None
-    u_l = calib.focal * x / z + calib.cx
-    v = calib.focal * y / z + calib.cy
-    u_r = calib.focal * (x - calib.baseline) / z + calib.cx
-    return u_l, v, u_r
+def project_stereo(calib: StereoCalib, p_cam: np.ndarray) -> np.ndarray:
+    """Rows (u_l, v, u_r) of camera-frame points (n, 3) in front of the
+    camera; the rectified pair shares v."""
+    x, y, z = p_cam.T
+    return np.column_stack([calib.focal * x / z + calib.cx, calib.focal * y / z + calib.cy,
+                            calib.focal * (x - calib.baseline) / z + calib.cx])
 
 
 def _triangulate(calib: StereoCalib, px: np.ndarray) -> np.ndarray:
@@ -152,11 +158,6 @@ def _triangulate(calib: StereoCalib, px: np.ndarray) -> np.ndarray:
     x = (px[:, 0] - calib.cx) * z / calib.focal
     y = (px[:, 1] - calib.cy) * z / calib.focal
     return np.column_stack([x, y, z])
-
-
-def triangulate(calib: StereoCalib, obs: StereoObservation) -> np.ndarray:
-    """Camera-frame 3D point from a rectified stereo observation."""
-    return _triangulate(calib, np.array([[*obs.left, *obs.right]], dtype=float))[0]
 
 
 def gen_scene(config: SceneConfig, seed: int, calib: StereoCalib = StereoCalib()) -> StereoScene:
@@ -205,16 +206,13 @@ def gen_scene(config: SceneConfig, seed: int, calib: StereoCalib = StereoCalib()
 
     frames = []
     for pose in poses:
-        r_wc = pose.orientation.to_matrix()
-        obs_list = []
-        for lid in range(config.n_landmarks):
-            p_cam = r_wc.T @ (landmarks[lid] - pose.position)
-            if not (config.min_depth <= p_cam[2] <= config.max_depth):
-                continue
-            proj = project_stereo(calib, p_cam)
-            if proj is None:
-                continue
-            u_l, v, u_r = proj
+        p_cam = (landmarks - pose.position) @ pose.orientation.to_matrix()
+        z = p_cam[:, 2]
+        seen = np.flatnonzero((config.min_depth <= z) & (z <= config.max_depth) & (z > 1e-6))
+        rows = []  # landmark id, u_l, v, u_r, v, descriptor
+        # the draws go landmark by landmark: numpy's normal sampler takes a
+        # variable number of raw draws, so a batched draw would change them
+        for lid, (u_l, v, u_r) in zip(seen.tolist(), project_stereo(calib, p_cam[seen]).tolist()):
             if config.pixel_noise > 0:
                 u_l += rng.normal(0, config.pixel_noise)
                 v += rng.normal(0, config.pixel_noise)
@@ -230,20 +228,19 @@ def gen_scene(config: SceneConfig, seed: int, calib: StereoCalib = StereoCalib()
             descriptor = float(lid)
             if config.descriptor_noise > 0:
                 descriptor += rng.normal(0, config.descriptor_noise)
-            obs_list.append(
-                StereoObservation(lid, (float(u_l), float(v)), (float(u_r), float(v)), descriptor)
-            )
-        frames.append(obs_list)
+            rows.append((lid, u_l, v, u_r, v, descriptor))
+        rows = np.array(rows).reshape(-1, 6)
+        frames.append(StereoFrame(rows[:, 0].astype(np.intp), rows[:, 1:5], rows[:, 5]))
     return StereoScene(landmarks, poses, frames, config, seed)
 
 
 def quad_match(
-    prev_frame: list[StereoObservation],
-    cur_frame: list[StereoObservation],
+    prev_frame: StereoFrame,
+    cur_frame: StereoFrame,
     calib: StereoCalib = StereoCalib(),
     bucket_grid: tuple[int, int] = (8, 5),
     bucket_cap: int = 10,
-) -> list[QuadMatch]:
+) -> np.ndarray:
     """Loop-closed temporal matching plus per-bucket retention.
 
     A candidate pair survives only if the descriptor chain
@@ -252,17 +249,17 @@ def quad_match(
     observations). Matches are bucketed on the current left pixel, and
     each bucket keeps its first `bucket_cap` in previous-frame order. A
     match whose current left pixel is not finite has no bucket and is
-    dropped.
+    dropped. Returns the quads as an (m, 2) array of (previous row,
+    current row).
     """
-    if not prev_frame or not cur_frame:
-        return []
-    d_prev = np.array([o.descriptor for o in prev_frame])
-    d_cur = np.array([o.descriptor for o in cur_frame])
-    fwd = np.abs(d_prev[:, None] - d_cur[None, :]).argmin(axis=1)
-    bwd = np.abs(d_cur[:, None] - d_prev[None, :]).argmin(axis=1)
-    i = np.flatnonzero(bwd[fwd] == np.arange(len(prev_frame)))  # loop closed
+    if not len(prev_frame.ids) or not len(cur_frame.ids):
+        return np.empty((0, 2), dtype=np.intp)
+    # |a - b| and |b - a| are the same float, so one matrix serves both ways
+    dist = np.abs(prev_frame.descriptors[:, None] - cur_frame.descriptors[None, :])
+    fwd, bwd = dist.argmin(axis=1), dist.argmin(axis=0)
+    i = np.flatnonzero(bwd[fwd] == np.arange(len(fwd)))  # loop closed
     j = fwd[i]
-    left = np.array([cur_frame[k].left for k in j.tolist()]).reshape(-1, 2)
+    left = cur_frame.px[j, :2]
     finite = np.isfinite(left).all(axis=1)
     i, j, left = i[finite], j[finite], left[finite]
 
@@ -275,7 +272,7 @@ def quad_match(
     rank = np.empty(len(c), dtype=np.int64)
     rank[order] = np.arange(len(c)) - run_start
     keep = rank < bucket_cap
-    return [QuadMatch(a, a, b, b) for a, b in zip(i[keep].tolist(), j[keep].tolist())]
+    return np.column_stack([i[keep], j[keep]])
 
 
 @dataclass(frozen=True)
@@ -291,6 +288,9 @@ class RansacConfig:
     max_gn_iters: int = 20
     step_tol: float = 1e-9
     seed: int = 0
+
+    def __post_init__(self):
+        _validate(self, threshold_px=self.threshold_px is None or self.threshold_px > 0)
 
 
 _HALVINGS = 0.5 ** np.arange(12)  # line-search step scales, largest first
@@ -458,9 +458,9 @@ def _pixel_error(res):
 
 
 def estimate_motion(
-    quads: list[QuadMatch],
-    prev_frame: list[StereoObservation],
-    cur_frame: list[StereoObservation],
+    quads: np.ndarray,
+    prev_frame: StereoFrame,
+    cur_frame: StereoFrame,
     calib: StereoCalib = StereoCalib(),
     mode: str = "subpixel",
     cfg: RansacConfig = RansacConfig(),
@@ -479,10 +479,12 @@ def estimate_motion(
     the error normalized by that spread, and repeats from the last pose
     until the set settles.
 
+    `quads` is quad_match's (m, 2) array of (previous row, current row).
     Returns (pose, inlier_indices): `pose` is the current camera pose
     expressed in the previous camera frame, so concatenating the
-    returned poses integrates the trajectory; the inliers index `quads`
-    and are the quads within `threshold_px` pixels under that pose.
+    returned poses integrates the trajectory; the inliers index rows of
+    `quads` and are the quads within `threshold_px` pixels under that
+    pose.
     Raises InsufficientDataError below 3 usable quads and
     NoMotionEstimateError below `cfg.min_consensus` inliers.
     """
@@ -492,10 +494,7 @@ def estimate_motion(
     if threshold is None:
         threshold = 1.5 if mode == "pixel" else 0.75
 
-    prev_px = np.array([(*prev_frame[q.left_prev].left, *prev_frame[q.left_prev].right)
-                        for q in quads], dtype=float).reshape(-1, 4)
-    targets = np.array([(*cur_frame[q.left_cur].left, *cur_frame[q.left_cur].right)
-                        for q in quads], dtype=float).reshape(-1, 4)
+    prev_px, targets = prev_frame.px[quads[:, 0]], cur_frame.px[quads[:, 1]]
     if mode == "pixel":
         prev_px, targets = np.round(prev_px), np.round(targets)
     kept = np.flatnonzero(np.isfinite(prev_px).all(axis=1) & np.isfinite(targets).all(axis=1)

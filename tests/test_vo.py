@@ -12,20 +12,24 @@ from mavnav.geometry import Pose, Quat, compose, inverse, relative
 from mavnav.vo import (
     InsufficientDataError,
     NoMotionEstimateError,
-    QuadMatch,
     RansacConfig,
     SceneConfig,
     StereoCalib,
-    StereoObservation,
+    StereoFrame,
     camera_orientation,
     estimate_motion,
     gen_scene,
     project_stereo,
     quad_match,
     run_vo,
-    triangulate,
 )
-from mavnav.vo import _gauss_newton, _residuals
+from mavnav.vo import _gauss_newton, _residuals, _triangulate
+
+# the accuracy test's config
+ACCURACY = SceneConfig(n_frames=2, step=1.0, pixel_noise=0.3, outlier_rate=0.3, max_depth=40.0)
+# vo_corridor's scene (perfbench/workloads.py)
+CORRIDOR = SceneConfig(n_landmarks=400, n_frames=40, step=0.25, yaw_rate=0.01,
+                       pixel_noise=0.5, outlier_rate=0.1)
 
 
 # -- scalar references -------------------------------------------------------
@@ -128,12 +132,53 @@ def _scalar_gauss_newton(points, targets, calib, cfg: RansacConfig, weights=None
     return r_mat, t_vec, cost
 
 
+def _loop_gen_scene(config, seed, calib=StereoCalib()):
+    """gen_scene's scene and the (ids, px, descriptors) of each of its
+    frames from the per-landmark loop that the batched projection
+    replaced. The loop runs on the scene's own trajectory and landmarks,
+    with the generator advanced past their 3 * n_landmarks uniform draws."""
+    scene = gen_scene(config, seed, calib)
+    rng = np.random.default_rng(seed)
+    rng.uniform(size=3 * config.n_landmarks)
+    frames = []
+    for pose in scene.trajectory:
+        r_wc = pose.orientation.to_matrix()
+        ids, px, descriptors = [], [], []
+        for lid in range(config.n_landmarks):
+            x, y, z = r_wc.T @ (scene.landmarks[lid] - pose.position)
+            if not (config.min_depth <= z <= config.max_depth) or z <= 1e-6:
+                continue
+            u_l = calib.focal * x / z + calib.cx
+            v = calib.focal * y / z + calib.cy
+            u_r = calib.focal * (x - calib.baseline) / z + calib.cx
+            if config.pixel_noise > 0:
+                u_l += rng.normal(0, config.pixel_noise)
+                v += rng.normal(0, config.pixel_noise)
+                u_r += rng.normal(0, config.pixel_noise)
+            if config.outlier_rate > 0 and rng.random() < config.outlier_rate:
+                u_l += rng.uniform(-40, 40)
+                v += rng.uniform(-25, 25)
+                u_r += rng.uniform(-40, 40)
+            if not (0 <= u_l < calib.width and 0 <= u_r < calib.width and 0 <= v < calib.height):
+                continue
+            if u_l - u_r <= 0.1:
+                continue
+            descriptor = float(lid)
+            if config.descriptor_noise > 0:
+                descriptor += rng.normal(0, config.descriptor_noise)
+            ids.append(lid)
+            px.append((float(u_l), float(v), float(u_r), float(v)))
+            descriptors.append(descriptor)
+        frames.append((np.array(ids, dtype=np.intp), np.array(px, dtype=float).reshape(-1, 4),
+                       np.array(descriptors, dtype=float)))
+    return scene, frames
+
+
 def _loop_quad_match(prev_frame, cur_frame, calib=StereoCalib(), bucket_grid=(8, 5), bucket_cap=10):
     """Per-match bucketing loop over the mutual nearest descriptors."""
-    if not prev_frame or not cur_frame:
-        return []
-    d_prev = np.array([o.descriptor for o in prev_frame])
-    d_cur = np.array([o.descriptor for o in cur_frame])
+    if not len(prev_frame.ids) or not len(cur_frame.ids):
+        return np.empty((0, 2), dtype=np.intp)
+    d_prev, d_cur = prev_frame.descriptors, cur_frame.descriptors
     fwd = np.abs(d_prev[:, None] - d_cur[None, :]).argmin(axis=1)
     bwd = np.abs(d_cur[:, None] - d_prev[None, :]).argmin(axis=1)
     cell_w = calib.width / bucket_grid[0]
@@ -143,21 +188,20 @@ def _loop_quad_match(prev_frame, cur_frame, calib=StereoCalib(), bucket_grid=(8,
     for i, j in enumerate(fwd):
         if bwd[j] != i:
             continue  # loop not closed
-        u, v = cur_frame[j].left
+        u, v = cur_frame.px[j, :2]
         cell = (min(int(u / cell_w), bucket_grid[0] - 1), min(int(v / cell_h), bucket_grid[1] - 1))
         if bucket_counts.get(cell, 0) >= bucket_cap:
             continue
         bucket_counts[cell] = bucket_counts.get(cell, 0) + 1
-        matches.append(QuadMatch(i, i, int(j), int(j)))
-    return matches
+        matches.append((i, j))
+    return np.array(matches, dtype=np.intp).reshape(-1, 2)
 
 
 def _pixels(calib, quads, prev, cur):
-    points = np.array([triangulate(calib, prev[q.left_prev]) for q in quads])
-    targets = np.array(
-        [[cur[q.left_cur].left[0], cur[q.left_cur].left[1],
-          cur[q.left_cur].right[0], cur[q.left_cur].right[1]] for q in quads]
-    )
+    """Each quad's triangulated previous point and current pixels, one
+    quad at a time."""
+    points = np.array([_triangulate(calib, prev.px[a][None])[0] for a, _ in quads.tolist()])
+    targets = np.array([cur.px[b] for _, b in quads.tolist()])
     return points, targets
 
 
@@ -213,10 +257,14 @@ def _check_against_scalar(points, targets, weights, cfg, compare_pose, stops=Non
             np.testing.assert_allclose(t[b], t0, rtol=0, atol=1e-9)
 
 
+def _frame_bytes(arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
 class TestSceneGeneration:
     def test_disparity_formula(self):
         calib = StereoCalib(focal=400.0, cx=376, cy=240, baseline=0.11)
-        u_l, v, u_r = project_stereo(calib, np.array([0.0, 0.0, 5.0]))
+        ((u_l, v, u_r),) = project_stereo(calib, np.array([[0.0, 0.0, 5.0]]))
         assert u_l - u_r == pytest.approx(400 * 0.11 / 5.0, abs=1e-12)
 
     def test_zero_noise_observations_reproject_exactly(self):
@@ -224,30 +272,84 @@ class TestSceneGeneration:
         calib = StereoCalib()
         for pose, frame in zip(scene.trajectory, scene.frames):
             r = pose.orientation.to_matrix()
-            for obs in frame[:40]:
-                p_cam = r.T @ (scene.landmarks[obs.feature_id] - pose.position)
-                u_l, v, u_r = project_stereo(calib, p_cam)
-                assert abs(u_l - obs.left[0]) < 1e-9
-                assert abs(v - obs.left[1]) < 1e-9
-                assert abs(u_r - obs.right[0]) < 1e-9
+            p_cam = np.array([r.T @ (scene.landmarks[i] - pose.position) for i in frame.ids])
+            np.testing.assert_allclose(frame.px[:, :3], project_stereo(calib, p_cam),
+                                       rtol=0, atol=1e-9)
+            np.testing.assert_array_equal(frame.px[:, 3], frame.px[:, 1])
+
+    @pytest.mark.parametrize(
+        ("cfg", "seed"),
+        [
+            (SceneConfig(n_frames=5), 3),
+            (SceneConfig(n_frames=6, pixel_noise=0.4, outlier_rate=0.1, descriptor_noise=0.05), 9),
+            (SceneConfig(n_frames=3), 4),
+            (SceneConfig(n_landmarks=1000, n_frames=2, step=0.05, max_depth=60.0), 6),
+            (SceneConfig(n_frames=2, pixel_noise=0.5, outlier_rate=0.1, yaw_rate=0.01), 0),
+            (SceneConfig(n_frames=2, step=0.6, descriptor_noise=0.4, outlier_rate=0.2), 1),
+            (SceneConfig(n_landmarks=1000, n_frames=2, step=0.05, max_depth=60.0,
+                         descriptor_noise=0.8), 2),
+            (SceneConfig(n_frames=2, step=0.1, yaw_rate=math.radians(2.0)), 1),
+            (ACCURACY, 10),
+            (SceneConfig(n_frames=2, outlier_rate=0.98), 3),
+            (SceneConfig(n_frames=2, step=0.4, pixel_noise=0.2, outlier_rate=0.2), 11),
+            (SceneConfig(n_frames=2, step=0.3, pixel_noise=0.4), 5),
+            (SceneConfig(n_frames=5, step=0.3, pixel_noise=0.2), 5),
+            (SceneConfig(n_frames=40, step=0.5, closed_loop=True, max_depth=40.0), 2),
+            (SceneConfig(n_frames=50, step=1.6, pixel_noise=0.25, outlier_rate=0.1,
+                         max_depth=45.0, corridor_halfwidth=6.0), 20),
+            *((CORRIDOR, seed) for seed in (101, 102, 103)),
+        ],
+    )
+    def test_matches_per_landmark_loop(self, cfg, seed):
+        """Every scene the VO tests and vo_corridor use is byte-equal to
+        the per-landmark projection loop's."""
+        scene, frames = _loop_gen_scene(cfg, seed)
+        assert len(scene.frames) == len(frames) == cfg.n_frames
+        for frame, expected in zip(scene.frames, frames):
+            assert _frame_bytes((frame.ids, frame.px, frame.descriptors)) == _frame_bytes(expected)
 
     def test_deterministic_per_seed(self):
         cfg = SceneConfig(n_frames=6, pixel_noise=0.4, outlier_rate=0.1, descriptor_noise=0.05)
         a = gen_scene(cfg, seed=9)
         b = gen_scene(cfg, seed=9)
         for fa, fb in zip(a.frames, b.frames):
-            assert fa == fb
+            assert (_frame_bytes((fa.ids, fa.px, fa.descriptors))
+                    == _frame_bytes((fb.ids, fb.px, fb.descriptors)))
 
     def test_triangulation_roundtrip(self):
         calib = StereoCalib()
-        p = np.array([1.2, -0.7, 8.0])
-        u_l, v, u_r = project_stereo(calib, p)
-        obs = StereoObservation(0, (u_l, v), (u_r, v), 0.0)
-        np.testing.assert_allclose(triangulate(calib, obs), p, atol=1e-9)
+        p = np.array([[1.2, -0.7, 8.0]])
+        ((u_l, v, u_r),) = project_stereo(calib, p)
+        np.testing.assert_allclose(_triangulate(calib, np.array([[u_l, v, u_r, v]])), p,
+                                   atol=1e-9)
 
     def test_too_few_landmarks_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n_landmarks "):
             SceneConfig(n_landmarks=10)
+
+    @pytest.mark.parametrize(
+        ("cls", "kwargs", "field"),
+        [
+            (StereoCalib, {"focal": math.nan}, "focal"),
+            (StereoCalib, {"baseline": 0.0}, "baseline"),
+            (StereoCalib, {"width": 0}, "width"),
+            (StereoCalib, {"cx": math.inf}, "cx"),
+            (SceneConfig, {"n_frames": 0}, "n_frames"),
+            (SceneConfig, {"step": math.nan}, "step"),
+            (SceneConfig, {"corridor_halfwidth": -1.0}, "corridor_halfwidth"),
+            (SceneConfig, {"min_depth": 0.0}, "min_depth"),
+            (SceneConfig, {"min_depth": 5.0, "max_depth": 2.0}, "max_depth"),
+            (SceneConfig, {"max_depth": math.inf}, "max_depth"),
+            (SceneConfig, {"pixel_noise": math.nan}, "pixel_noise"),
+            (SceneConfig, {"outlier_rate": 1.5}, "outlier_rate"),
+            (SceneConfig, {"descriptor_noise": -0.1}, "descriptor_noise"),
+            (RansacConfig, {"threshold_px": 0.0}, "threshold_px"),
+            (RansacConfig, {"step_tol": math.nan}, "step_tol"),
+        ],
+    )
+    def test_invalid_config_names_the_field(self, cls, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            cls(**kwargs)
 
 
 class TestHalfTurn:
@@ -272,24 +374,22 @@ class TestQuadMatch:
         scene = gen_scene(SceneConfig(n_frames=3), seed=4)
         prev, cur = scene.frames[0], scene.frames[1]
         matches = quad_match(prev, cur, bucket_cap=10**9)
-        common = {o.feature_id for o in prev} & {o.feature_id for o in cur}
-        assert len(matches) == len(common)
-        for m in matches:
-            assert prev[m.left_prev].feature_id == cur[m.left_cur].feature_id
+        assert matches.shape == (len(np.intersect1d(prev.ids, cur.ids)), 2)
+        np.testing.assert_array_equal(prev.ids[matches[:, 0]], cur.ids[matches[:, 1]])
 
     def test_corrupted_link_rejected(self):
         scene = gen_scene(SceneConfig(n_frames=3), seed=4)
-        prev, cur = scene.frames[0], list(scene.frames[1])
-        victim = prev[5].feature_id
+        prev, cur = scene.frames[0], scene.frames[1]
+        victim = prev.ids[5]
+        assert victim in cur.ids
         # corrupt the temporal link by cloning another feature's descriptor
-        for i, o in enumerate(cur):
-            if o.feature_id == victim:
-                cur[i] = StereoObservation(o.feature_id, o.left, o.right, cur[0].descriptor)
-                break
+        descriptors = cur.descriptors.copy()
+        descriptors[cur.ids == victim] = descriptors[0]
+        cur = replace(cur, descriptors=descriptors)
         matches = quad_match(prev, cur, bucket_cap=10**9)
-        assert all(prev[m.left_prev].feature_id != victim for m in matches)
-        for m in matches:  # and no false quads appear
-            assert prev[m.left_prev].feature_id == cur[m.left_cur].feature_id
+        assert victim not in prev.ids[matches[:, 0]]
+        # and no false quads appear
+        np.testing.assert_array_equal(prev.ids[matches[:, 0]], cur.ids[matches[:, 1]])
 
     def test_bucket_cap_spreads_matches(self):
         cfg = SceneConfig(n_landmarks=1000, n_frames=2, step=0.05, max_depth=60.0)
@@ -299,9 +399,8 @@ class TestQuadMatch:
 
         def per_cell(matches):
             return dict(Counter(
-                (int(cur[m.left_cur].left[0] / (calib.width / 8)),
-                 int(cur[m.left_cur].left[1] / (calib.height / 5)))
-                for m in matches
+                (int(u / (calib.width / 8)), int(v / (calib.height / 5)))
+                for u, v in cur.px[matches[:, 1], :2].tolist()
             ))
 
         matches = quad_match(prev, cur, bucket_grid=(8, 5), bucket_cap=2)
@@ -312,7 +411,10 @@ class TestQuadMatch:
         assert per_cell(matches) == {cell: min(2, k) for cell, k in candidates.items()}
 
     def test_empty_frames(self):
-        assert quad_match([], []) == []
+        empty = StereoFrame(np.empty(0, dtype=np.intp), np.empty((0, 4)), np.empty(0))
+        for prev, cur in [(empty, empty), (empty, gen_scene(SceneConfig(n_frames=2), 4).frames[0])]:
+            for matches in (quad_match(prev, cur), quad_match(cur, prev)):
+                assert matches.shape == (0, 2) and matches.dtype == np.intp
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize(
@@ -327,21 +429,21 @@ class TestQuadMatch:
     def test_matches_per_match_loop(self, cfg, seed):
         prev, cur = gen_scene(cfg, seed).frames
         for grid, cap in [((8, 5), 10), ((8, 5), 2), ((3, 7), 1), ((8, 5), 0), ((8, 5), 10**9)]:
-            assert quad_match(prev, cur, bucket_grid=grid, bucket_cap=cap) == _loop_quad_match(
-                prev, cur, bucket_grid=grid, bucket_cap=cap
-            )
+            quads = quad_match(prev, cur, bucket_grid=grid, bucket_cap=cap)
+            expected = _loop_quad_match(prev, cur, bucket_grid=grid, bucket_cap=cap)
+            assert quads.dtype == expected.dtype
+            np.testing.assert_array_equal(quads, expected)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_current_pixel_is_not_matched(self, bad):
         scene = gen_scene(SceneConfig(n_frames=2), seed=4)
-        prev, cur = scene.frames[0], list(scene.frames[1])
-        o = cur[3]
-        cur[3] = StereoObservation(o.feature_id, (bad, o.left[1]), o.right, o.descriptor)
-        matches = quad_match(prev, cur, bucket_cap=10**9)
-        kept = [o for i, o in enumerate(cur) if i != 3]
-        common = {o.feature_id for o in prev} & {o.feature_id for o in kept}
+        prev, cur = scene.frames[0], scene.frames[1]
+        px = cur.px.copy()
+        px[3, 0] = bad
+        matches = quad_match(prev, replace(cur, px=px), bucket_cap=10**9)
+        common = np.intersect1d(prev.ids, np.delete(cur.ids, 3))
         assert len(matches) == len(common)
-        assert all(m.left_cur != 3 for m in matches)
+        assert 3 not in matches[:, 1]
 
 
 class TestEstimateMotion:
@@ -360,10 +462,7 @@ class TestEstimateMotion:
         assert len(inliers) == len(quads)
 
     def test_outliers_and_noise_stay_accurate(self):
-        cfg = SceneConfig(
-            n_frames=2, step=1.0, pixel_noise=0.3, outlier_rate=0.3, max_depth=40.0
-        )
-        scene, prev, cur = self._frames(cfg, seed=7)
+        scene, prev, cur = self._frames(ACCURACY, seed=7)
         quads = quad_match(prev, cur)
         motion, _ = estimate_motion(quads, prev, cur, cfg=RansacConfig(seed=7))
         truth = relative(scene.trajectory[0], scene.trajectory[1])
@@ -372,12 +471,9 @@ class TestEstimateMotion:
     def test_accuracy_over_a_seed_sweep(self):
         """The config above on seeds 0-19: the median error stays near 0.01 m
         and the worst (seed 10) below 0.024 m."""
-        cfg = SceneConfig(
-            n_frames=2, step=1.0, pixel_noise=0.3, outlier_rate=0.3, max_depth=40.0
-        )
         errors = []
         for seed in range(20):
-            scene, prev, cur = self._frames(cfg, seed)
+            scene, prev, cur = self._frames(ACCURACY, seed)
             motion, _ = estimate_motion(quad_match(prev, cur), prev, cur,
                                         cfg=RansacConfig(seed=seed))
             truth = relative(scene.trajectory[0], scene.trajectory[1])
@@ -388,11 +484,8 @@ class TestEstimateMotion:
     def test_hypothesis_budget_keeps_the_winner(self, monkeypatch):
         """Hypotheses cut at _HYPOTHESIS_GN_ITERS give the pose and inliers
         of hypotheses run to max_gn_iters, on the accuracy config's seeds."""
-        cfg = SceneConfig(
-            n_frames=2, step=1.0, pixel_noise=0.3, outlier_rate=0.3, max_depth=40.0
-        )
         for seed in range(20):
-            scene, prev, cur = self._frames(cfg, seed)
+            scene, prev, cur = self._frames(ACCURACY, seed)
             quads = quad_match(prev, cur)
             ransac = RansacConfig(seed=seed)
             motion, inliers = estimate_motion(quads, prev, cur, cfg=ransac)
@@ -405,7 +498,7 @@ class TestEstimateMotion:
     def test_insufficient_quads(self):
         scene, prev, cur = self._frames(SceneConfig(n_frames=2), seed=1)
         with pytest.raises(InsufficientDataError):
-            estimate_motion([], prev, cur)
+            estimate_motion(np.empty((0, 2), dtype=np.intp), prev, cur)
 
     def test_no_consensus_raises(self):
         cfg = SceneConfig(n_frames=2, outlier_rate=0.98)
@@ -570,27 +663,23 @@ class TestEstimateMotion:
         cfg = SceneConfig(n_frames=2, step=0.3, pixel_noise=0.2)
         scene, prev, cur = self._frames(cfg, seed=5)
         quads = quad_match(prev, cur)
-        victim = quads[7]
-        prev = list(prev)
-        o = prev[victim.left_prev]
-        prev[victim.left_prev] = StereoObservation(o.feature_id, o.left, (bad, o.right[1]),
-                                                   o.descriptor)
-        motion, inliers = estimate_motion(quads, prev, cur)
+        px = prev.px.copy()
+        px[quads[7, 0], 2] = bad
+        motion, inliers = estimate_motion(quads, replace(prev, px=px), cur)
         truth = relative(scene.trajectory[0], scene.trajectory[1])
         assert np.linalg.norm(motion.position - truth.position) < 0.02
         assert 7 not in inliers.tolist()
         assert len(inliers) > len(quads) // 2
-        assert all(prev[quads[i].left_prev].feature_id == cur[quads[i].left_cur].feature_id
-                   for i in inliers)
+        np.testing.assert_array_equal(prev.ids[quads[inliers, 0]], cur.ids[quads[inliers, 1]])
 
     @pytest.mark.parametrize("mode", ["subpixel", "pixel"])
     def test_all_non_finite_quads_raise(self, mode):
         scene, prev, cur = self._frames(SceneConfig(n_frames=2), seed=1)
         quads = quad_match(prev, cur)
-        prev = [StereoObservation(o.feature_id, (math.nan, math.nan), o.right, o.descriptor)
-                for o in prev]
+        px = prev.px.copy()
+        px[:, :2] = math.nan
         with pytest.raises(InsufficientDataError):
-            estimate_motion(quads, prev, cur, mode=mode)
+            estimate_motion(quads, replace(prev, px=px), cur, mode=mode)
 
 
 class TestRunVo:
@@ -631,11 +720,9 @@ class TestRunVo:
 
     def test_non_finite_frame_counts_as_failures(self):
         scene = gen_scene(SceneConfig(n_frames=5, step=0.3, pixel_noise=0.2), seed=5)
-        scene.frames[2] = [
-            StereoObservation(o.feature_id, (math.nan, o.left[1]), (math.nan, o.right[1]),
-                              o.descriptor)
-            for o in scene.frames[2]
-        ]
+        px = scene.frames[2].px.copy()
+        px[:, [0, 2]] = math.nan
+        scene.frames[2] = replace(scene.frames[2], px=px)
         result = run_vo(scene)
         assert result.failures == 2  # frame 2 as current, then as previous
         assert len(result.poses) == 5
