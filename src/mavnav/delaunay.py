@@ -90,18 +90,18 @@ class TetMesh:
         nb = self.neighbors
         return np.nonzero((nb == OUTER) | (np.arange(len(nb))[:, None] < nb))
 
-    def find_vertex(self, point, radius: float = MERGE_RADIUS):
+    def find_vertex(self, point):
         """Vertex id of the mesh point nearest `point`; for an (n, 3) array
         of points, an array of n ids.
 
-        Raises KeyError when a point has no mesh vertex within `radius`.
+        Raises KeyError when a point has no mesh vertex within MERGE_RADIUS.
         """
         point = np.asarray(point, dtype=float)
         dist, vid = self._tree.query(point)
-        far = np.flatnonzero(np.atleast_1d(dist) > radius)
+        far = np.flatnonzero(np.atleast_1d(dist) > MERGE_RADIUS)
         if far.size:
             bad = point.reshape(-1, 3)[far[0]]
-            raise KeyError(f"no mesh vertex within {radius} of {bad}")
+            raise KeyError(f"no mesh vertex within {MERGE_RADIUS} of {bad}")
         return int(vid) if point.ndim == 1 else vid
 
     def locate(self, p):
@@ -113,20 +113,20 @@ class TetMesh:
         return int(tids) if tids.ndim == 0 else tids
 
 
-def _dedupe(points: np.ndarray, radius: float):
-    """First-wins merge of points closer than `radius`. Returns unique
+def _dedupe(points: np.ndarray):
+    """First-wins merge of points closer than MERGE_RADIUS. Returns unique
     points and, per input row, the index of the unique point it joined."""
     rep = np.arange(len(points))
     # a pair (i, j), i < j, merges j into i when i is still a unique point
     # and j has not joined an earlier one
-    for i, j in sorted(cKDTree(points).query_pairs(radius)):
+    for i, j in sorted(cKDTree(points).query_pairs(MERGE_RADIUS)):
         if rep[i] == i and rep[j] == j:
             rep[j] = i
     keep = rep == np.arange(len(points))
     return points[keep], (np.cumsum(keep) - 1)[rep].tolist()
 
 
-def tetrahedralize(points, merge_radius: float = MERGE_RADIUS) -> TetMesh:
+def tetrahedralize(points) -> TetMesh:
     """Delaunay tetrahedralization of a 3D point set.
 
     Raises DegeneracyError when fewer than 4 unique points remain after
@@ -135,7 +135,7 @@ def tetrahedralize(points, merge_radius: float = MERGE_RADIUS) -> TetMesh:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 3 or not np.all(np.isfinite(pts)):
         raise ValueError("points must be a finite (n, 3) array")
-    unique, mapping = _dedupe(pts, merge_radius)
+    unique, mapping = _dedupe(pts)
     if unique.shape[0] < 4:
         raise DegeneracyError(f"need >= 4 unique points, got {unique.shape[0]}")
     centered = unique - unique.mean(axis=0)

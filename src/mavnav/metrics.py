@@ -81,15 +81,10 @@ def _window_any(mask: np.ndarray, window: tuple[int, int, int]) -> np.ndarray:
     return sums > 0
 
 
-def mcc_eval(
-    gt: OccupancyGrid,
-    est: OccupancyGrid,
-    bbox_dims=(0.6, 0.6, 0.4),
-    stride: float | None = None,
-):
+def mcc_eval(gt: OccupancyGrid, est: OccupancyGrid, bbox_dims=(0.6, 0.6, 0.4)):
     """Sweep an MAV bounding box through both grids simultaneously.
 
-    At every stride position a collision check (any occupied or unknown
+    At every voxel position a collision check (any occupied or unknown
     voxel inside the box) runs in both grids; the ground-truth grid is
     the reference. Returns (CollisionConfusion in percent, MCC).
     """
@@ -100,13 +95,8 @@ def mcc_eval(
 
     res = gt.resolution
     window = tuple(max(1, int(round(d / res))) for d in bbox_dims)
-    step = max(1, int(round((stride if stride is not None else res) / res)))
-
-    def collisions(grid):
-        return _window_any(grid.obstacle_mask(), window)[::step, ::step, ::step]
-
-    gt_hit = collisions(gt)
-    est_hit = collisions(est)
+    gt_hit = _window_any(gt.obstacle_mask(), window)
+    est_hit = _window_any(est.obstacle_mask(), window)
     tp = int(np.sum(gt_hit & est_hit))
     fn = int(np.sum(gt_hit & ~est_hit))
     tn = int(np.sum(~gt_hit & ~est_hit))
@@ -124,18 +114,14 @@ class RelErrorReport:
     complete: bool  # False when the trajectory was too short for all distances
 
 
-def rel_trans_error(
-    gt_poses: list[Pose],
-    est_poses: list[Pose],
-    distances=REL_ERROR_DISTANCES,
-) -> RelErrorReport:
+def rel_trans_error(gt_poses: list[Pose], est_poses: list[Pose]) -> RelErrorReport:
     """Translational drift per trajectory distance, averaged over starts.
 
-    For every start index and distance d, the first later pose at ground
-    truth arc length >= d closes a relative-pose pair in both
-    trajectories; the error is the translation norm of the discrepancy
-    between the two relative transforms, as a percentage of d. Rotation
-    is ignored.
+    For every start index and distance d of REL_ERROR_DISTANCES, the
+    first later pose at ground truth arc length >= d closes a relative-pose
+    pair in both trajectories; the error is the translation norm of the
+    discrepancy between the two relative transforms, as a percentage of d.
+    Rotation is ignored.
     """
     if len(gt_poses) != len(est_poses):
         raise ValueError("trajectories must have the same length")
@@ -144,9 +130,9 @@ def rel_trans_error(
     pos = np.array([p.position for p in gt_poses])
     arc = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pos, axis=0), axis=1))])
 
-    per_distance: dict[float, list[float]] = {d: [] for d in distances}
+    per_distance: dict[float, list[float]] = {d: [] for d in REL_ERROR_DISTANCES}
     n = len(gt_poses)
-    for d in distances:
+    for d in REL_ERROR_DISTANCES:
         targets = arc + d - 1e-9
         js = np.searchsorted(arc, targets)
         for i in range(n):
@@ -161,7 +147,7 @@ def rel_trans_error(
     if not errors:
         raise ValueError("trajectory shorter than the smallest distance")
     average = float(np.mean(list(errors.values())))
-    return RelErrorReport(errors, average, complete=len(errors) == len(distances))
+    return RelErrorReport(errors, average, complete=len(errors) == len(REL_ERROR_DISTANCES))
 
 
 def rms(values) -> float:

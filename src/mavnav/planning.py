@@ -39,9 +39,20 @@ class PlannerConfig:
     goal_connect_count: int = 10
 
     def __post_init__(self):
-        # positive, so that a sample outside the map (distance 0) is never clear
-        if not (math.isfinite(self.clearance_radius) and self.clearance_radius > 0):
-            raise ValueError(f"clearance_radius must be finite and positive, got {self.clearance_radius}")
+        # clearance_radius > 0, so that a sample outside the map (distance 0)
+        # is never clear; d_safe > 0, as the proximity penalty divides by it
+        for name, ok, rule in (
+            ("lambda_prox", self.lambda_prox >= 0, ">= 0"),
+            ("d_safe", self.d_safe > 0, "> 0"),
+            ("lambda_alt", self.lambda_alt >= 0, ">= 0"),
+            ("shorten_budget", self.shorten_budget >= 0, ">= 0"),
+            ("clearance_radius", self.clearance_radius > 0, "> 0"),
+            ("goal_connect_count", isinstance(self.goal_connect_count, (int, np.integer))
+             and self.goal_connect_count >= 1, "an integer >= 1"),
+        ):
+            value = getattr(self, name)
+            if not (ok and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and {rule}, got {value}")
 
 
 @dataclass
@@ -245,13 +256,14 @@ def shorten_path(
     while changed:
         changed = False
         i = 0
+        legs = _segments(prox, wps[:-1], wps[1:], cfg)[1]
         while i < len(wps) - 2:
-            legs = _segments(prox, wps[:-1], wps[1:], cfg)[1]
             skips = np.arange(len(wps) - 1, i + 1, -1)  # farthest first
             clear, cost = _segments(prox, wps[i], wps[skips], cfg)
             for j, c in zip(skips[clear], cost[clear]):
                 if np.sum(np.concatenate([legs[:i], [c], legs[j:]])) <= budget + 1e-12:
                     wps = np.concatenate([wps[: i + 1], wps[j:]])
+                    legs = _segments(prox, wps[:-1], wps[1:], cfg)[1]
                     changed = True
                     break
             i += 1

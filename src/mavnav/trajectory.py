@@ -7,6 +7,7 @@ knots carries m + 4 degrees of freedom, so meeting n waypoints plus the
 8 boundary conditions requires m = n + 4 knots: two extra free knots are
 inserted into the first span and two into the last (four evenly when
 there is only a single span). Heading is fitted on unwrapped angles.
+`fit_spline` takes arrays: positions (n, 3), headings (n,), times (n,).
 """
 
 from __future__ import annotations
@@ -16,29 +17,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Waypoint:
-    position: np.ndarray
-    heading: float
-    time: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-
-
-def validate_waypoints(waypoints) -> list[Waypoint]:
-    wps = [
-        wp if isinstance(wp, Waypoint) else Waypoint(wp[0], float(wp[1]), float(wp[2]))
-        for wp in waypoints
-    ]
-    if len(wps) < 2:
-        raise ValueError("need at least 2 timed waypoints")
-    times = [wp.time for wp in wps]
-    if any(b - a <= 0 for a, b in zip(times, times[1:])):
-        raise ValueError("waypoint times must be strictly increasing")
-    return wps
 
 
 @dataclass(frozen=True)
@@ -74,20 +52,20 @@ class QuinticSpline:
         return self.t_end - self.t_start
 
 
-_DERIV_FACTORS = [
-    [1, 1, 1, 1, 1, 1],
-    [0, 1, 2, 3, 4, 5],
-    [0, 0, 2, 6, 12, 20],
-    [0, 0, 0, 6, 24, 60],
-    [0, 0, 0, 0, 24, 120],
-]
+# d^order/dt^order t^p = perm(p, order) t^(p - order). The derivative table
+# shifted by order: _SHIFTED[k, order] scales coefficient
+# _COEFF_IDX[k, order] = order + k of the tau^k term. Its zeros past degree 5
+# start each order's Horner sum from k = 5 where a scalar sum from p = 5 starts.
+_COEFF_IDX = np.minimum(np.arange(6)[:, None] + np.arange(5), 5)
+_SHIFTED = np.array([[math.perm(o + k, o) if o + k < 6 else 0 for o in range(5)]
+                     for k in range(6)], dtype=float)[:, :, None]
 
 
 def _basis_row(tau: float, order: int) -> np.ndarray:
     """Row of d^order/dt^order [1, t, .., t^5] evaluated at local time tau."""
     row = np.zeros(6)
     for p in range(order, 6):
-        row[p] = _DERIV_FACTORS[order][p] * tau ** (p - order)
+        row[p] = math.perm(p, order) * tau ** (p - order)
     return row
 
 
@@ -105,60 +83,44 @@ def _knot_layout(times: np.ndarray):
     return knots, wp_idx
 
 
-def fit_spline(waypoints) -> QuinticSpline:
+def fit_spline(positions, headings, times) -> QuinticSpline:
     """C4 piecewise quintic through timed waypoints, at rest at both ends
     in every derivative from velocity through snap."""
-    wps = validate_waypoints(waypoints)
-    times = np.array([wp.time for wp in wps])
+    positions = np.asarray(positions, dtype=float)
+    headings = np.asarray(headings, dtype=float)
+    times = np.asarray(times, dtype=float)
+    n = len(times) if times.ndim == 1 else -1
+    if positions.shape != (n, 3) or headings.shape != (n,):
+        raise ValueError(f"need positions (n, 3), headings (n,) and times (n,), got "
+                         f"{positions.shape}, {headings.shape} and {times.shape}")
+    if n < 2:
+        raise ValueError("need at least 2 timed waypoints")
+    if not all(np.isfinite(a).all() for a in (positions, headings, times)):
+        raise ValueError("waypoint positions, headings and times must be finite")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("waypoint times must be strictly increasing")
     knots, wp_idx = _knot_layout(times)
-    m = len(knots)
-    n_seg = m - 1
     h = np.diff(knots)
-    n_unknowns = 6 * n_seg
+    n_seg = len(h)
 
-    rows = []
-    targets_meta = []  # channel-independent right-hand-side descriptors
+    # (segment, local time, order) per row: waypoint interpolation, C0..C4
+    # continuity at every interior knot (less the next segment's start),
+    # rest in derivatives 1..4 at both ends
+    fits = [(0, 0.0, 0) if j == 0 else (j - 1, h[j - 1], 0) for j in wp_idx]
+    joins = [(j - 1, h[j - 1], order) for j in range(1, n_seg) for order in range(5)]
+    rests = [(s, tau, order) for s, tau in ((0, 0.0), (n_seg - 1, h[-1])) for order in range(1, 5)]
+    a_mat = np.zeros((6 * n_seg, 6 * n_seg))
+    for r, (seg, tau, order) in enumerate(fits + joins + rests):
+        a_mat[r, 6 * seg : 6 * seg + 6] = _basis_row(tau, order)
+    for r, (seg, _, order) in enumerate(joins, start=n):
+        a_mat[r, 6 * seg + 6 : 6 * seg + 12] -= _basis_row(0.0, order)
 
-    def add_row(seg: int, tau: float, order: int, seg2: int | None = None):
-        row = np.zeros(n_unknowns)
-        row[6 * seg : 6 * seg + 6] = _basis_row(tau, order)
-        if seg2 is not None:
-            row[6 * seg2 : 6 * seg2 + 6] -= _basis_row(0.0, order)
-        rows.append(row)
-
-    # waypoint interpolation
-    for k, j in enumerate(wp_idx):
-        if j == 0:
-            add_row(0, 0.0, 0)
-        else:
-            add_row(j - 1, h[j - 1], 0)
-        targets_meta.append(("wp", k))
-    # C0..C4 continuity at every interior knot
-    for j in range(1, m - 1):
-        for order in range(5):
-            add_row(j - 1, h[j - 1], order, seg2=j)
-            targets_meta.append(("zero", None))
-    # rest boundary in derivatives 1..4
-    for order in range(1, 5):
-        add_row(0, 0.0, order)
-        targets_meta.append(("zero", None))
-    for order in range(1, 5):
-        add_row(n_seg - 1, h[-1], order)
-        targets_meta.append(("zero", None))
-
-    a_mat = np.vstack(rows)
-    if a_mat.shape[0] != n_unknowns:
-        raise AssertionError("spline system is not square")
-
-    headings = np.unwrap([wp.heading for wp in wps])
-    channels = np.column_stack([np.array([wp.position for wp in wps]), headings])
+    rhs = np.zeros((6 * n_seg, 4))
+    rhs[:n, :3] = positions
+    rhs[:n, 3] = np.unwrap(headings)
     coeffs = np.empty((n_seg, 4, 6))
-    for ch in range(4):
-        rhs = np.array(
-            [channels[k, ch] if kind == "wp" else 0.0 for kind, k in targets_meta]
-        )
-        sol = np.linalg.solve(a_mat, rhs)
-        coeffs[:, ch, :] = sol.reshape(n_seg, 6)
+    for ch in range(4):  # one solve per channel: a multi-column solve rounds differently
+        coeffs[:, ch, :] = np.linalg.solve(a_mat, rhs[:, ch]).reshape(n_seg, 6)
     return QuinticSpline(knots, coeffs)
 
 
@@ -168,8 +130,7 @@ def eval_spline(spline: QuinticSpline, t: float) -> RefPoint:
     Out-of-range times clamp to the nearest endpoint with zero
     derivatives and set the `clamped` flag.
     """
-    clamped = False
-    tq = t
+    tq, clamped = t, False
     if t < spline.t_start:
         tq, clamped = spline.t_start, True
     elif t > spline.t_end:
@@ -177,35 +138,24 @@ def eval_spline(spline: QuinticSpline, t: float) -> RefPoint:
     seg = min(max(bisect_right(spline.knots, tq) - 1, 0), len(spline.knots) - 2)
     tau = float(tq - spline.knots[seg])
 
-    vals = np.empty((4, 5))
-    for ch, c in enumerate(spline.coeffs[seg].tolist()):
-        for order in range(5):
-            acc = 0.0
-            for p in range(5, order - 1, -1):
-                acc = acc * tau + _DERIV_FACTORS[order][p] * c[p]
-            vals[ch, order] = acc
+    # terms[k]: (order, channel) terms in front of tau^k
+    terms = _SHIFTED * spline.coeffs[seg].T[_COEFF_IDX]
+    vals = np.zeros((5, 4))
+    for k in range(5, -1, -1):
+        vals = vals * tau + terms[k]
     if clamped:
-        vals[:, 1:] = 0.0
-    heading = math.remainder(vals[3, 0], math.tau)
+        vals[1:] = 0.0
+    heading = math.remainder(vals[0, 3], math.tau)
     if heading <= -math.pi:
         heading += math.tau
-    return RefPoint(
-        position=vals[:3, 0].copy(),
-        velocity=vals[:3, 1].copy(),
-        accel=vals[:3, 2].copy(),
-        jerk=vals[:3, 3].copy(),
-        snap=vals[:3, 4].copy(),
-        heading=heading,
-        heading_rate=float(vals[3, 1]),
-        stamp=t,
-        clamped=clamped,
-    )
+    # rows: position, velocity, accel, jerk, snap
+    return RefPoint(*vals[:, :3], heading, float(vals[1, 3]), t, clamped)
 
 
-def spline_from_path(waypoints: np.ndarray, times: np.ndarray, headings=None) -> QuinticSpline:
+def spline_from_path(waypoints: np.ndarray, times: np.ndarray) -> QuinticSpline:
     """Spline through planner output: waypoints (n,3) with cumulative times.
 
-    Headings default to the direction of travel, unwrapped; duplicate
+    Headings follow the direction of travel, unwrapped; duplicate
     consecutive times (zero-length segments) are merged.
     """
     waypoints = np.asarray(waypoints, dtype=float)
@@ -214,15 +164,10 @@ def spline_from_path(waypoints: np.ndarray, times: np.ndarray, headings=None) ->
     for i in range(1, len(times)):
         if times[i] - times[keep[-1]] > 1e-9:
             keep.append(i)
-    waypoints = waypoints[keep]
-    times = times[keep]
-    if headings is None:
-        d = np.diff(waypoints[:, :2], axis=0)
-        segment_yaw = np.arctan2(d[:, 1], d[:, 0])
-        degenerate = np.linalg.norm(d, axis=1) < 1e-9
-        for i in np.argwhere(degenerate).ravel():
-            segment_yaw[i] = segment_yaw[i - 1] if i > 0 else 0.0
-        headings = np.concatenate([[segment_yaw[0]], segment_yaw])
-    return fit_spline(
-        [Waypoint(waypoints[i], float(headings[i]), float(times[i])) for i in range(len(times))]
-    )
+    waypoints, times = waypoints[keep], times[keep]
+    d = np.diff(waypoints[:, :2], axis=0)
+    segment_yaw = np.arctan2(d[:, 1], d[:, 0])
+    degenerate = np.linalg.norm(d, axis=1) < 1e-9
+    for i in np.argwhere(degenerate).ravel():
+        segment_yaw[i] = segment_yaw[i - 1] if i > 0 else 0.0
+    return fit_spline(waypoints, np.concatenate([segment_yaw[:1], segment_yaw]), times)

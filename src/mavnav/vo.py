@@ -140,12 +140,16 @@ def camera_orientation(forward: np.ndarray) -> Quat:
     return Quat.from_matrix(np.column_stack([r, down, f]))
 
 
+def _pinhole(calib: StereoCalib, x, y, z):
+    """(u_l, v, u_r) of camera-frame coordinates; the rectified pair shares v."""
+    f = calib.focal
+    return f * x / z + calib.cx, f * y / z + calib.cy, f * (x - calib.baseline) / z + calib.cx
+
+
 def project_stereo(calib: StereoCalib, p_cam: np.ndarray) -> np.ndarray:
     """Rows (u_l, v, u_r) of camera-frame points (n, 3) in front of the
-    camera; the rectified pair shares v."""
-    x, y, z = p_cam.T
-    return np.column_stack([calib.focal * x / z + calib.cx, calib.focal * y / z + calib.cy,
-                            calib.focal * (x - calib.baseline) / z + calib.cx])
+    camera."""
+    return np.column_stack(_pinhole(calib, *p_cam.T))
 
 
 def _triangulate(calib: StereoCalib, px: np.ndarray) -> np.ndarray:
@@ -320,18 +324,16 @@ def _residuals(points, targets, calib, r_mat, t_vec, want_jacobian=False):
     targets = targets[..., None, :, :]
     x, y = p_c[..., 0], p_c[..., 1]
     z = np.maximum(p_c[..., 2], 1e-9)
-    f, b = calib.focal, calib.baseline
-    v = f * y / z + calib.cy
     res = np.empty(z.shape + (4,))
-    res[..., 0] = f * x / z + calib.cx - targets[..., 0]
-    res[..., 1] = v - targets[..., 1]
-    res[..., 2] = f * (x - b) / z + calib.cx - targets[..., 2]
-    res[..., 3] = v - targets[..., 3]
+    res[..., 0], res[..., 1], res[..., 2] = _pinhole(calib, x, y, z)
+    res[..., 3] = res[..., 1]
+    res -= targets
     if not want_jacobian:
         return res, None
     # d p_c / d xi = [I | -[p_c]x], chained through the pinhole projection;
     # rows u, v, u_right, v. Products are formed in the order of the
     # (3,) x (3, 6) product they stand for, so each entry rounds as it did.
+    f, b = calib.focal, calib.baseline
     inv_z = 1.0 / z
     inv_z2 = inv_z * inv_z
     fz = f * inv_z

@@ -197,6 +197,22 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="clearance_radius"):
             PlannerConfig(clearance_radius=radius)
 
+    @pytest.mark.parametrize("field, value", [
+        ("d_safe", 0.0), ("d_safe", -1.0), ("d_safe", math.nan), ("d_safe", math.inf),
+        ("lambda_prox", -0.5), ("lambda_prox", math.nan), ("lambda_prox", math.inf),
+        ("lambda_alt", -0.5), ("lambda_alt", math.nan), ("lambda_alt", math.inf),
+        ("shorten_budget", -1.0), ("shorten_budget", math.nan), ("shorten_budget", math.inf),
+        ("goal_connect_count", 0), ("goal_connect_count", -3), ("goal_connect_count", 2.5),
+    ])
+    def test_config_rejects_each_bad_field_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PlannerConfig(**{field: value})
+
+    def test_config_accepts_zero_weights_and_budget(self):
+        cfg = PlannerConfig(lambda_prox=0.0, lambda_alt=0.0, shorten_budget=0.0,
+                            goal_connect_count=1)
+        assert path_cost(self.prox, [[1.0, 1.0, 1.0], [1.0, 1.0, 2.0]], cfg) == 1.0
+
 
 class TestRoadmap:
     def test_free_map_fully_connected(self):
