@@ -17,24 +17,30 @@ and the quads of a frame pair are an (m, 2) integer array of (previous
 row, current row).
 
 Frame-to-frame motion follows the quad-matching, 3-point RANSAC and
-Gauss-Newton odometry of Kitt, Geiger & Lategahn (2010). Every minimal
-sample of a frame is drawn up front, and all hypotheses are refined from
-the identity by one batched Gauss-Newton on the summed squared
+Gauss-Newton odometry of Kitt, Geiger & Lategahn (2010). `run_vo`
+estimates every frame pair of a scene in one staged pass, and
+`estimate_motion` is that pass on one pair. Per pair, the usable quads
+are triangulated and every minimal sample is drawn up front from the
+pair's own generator. One batched Gauss-Newton then refines the
+hypotheses of all pairs from the identity, on the summed squared
 reprojection error in both current images: one residual-and-Jacobian
 kernel evaluates the whole (hypotheses, points) stack, the 6x6 normal
-equations are solved as a stack, and the line search evaluates all 12
-step halvings of every hypothesis at once, keeping the largest that does
-not raise the cost. A problem stops once its applied step is below
-`step_tol`, and the hypotheses get a short iteration budget. Every
-hypothesis is then scored against every quad in one array. The refit
-starts from the winning hypothesis and runs the same Gauss-Newton on one
-problem, weighting each match by the inverse of its propagated depth
-uncertainty: a point triangulated from one stereo pair has a depth error
-growing as z^2, and the disparity variance is carried into the spread of
-its predicted reprojection. Observations are used as-is in subpixel mode
-and quantized to integer pixels first in pixel mode; quads with a pixel
-that is not finite, or with no positive previous disparity, are set
-aside.
+equations are solved as a stack, and the line search tries every full
+step at once and all 11 halvings of the steps that raised their cost,
+keeping the largest scale that does not. A problem stops once its
+applied step is below `step_tol`, and the hypotheses get a short
+iteration budget. Each pair scores its hypotheses against its quads in
+one array. The refit starts from a pair's winning hypothesis and weights
+each match by the inverse of its propagated depth uncertainty: a point
+triangulated from one stereo pair has a depth error growing as z^2, and
+the disparity variance is carried into the spread of its predicted
+reprojection. Each refit round is one Gauss-Newton over every pair still
+refitting, their inliers padded to the longest with rows of weight 0;
+costs and normal equations are summed per problem over its own rows, so
+a pair ends bit for bit where it would alone. Observations are used
+as-is in subpixel mode and quantized to integer pixels first in pixel
+mode; quads with a pixel that is not finite, or with no positive
+previous disparity, are set aside.
 """
 
 from __future__ import annotations
@@ -294,7 +300,13 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _validate(self, threshold_px=self.threshold_px is None or self.threshold_px > 0)
+        def count(value):
+            return isinstance(value, (int, np.integer)) and value >= 1
+
+        _validate(self, iterations=count(self.iterations),
+                  threshold_px=self.threshold_px is None or self.threshold_px > 0,
+                  min_consensus=count(self.min_consensus), max_gn_iters=count(self.max_gn_iters),
+                  step_tol=self.step_tol >= 0, seed=isinstance(self.seed, (int, np.integer)))
 
 
 _HALVINGS = 0.5 ** np.arange(12)  # line-search step scales, largest first
@@ -360,23 +372,23 @@ def _residuals(points, targets, calib, r_mat, t_vec, want_jacobian=False):
     return res, jac
 
 
-def _halving_rotations(rotvec):
-    """Rotation matrices (..., 12, 3, 3) of rotation vectors (..., 3)
-    scaled by each of _HALVINGS, formed step for step as
-    `Quat.from_rotvec(scale * rotvec).to_matrix()` forms them. Halving a
-    vector halves its norm exactly and keeps its direction, so the norm
-    and the axis are computed once."""
+def _halving_rotations(rotvec, halvings):
+    """Rotation matrices (..., h, 3, 3) of rotation vectors (..., 3)
+    scaled by each of the h `halvings` (powers of two), formed step for
+    step as `Quat.from_rotvec(scale * rotvec).to_matrix()` forms them.
+    Halving a vector halves its norm exactly and keeps its direction, so
+    the norm and the axis are computed once."""
     angle = np.sqrt(row_dot(rotvec, rotvec))[..., None]
     some = angle >= 1e-12  # else every halving is below 1e-12 as well
     axis = rotvec / np.where(some, angle, 1.0)
     factor_n = np.where(some, np.sqrt(row_dot(axis, axis))[..., None], 1.0)
-    angle = angle * _HALVINGS
+    angle = angle * halvings
     half = 0.5 * angle
     tiny = angle < 1e-12  # first-order quaternion, as in Quat.from_rotvec
     factor = np.sin(half) / factor_n
     w = np.where(tiny, 1.0, np.cos(half))
     x, y, z = (
-        np.where(tiny, 0.5 * (_HALVINGS * rotvec[..., i, None]), axis[..., i, None] * factor)
+        np.where(tiny, 0.5 * (halvings * rotvec[..., i, None]), axis[..., i, None] * factor)
         for i in range(3)
     )
     n = np.sqrt(w * w + x * x + y * y + z * z)
@@ -393,19 +405,50 @@ def _halving_rotations(rotvec):
     ).reshape(w.shape + (3, 3))
 
 
-def _gauss_newton(points, targets, calib, cfg: RansacConfig, weights=None, start=None):
+def _row_sums(sq, sizes):
+    """Sums over the last two axes of sq (B, ..., k, 4), each problem b over
+    its first sizes[b] points only (all k when sizes is None). A sum's
+    rounding depends on how many terms it runs over, even when the extra
+    ones are zeros, so padding is left out of it."""
+    if sizes is None:
+        return np.sum(sq, axis=(-2, -1))
+    sums = [np.sum(s[..., :n, :], axis=(-2, -1)) for s, n in zip(sq, sizes)]
+    return np.array(sums).reshape(sq.shape[:-2])
+
+
+def _normal_equations(r_flat, j_flat, sizes):
+    """Gradient (B, 6) and Gauss-Newton matrix (B, 6, 6) of stacked residual
+    rows r_flat (B, 4k, 1) and Jacobian rows j_flat (B, 4k, 6), each problem
+    over the rows of its first sizes[b] points (all when sizes is None): the
+    matrix product splits long sums into blocks by their total length."""
+    if sizes is None:
+        jt = np.swapaxes(j_flat, 1, 2)
+        return (jt @ r_flat)[..., 0], jt @ j_flat
+    grad, h = np.empty((len(sizes), 6)), np.empty((len(sizes), 6, 6))
+    for b, n in enumerate(4 * sizes):
+        jt = np.swapaxes(j_flat[b:b + 1, :n], 1, 2)
+        grad[b], h[b] = (jt @ r_flat[b:b + 1, :n])[0, :, 0], (jt @ j_flat[b:b + 1, :n])[0]
+    return grad, h
+
+
+def _gauss_newton(points, targets, calib, cfg: RansacConfig, weights=None, start=None, sizes=None):
     """Minimize the summed squared reprojection error over SE(3) for a
     stack of B independent problems of k points each.
 
     points (B, k, 3), targets (B, k, 4), optional weights (B, k), which
     scale each point's squared residuals, and an optional start (r_mat
     (B, 3, 3), t_vec (B, 3)), the identity by default; returns r_mat
-    (B, 3, 3), t_vec (B, 3) and the final costs (B,). A problem stops
-    after an applied step whose largest component is below `step_tol`,
-    when its normal equations are singular, when no step scale of the
-    line search lowers its cost, or after `max_gn_iters` iterations. The
-    line search tries all 12 halvings of every step at once and keeps the
-    largest scale that does not raise the cost, so the cost is monotone.
+    (B, 3, 3), t_vec (B, 3) and the final costs (B,). Problems of fewer
+    points are padded to k with finite rows of weight 0 and give their
+    point counts as `sizes` (B,): their costs and normal equations are then
+    summed over their own points alone, so each ends bit for bit where it
+    ends unpadded. A problem stops after an applied step whose largest
+    component is below `step_tol`, when its normal equations are
+    singular, when no step scale of the line search lowers its cost, or
+    after `max_gn_iters` iterations. The line search keeps the largest of
+    the 12 halvings of a step that does not raise the cost, so the cost is
+    monotone: it evaluates the full step of every problem, then the 11
+    shorter ones at once for the problems whose full step raised it.
     """
     n_prob = len(points)
     sw = (np.ones(points.shape[:-1]) if weights is None else np.sqrt(weights))[:, None, :, None]
@@ -414,18 +457,18 @@ def _gauss_newton(points, targets, calib, cfg: RansacConfig, weights=None, start
     else:
         r_mat, t_vec = np.array(start[0], dtype=float), np.array(start[1], dtype=float)
     res, _ = _residuals(points, targets, calib, r_mat[:, None], t_vec[:, None])
-    cost = np.sum((sw * res) ** 2, axis=(-2, -1))[:, 0]
+    cost = _row_sums((sw * res) ** 2, sizes)[:, 0]
     active = np.arange(n_prob)
     for _ in range(cfg.max_gn_iters):
         if not len(active):
             break
         w = sw[active]
+        n = None if sizes is None else sizes[active]
         res, jac = _residuals(points[active], targets[active], calib,
                               r_mat[active, None], t_vec[active, None], True)
-        r_flat = (w * res).reshape(len(active), -1, 1)
-        j_flat = (w[..., None] * jac).reshape(len(active), -1, 6)
-        grad = (np.swapaxes(j_flat, 1, 2) @ r_flat)[..., 0]
-        h = np.swapaxes(j_flat, 1, 2) @ j_flat + 1e-12 * np.eye(6)
+        grad, h = _normal_equations((w * res).reshape(len(active), -1, 1),
+                                    (w[..., None] * jac).reshape(len(active), -1, 6), n)
+        h = h + 1e-12 * np.eye(6)
         try:
             step = np.linalg.solve(h, -grad[..., None])[..., 0]
         except np.linalg.LinAlgError:  # stop only the singular problems
@@ -437,11 +480,26 @@ def _gauss_newton(points, targets, calib, cfg: RansacConfig, weights=None, start
                     pass
             solved = ~np.isnan(step).any(axis=1)
             active, step = active[solved], step[solved]
-        dr = _halving_rotations(step[:, 3:])  # (A, 12, 3, 3)
-        r_new = dr @ r_mat[active, None]
-        t_new = (dr @ t_vec[active, None, :, None])[..., 0] + _HALVINGS[:, None] * step[:, None, :3]
-        res_new, _ = _residuals(points[active], targets[active], calib, r_new, t_new)
-        cost_new = np.sum((sw[active] * res_new) ** 2, axis=(-2, -1))
+        r_new = np.empty((len(active), len(_HALVINGS), 3, 3))
+        t_new = np.empty((len(active), len(_HALVINGS), 3))
+        cost_new = np.full((len(active), len(_HALVINGS)), np.nan)
+
+        def take_steps(rows, scales):
+            """Poses and costs of the problems active[rows] at the given
+            scales of their steps."""
+            p, d = active[rows], _halving_rotations(step[rows, 3:], _HALVINGS[scales])
+            r_new[rows, scales] = d @ r_mat[p, None]
+            t_new[rows, scales] = ((d @ t_vec[p, None, :, None])[..., 0]
+                                   + _HALVINGS[scales, None] * step[rows, None, :3])
+            res_new, _ = _residuals(points[p], targets[p], calib,
+                                    r_new[rows, scales], t_new[rows, scales])
+            cost_new[rows, scales] = _row_sums((sw[p] * res_new) ** 2,
+                                               None if sizes is None else sizes[p])
+
+        take_steps(np.arange(len(active)), slice(0, 1))
+        raised = np.flatnonzero(~(cost_new[:, 0] <= cost[active]))
+        if len(raised):
+            take_steps(raised, slice(1, None))
         accepted = cost_new <= cost[active, None]
         rows = np.flatnonzero(accepted.any(axis=1))
         scale = np.argmax(accepted[rows], axis=1)  # first accepted = largest scale
@@ -459,6 +517,134 @@ def _pixel_error(res):
     return np.maximum(np.linalg.norm(res[..., :2], axis=-1), np.linalg.norm(res[..., 2:], axis=-1))
 
 
+def _refit_errors(points, targets, calib, r_mat, t_vec):
+    """Per problem of points (B, n, 3), targets (B, n, 4) under the poses
+    r_mat (B, 3, 3), t_vec (B, 3): the pixel error of every quad; that
+    error over s = sqrt(1 + 2 g^2), the factor by which the previous
+    point's depth widens its spread (inf for a point behind the current
+    camera); and s. Here g is the shift of the reprojection per pixel of
+    previous disparity in the worse image; the disparity variance is twice
+    the pixel variance."""
+    res, jac = _residuals(points, targets, calib, r_mat[:, None], t_vec[:, None], True)
+    res, jac = res[:, 0], jac[:, 0]
+    rotated = points @ np.swapaxes(r_mat, -1, -2)
+    # the translation columns of the Jacobian are d(res)/d(p_c), and a
+    # triangulated point scales as 1/disparity: dX/dd = -X z / (f b)
+    dp_dd = -rotated * (points[..., 2:] / (calib.focal * calib.baseline))
+    shift = np.einsum("bnkj,bnj->bnk", jac[..., :3], dp_dd)
+    g = np.maximum(np.hypot(shift[..., 0], shift[..., 1]), np.hypot(shift[..., 2], shift[..., 3]))
+    scale = np.sqrt(1.0 + 2.0 * g**2)
+    err = _pixel_error(res)
+    in_front = rotated[..., 2] + t_vec[:, None, 2] > 0
+    return err, np.where(in_front, err / scale, np.inf), scale
+
+
+def _threshold(mode: str, cfg: RansacConfig) -> float:
+    """The inlier threshold [px] of `mode`; an unknown mode raises."""
+    if mode not in ("pixel", "subpixel"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if cfg.threshold_px is None:
+        return 1.5 if mode == "pixel" else 0.75
+    return cfg.threshold_px
+
+
+# Hypothesis problems per Gauss-Newton call: the stack of every pair's
+# samples runs in groups of this size, to bound its memory.
+_HYPOTHESIS_GROUP = 500
+
+
+def _estimate_pairs(pairs, calib: StereoCalib, mode: str, cfg: RansacConfig) -> list:
+    """estimate_motion of each (quads, prev_frame, cur_frame, seed) of
+    `pairs`, each stage run over all pairs at once: a pair's result is its
+    (pose, inliers), or the VoError it failed with. The hypotheses run in
+    groups of `_HYPOTHESIS_GROUP`; a pair leaves the refit once its inlier
+    set settles or falls below `cfg.min_consensus`, or after 10 rounds.
+    """
+    threshold = _threshold(mode, cfg)
+    out: list = [None] * len(pairs)
+    usable = []  # (pair, kept quads, their points, their targets, samples)
+    for p, (quads, prev_frame, cur_frame, seed) in enumerate(pairs):
+        prev_px, targets = prev_frame.px[quads[:, 0]], cur_frame.px[quads[:, 1]]
+        if mode == "pixel":
+            prev_px, targets = np.round(prev_px), np.round(targets)
+        kept = np.flatnonzero(np.isfinite(prev_px).all(axis=1) & np.isfinite(targets).all(axis=1)
+                              & (prev_px[:, 0] > prev_px[:, 2]))
+        if len(kept) < 3:
+            out[p] = InsufficientDataError(f"need >= 3 usable quad matches, got {len(kept)}")
+            continue
+        rng = np.random.default_rng(seed)
+        samples = np.array([rng.choice(len(kept), size=3, replace=False)
+                            for _ in range(cfg.iterations)], dtype=np.intp)
+        usable.append((p, kept, _triangulate(calib, prev_px[kept]), targets[kept], samples))
+    if not usable:
+        return out
+
+    hyp_points = np.concatenate([points[samples] for _, _, points, _, samples in usable])
+    hyp_targets = np.concatenate([targets[samples] for _, _, _, targets, samples in usable])
+    hyp_cfg = replace(cfg, max_gn_iters=min(cfg.max_gn_iters, _HYPOTHESIS_GN_ITERS))
+    hyps = [_gauss_newton(hyp_points[i:i + _HYPOTHESIS_GROUP],
+                          hyp_targets[i:i + _HYPOTHESIS_GROUP], calib, hyp_cfg)
+            for i in range(0, len(hyp_points), _HYPOTHESIS_GROUP)]
+    hyp_r = np.concatenate([h[0] for h in hyps]).reshape(len(usable), cfg.iterations, 3, 3)
+    hyp_t = np.concatenate([h[1] for h in hyps]).reshape(len(usable), cfg.iterations, 3)
+
+    refit = []  # (pair, kept quads, points, targets, best rotation, translation, inliers)
+    for (p, kept, points, targets, _), r_mats, t_vecs in zip(usable, hyp_r, hyp_t):
+        res = _residuals(points, targets, calib, r_mats[:, None], t_vecs[:, None])[0][:, 0]
+        counts = np.sum(_pixel_error(res) <= threshold, axis=1)
+        best = int(np.argmax(counts))  # the first of the largest consensus
+        if counts[best] < cfg.min_consensus:
+            out[p] = NoMotionEstimateError(
+                f"consensus {counts[best]} below minimum {cfg.min_consensus}")
+        else:
+            refit.append((p, kept, points, targets, r_mats[best], t_vecs[best],
+                          _pixel_error(res[best]) <= threshold))
+    if not refit:
+        return out
+
+    # The depth-weighted refit starts from each pair's best hypothesis and
+    # its inliers, and each round from the poses the last one ended at. The
+    # pairs' quads are padded to the longest with copies of their first,
+    # which no inlier set takes in.
+    ids, kept, points, targets, r_mat, t_vec, mask = zip(*refit)
+    n = np.array([len(k) for k in kept])
+    valid = np.arange(n.max()) < n[:, None]
+    flat = np.r_[0, np.cumsum(n)[:-1]][:, None] + np.where(valid, np.arange(n.max()), 0)
+    points, targets = np.concatenate(points)[flat], np.concatenate(targets)[flat]
+    mask = np.concatenate(mask)[flat] & valid
+    r_mat, t_vec = np.stack(r_mat), np.stack(t_vec)
+    _, _, scale = _refit_errors(points, targets, calib, r_mat, t_vec)
+    err = np.empty(valid.shape)
+    live = np.arange(len(refit))
+    for _ in range(10):
+        if not len(live):
+            break
+        inliers = mask[live]
+        sizes = inliers.sum(axis=1)
+        # each pair's inliers in order, then copies of its first at weight 0
+        real = np.arange(sizes.max()) < sizes[:, None]
+        rows = np.argsort(~inliers, axis=1, kind="stable")[:, :sizes.max()]
+        rows = np.where(real, rows, rows[:, :1])
+        weights = np.where(real, 1.0 / np.take_along_axis(scale[live], rows, 1) ** 2, 0.0)
+        r_mat[live], t_vec[live], _ = _gauss_newton(
+            np.take_along_axis(points[live], rows[..., None], 1),
+            np.take_along_axis(targets[live], rows[..., None], 1), calib, cfg, weights,
+            (r_mat[live], t_vec[live]), sizes,
+        )
+        err[live], norm_err, scale[live] = _refit_errors(points[live], targets[live], calib,
+                                                         r_mat[live], t_vec[live])
+        new = (norm_err <= threshold) & valid[live]
+        mask[live] = new
+        settled = (new.sum(axis=1) < cfg.min_consensus) | np.all(new == inliers, axis=1)
+        live = live[~settled]
+
+    for p, quads, r, t, e, count in zip(ids, kept, r_mat, t_vec, err, n):
+        # W maps prev-camera to cur-camera coordinates; report cur-in-prev
+        rel = inverse(Pose(t, Quat.from_matrix(r), 0.0))
+        out[p] = Pose(rel.position, rel.orientation, 0.0), quads[e[:count] <= threshold]
+    return out
+
+
 def estimate_motion(
     quads: np.ndarray,
     prev_frame: StereoFrame,
@@ -467,19 +653,16 @@ def estimate_motion(
     mode: str = "subpixel",
     cfg: RansacConfig = RansacConfig(),
 ):
-    """RANSAC + Gauss-Newton relative pose from quad matches.
+    """RANSAC + Gauss-Newton relative pose from quad matches: the staged
+    pass of `run_vo` (see the module docstring) on one pair.
 
     Quads with a pixel that is not finite, or (after pixel-mode rounding)
     with no positive previous disparity, are set aside first. All
-    `cfg.iterations` minimal 3-point samples are drawn up front and
-    refined together by one batched Gauss-Newton from the identity, for
-    at most `_HYPOTHESIS_GN_ITERS` iterations; every hypothesis is then
-    scored against every quad at once, and the first with the most quads
-    within `threshold_px` wins. The refit starts from that hypothesis,
-    weights each of its quads by the inverse of the variance that the
-    quad's triangulated depth adds to its reprojection, re-classifies on
-    the error normalized by that spread, and repeats from the last pose
-    until the set settles.
+    `cfg.iterations` minimal 3-point samples are refined from the identity
+    for at most `_HYPOTHESIS_GN_ITERS` iterations, and the first with the
+    most quads within `threshold_px` wins. The depth-weighted refit starts
+    from it, re-classifies on the error normalized by each quad's spread,
+    and repeats from the last pose until the set settles.
 
     `quads` is quad_match's (m, 2) array of (previous row, current row).
     Returns (pose, inlier_indices): `pose` is the current camera pose
@@ -490,86 +673,26 @@ def estimate_motion(
     Raises InsufficientDataError below 3 usable quads and
     NoMotionEstimateError below `cfg.min_consensus` inliers.
     """
-    if mode not in ("pixel", "subpixel"):
-        raise ValueError(f"unknown mode {mode!r}")
-    threshold = cfg.threshold_px
-    if threshold is None:
-        threshold = 1.5 if mode == "pixel" else 0.75
-
-    prev_px, targets = prev_frame.px[quads[:, 0]], cur_frame.px[quads[:, 1]]
-    if mode == "pixel":
-        prev_px, targets = np.round(prev_px), np.round(targets)
-    kept = np.flatnonzero(np.isfinite(prev_px).all(axis=1) & np.isfinite(targets).all(axis=1)
-                          & (prev_px[:, 0] > prev_px[:, 2]))
-    if len(kept) < 3:
-        raise InsufficientDataError(f"need >= 3 usable quad matches, got {len(kept)}")
-    prev_px, targets = prev_px[kept], targets[kept]
-    points = _triangulate(calib, prev_px)
-
-    def refit_errors(r_mat, t_vec):
-        """Pixel error of every quad; that error over s = sqrt(1 + 2 g^2),
-        the factor by which the previous point's depth widens its spread
-        (inf for a point behind the current camera); and s. Here g is the
-        shift of the reprojection per pixel of previous disparity in the
-        worse image; the disparity variance is twice the pixel variance."""
-        (res,), (jac,) = _residuals(points, targets, calib, r_mat[None], t_vec[None], True)
-        rotated = points @ r_mat.T
-        # the translation columns of the Jacobian are d(res)/d(p_c), and a
-        # triangulated point scales as 1/disparity: dX/dd = -X z / (f b)
-        dp_dd = -rotated * (points[:, 2:] / (calib.focal * calib.baseline))
-        shift = np.einsum("nkj,nj->nk", jac[:, :, :3], dp_dd)
-        g = np.maximum(np.hypot(shift[:, 0], shift[:, 1]), np.hypot(shift[:, 2], shift[:, 3]))
-        scale = np.sqrt(1.0 + 2.0 * g**2)
-        err = _pixel_error(res)
-        in_front = rotated[:, 2] + t_vec[2] > 0
-        return err, np.where(in_front, err / scale, np.inf), scale
-
-    rng = np.random.default_rng(cfg.seed)
-    n = len(points)
-    samples = np.array(
-        [rng.choice(n, size=3, replace=False) for _ in range(cfg.iterations)], dtype=np.intp
-    ).reshape(-1, 3)
-    hyp_cfg = replace(cfg, max_gn_iters=min(cfg.max_gn_iters, _HYPOTHESIS_GN_ITERS))
-    hyp_r, hyp_t, _ = _gauss_newton(points[samples], targets[samples], calib, hyp_cfg)
-    res = _residuals(points, targets, calib, hyp_r[:, None], hyp_t[:, None])[0][:, 0]
-    counts = np.sum(_pixel_error(res) <= threshold, axis=1)
-    best_count = int(counts.max(initial=0))
-    if best_count < max(cfg.min_consensus, 1):
-        raise NoMotionEstimateError(
-            f"consensus {best_count} below minimum {cfg.min_consensus}"
-        )
-    best = int(np.argmax(counts))  # the first of the largest consensus
-
-    # depth-weighted refit from the best hypothesis and its inliers,
-    # re-classified on the normalized error until the set stabilizes; each
-    # round starts from the pose the last one ended at
-    r_mat, t_vec = hyp_r[best], hyp_t[best]
-    _, _, scale = refit_errors(r_mat, t_vec)
-    mask = _pixel_error(res[best]) <= threshold
-    for _ in range(10):
-        r_fit, t_fit, _ = _gauss_newton(
-            points[mask][None], targets[mask][None], calib, cfg, (1.0 / scale[mask] ** 2)[None],
-            (r_mat[None], t_vec[None]),
-        )
-        r_mat, t_vec = r_fit[0], t_fit[0]
-        err, norm_err, scale = refit_errors(r_mat, t_vec)
-        new_mask = norm_err <= threshold
-        if int(new_mask.sum()) < cfg.min_consensus or np.array_equal(new_mask, mask):
-            break
-        mask = new_mask
-
-    # W maps prev-camera to cur-camera coordinates; report cur-in-prev
-    q = Quat.from_matrix(r_mat)
-    w_pose = Pose(t_vec, q, 0.0)
-    rel = inverse(w_pose)
-    return Pose(rel.position, rel.orientation, 0.0), kept[err <= threshold]
+    (out,) = _estimate_pairs([(quads, prev_frame, cur_frame, cfg.seed)], calib, mode, cfg)
+    if isinstance(out, VoError):
+        raise out
+    return out
 
 
 @dataclass
 class VoResult:
+    """`inliers[k - 1]` counts the inliers of the motion from frame k - 1 to
+    frame k (0 when it failed), and `errors[k - 1]` names the VoError class
+    it failed with (None when it did not)."""
+
     poses: list[Pose]
     times_ms: list[float]
-    failures: int = 0
+    inliers: list[int]
+    errors: list[str | None]
+
+    @property
+    def failures(self) -> int:
+        return sum(e is not None for e in self.errors)
 
 
 def run_vo(
@@ -580,26 +703,32 @@ def run_vo(
 ) -> VoResult:
     """Frame-to-frame odometry over a scene, no keyframing.
 
-    The trajectory starts at the scene's first truth pose; when a frame's
-    estimation fails the previous motion is held and counted.
+    Every frame pair is matched, and all pairs are estimated together in
+    one staged pass (`estimate_motion` on each pair gives the same motion;
+    pair k draws its samples with seed `cfg.seed + k`). The trajectory
+    starts at the scene's first truth pose; when a pair's estimation fails
+    the previous motion is held and counted. `times_ms` holds each pair's
+    equal share of the pass.
     """
+    _threshold(mode, cfg)
+    t0 = time.perf_counter()
+    frames = scene.frames
+    pairs = [(quad_match(prev, cur, calib), prev, cur, cfg.seed + k)
+             for k, (prev, cur) in enumerate(zip(frames, frames[1:]), 1)]
     poses = [scene.trajectory[0]]
     last_motion = Pose.identity()
-    times_ms = []
-    failures = 0
-    for k in range(1, len(scene.frames)):
-        t0 = time.perf_counter()
-        quads = quad_match(scene.frames[k - 1], scene.frames[k], calib)
-        try:
-            motion, _ = estimate_motion(
-                quads, scene.frames[k - 1], scene.frames[k], calib, mode,
-                replace(cfg, seed=cfg.seed + k),
-            )
-            last_motion = motion
-        except VoError:
-            failures += 1
+    inliers, errors = [], []
+    for k, out in enumerate(_estimate_pairs(pairs, calib, mode, cfg), 1):
+        if isinstance(out, VoError):
             motion = last_motion
-        times_ms.append((time.perf_counter() - t0) * 1000.0)
+            inliers.append(0)
+            errors.append(type(out).__name__)
+        else:
+            motion, kept = out
+            last_motion = motion
+            inliers.append(len(kept))
+            errors.append(None)
         step = compose(poses[-1], motion)
         poses.append(Pose(step.position, step.orientation, float(k)))
-    return VoResult(poses, times_ms, failures)
+    share = (time.perf_counter() - t0) * 1000.0 / max(len(pairs), 1)
+    return VoResult(poses, [share] * len(pairs), inliers, errors)

@@ -23,13 +23,19 @@ from mavnav.vo import (
     quad_match,
     run_vo,
 )
-from mavnav.vo import _gauss_newton, _residuals, _triangulate
+from mavnav.vo import _gauss_newton, _pixel_error, _residuals, _triangulate
 
 # the accuracy test's config
 ACCURACY = SceneConfig(n_frames=2, step=1.0, pixel_noise=0.3, outlier_rate=0.3, max_depth=40.0)
 # vo_corridor's scene (perfbench/workloads.py)
 CORRIDOR = SceneConfig(n_landmarks=400, n_frames=40, step=0.25, yaw_rate=0.01,
                        pixel_noise=0.5, outlier_rate=0.1)
+# the pixel-mode tests' scene
+WIDE = SceneConfig(n_frames=50, step=1.6, pixel_noise=0.25, outlier_rate=0.1, max_depth=45.0,
+                   corridor_halfwidth=6.0)
+# on seed 1, nine of this scene's ten pairs fall short of STRICT's consensus
+SHORT_OF_CONSENSUS = SceneConfig(n_frames=11, outlier_rate=0.7)
+STRICT = RansacConfig(min_consensus=20, seed=1)
 
 
 # -- scalar references -------------------------------------------------------
@@ -130,6 +136,106 @@ def _scalar_gauss_newton(points, targets, calib, cfg: RansacConfig, weights=None
     if stops is not None:
         stops.append(stop)
     return r_mat, t_vec, cost
+
+
+def _loop_estimate_motion(quads, prev_frame, cur_frame, calib=StereoCalib(), mode="subpixel",
+                          cfg=RansacConfig()):
+    """One pair's RANSAC and depth-weighted refit, each Gauss-Newton stage
+    on this pair alone: the per-pair body that the staged pass over all
+    pairs replaced."""
+    threshold = cfg.threshold_px
+    if threshold is None:
+        threshold = 1.5 if mode == "pixel" else 0.75
+    prev_px, targets = prev_frame.px[quads[:, 0]], cur_frame.px[quads[:, 1]]
+    if mode == "pixel":
+        prev_px, targets = np.round(prev_px), np.round(targets)
+    kept = np.flatnonzero(np.isfinite(prev_px).all(axis=1) & np.isfinite(targets).all(axis=1)
+                          & (prev_px[:, 0] > prev_px[:, 2]))
+    if len(kept) < 3:
+        raise InsufficientDataError(f"need >= 3 usable quad matches, got {len(kept)}")
+    prev_px, targets = prev_px[kept], targets[kept]
+    points = _triangulate(calib, prev_px)
+
+    def refit_errors(r_mat, t_vec):
+        (res,), (jac,) = _residuals(points, targets, calib, r_mat[None], t_vec[None], True)
+        rotated = points @ r_mat.T
+        dp_dd = -rotated * (points[:, 2:] / (calib.focal * calib.baseline))
+        shift = np.einsum("nkj,nj->nk", jac[:, :, :3], dp_dd)
+        g = np.maximum(np.hypot(shift[:, 0], shift[:, 1]), np.hypot(shift[:, 2], shift[:, 3]))
+        scale = np.sqrt(1.0 + 2.0 * g**2)
+        err = _pixel_error(res)
+        in_front = rotated[:, 2] + t_vec[2] > 0
+        return err, np.where(in_front, err / scale, np.inf), scale
+
+    rng = np.random.default_rng(cfg.seed)
+    n = len(points)
+    samples = np.array(
+        [rng.choice(n, size=3, replace=False) for _ in range(cfg.iterations)], dtype=np.intp
+    ).reshape(-1, 3)
+    hyp_cfg = replace(cfg, max_gn_iters=min(cfg.max_gn_iters, vo._HYPOTHESIS_GN_ITERS))
+    hyp_r, hyp_t, _ = _gauss_newton(points[samples], targets[samples], calib, hyp_cfg)
+    res = _residuals(points, targets, calib, hyp_r[:, None], hyp_t[:, None])[0][:, 0]
+    counts = np.sum(_pixel_error(res) <= threshold, axis=1)
+    best_count = int(counts.max(initial=0))
+    if best_count < max(cfg.min_consensus, 1):
+        raise NoMotionEstimateError(f"consensus {best_count} below minimum {cfg.min_consensus}")
+    best = int(np.argmax(counts))
+
+    r_mat, t_vec = hyp_r[best], hyp_t[best]
+    _, _, scale = refit_errors(r_mat, t_vec)
+    mask = _pixel_error(res[best]) <= threshold
+    for _ in range(10):
+        r_fit, t_fit, _ = _gauss_newton(
+            points[mask][None], targets[mask][None], calib, cfg, (1.0 / scale[mask] ** 2)[None],
+            (r_mat[None], t_vec[None]),
+        )
+        r_mat, t_vec = r_fit[0], t_fit[0]
+        err, norm_err, scale = refit_errors(r_mat, t_vec)
+        new_mask = norm_err <= threshold
+        if int(new_mask.sum()) < cfg.min_consensus or np.array_equal(new_mask, mask):
+            break
+        mask = new_mask
+
+    rel = inverse(Pose(t_vec, Quat.from_matrix(r_mat), 0.0))
+    return Pose(rel.position, rel.orientation, 0.0), kept[err <= threshold]
+
+
+def _loop_run_vo(scene, mode="subpixel", cfg=RansacConfig(), calib=StereoCalib()):
+    """(poses, inlier counts, error names) of the frame-by-frame loop over
+    _loop_estimate_motion."""
+    poses = [scene.trajectory[0]]
+    last_motion = Pose.identity()
+    inliers, errors = [], []
+    for k in range(1, len(scene.frames)):
+        quads = quad_match(scene.frames[k - 1], scene.frames[k], calib)
+        try:
+            motion, kept = _loop_estimate_motion(quads, scene.frames[k - 1], scene.frames[k],
+                                                 calib, mode, replace(cfg, seed=cfg.seed + k))
+            last_motion = motion
+            inliers.append(len(kept))
+            errors.append(None)
+        except vo.VoError as exc:
+            motion = last_motion
+            inliers.append(0)
+            errors.append(type(exc).__name__)
+        step = compose(poses[-1], motion)
+        poses.append(Pose(step.position, step.orientation, float(k)))
+    return poses, inliers, errors
+
+
+def _non_finite_frame_scene():
+    """A 5-frame scene whose frame 2 has no finite u pixel."""
+    scene = gen_scene(SceneConfig(n_frames=5, step=0.3, pixel_noise=0.2), seed=5)
+    px = scene.frames[2].px.copy()
+    px[:, [0, 2]] = math.nan
+    scene.frames[2] = replace(scene.frames[2], px=px)
+    return scene
+
+
+def _pose_bytes(poses):
+    return [(p.position.tobytes(),
+             np.array([p.orientation.w, p.orientation.x, p.orientation.y, p.orientation.z,
+                       p.stamp]).tobytes()) for p in poses]
 
 
 def _loop_gen_scene(config, seed, calib=StereoCalib()):
@@ -345,6 +451,17 @@ class TestSceneGeneration:
             (SceneConfig, {"descriptor_noise": -0.1}, "descriptor_noise"),
             (RansacConfig, {"threshold_px": 0.0}, "threshold_px"),
             (RansacConfig, {"step_tol": math.nan}, "step_tol"),
+            (RansacConfig, {"step_tol": -1e-9}, "step_tol"),
+            (RansacConfig, {"iterations": 0}, "iterations"),
+            (RansacConfig, {"iterations": -3}, "iterations"),
+            (RansacConfig, {"iterations": 100.0}, "iterations"),
+            (RansacConfig, {"max_gn_iters": 0}, "max_gn_iters"),
+            (RansacConfig, {"max_gn_iters": 2.5}, "max_gn_iters"),
+            (RansacConfig, {"min_consensus": 0}, "min_consensus"),
+            (RansacConfig, {"min_consensus": -6}, "min_consensus"),
+            (RansacConfig, {"min_consensus": 6.0}, "min_consensus"),
+            (RansacConfig, {"seed": 1.5}, "seed"),
+            (RansacConfig, {"seed": math.inf}, "seed"),
         ],
     )
     def test_invalid_config_names_the_field(self, cls, kwargs, field):
@@ -658,6 +775,44 @@ class TestEstimateMotion:
             _check_against_scalar(points[None], targets[None], weights[None], RansacConfig(),
                                   False, start=start)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.one_of(st.integers(3, 8), st.integers(60, 160)), min_size=1, max_size=5),
+        noise=st.sampled_from([0.0, 0.3, 3.0]),
+        singular=st.booleans(),
+        iters=st.sampled_from([1, 3, 20]),
+        warm=st.booleans(),
+    )
+    def test_padded_stack_matches_each_problem_alone(self, seed, sizes, noise, singular, iters,
+                                                     warm):
+        """Problems of mixed k, each padded to the longest with weight-0
+        copies of its first row and given its k in `sizes`, end bit for bit
+        where each ends as a stack of one. The long problems' normal
+        equations run past the matrix product's block length once padded.
+        The singular member (the last, if drawn) starts at the identity."""
+        calib = StereoCalib()
+        problems = [_gn_stack(seed + i, 1, k, noise, True, False, singular and i == len(sizes) - 1)
+                    for i, k in enumerate(sizes)]
+        starts = _small_poses(seed + len(sizes), len(sizes)) if warm else (
+            np.tile(np.eye(3), (len(sizes), 1, 1)), np.zeros((len(sizes), 3)))
+        if singular:
+            starts[0][-1], starts[1][-1] = np.eye(3), 0.0
+        k_max = max(sizes)
+        points, targets = np.empty((len(sizes), k_max, 3)), np.empty((len(sizes), k_max, 4))
+        weights = np.zeros((len(sizes), k_max))
+        for b, ((p, t, w), k) in enumerate(zip(problems, sizes)):
+            rows = np.r_[np.arange(k), np.zeros(k_max - k, dtype=int)]
+            points[b], targets[b], weights[b, :k] = p[0][rows], t[0][rows], w[0]
+        cfg = replace(RansacConfig(), max_gn_iters=iters)
+        r, t, cost = _gauss_newton(points, targets, calib, cfg, weights, starts, np.array(sizes))
+        for b, (p, tg, w) in enumerate(problems):
+            r0, t0, c0 = _gauss_newton(p, tg, calib, cfg, w, (starts[0][b:b + 1],
+                                                               starts[1][b:b + 1]))
+            assert r[b].tobytes() == r0[0].tobytes()
+            assert t[b].tobytes() == t0[0].tobytes()
+            assert cost[b].tobytes() == c0[0].tobytes()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_quad_set_aside(self, bad):
         cfg = SceneConfig(n_frames=2, step=0.3, pixel_noise=0.2)
@@ -698,11 +853,7 @@ class TestRunVo:
     def test_pixel_mode_worse_than_subpixel(self):
         from mavnav.metrics import rel_trans_error
 
-        cfg = SceneConfig(
-            n_frames=50, step=1.6, pixel_noise=0.25, outlier_rate=0.1,
-            max_depth=45.0, corridor_halfwidth=6.0,
-        )
-        scene = gen_scene(cfg, seed=20)
+        scene = gen_scene(WIDE, seed=20)
         sub = run_vo(scene, mode="subpixel")
         pix = run_vo(scene, mode="pixel")
         rep_sub = rel_trans_error(scene.trajectory, sub.poses)
@@ -712,18 +863,49 @@ class TestRunVo:
     def test_pixel_mode_sets_aside_zero_disparity_quads(self):
         """Rounding leaves some quads of this scene with no disparity; they
         are set aside rather than failing their frames."""
-        cfg = SceneConfig(
-            n_frames=50, step=1.6, pixel_noise=0.25, outlier_rate=0.1,
-            max_depth=45.0, corridor_halfwidth=6.0,
-        )
-        assert run_vo(gen_scene(cfg, seed=20), mode="pixel").failures == 0
+        assert run_vo(gen_scene(WIDE, seed=20), mode="pixel").failures == 0
 
     def test_non_finite_frame_counts_as_failures(self):
-        scene = gen_scene(SceneConfig(n_frames=5, step=0.3, pixel_noise=0.2), seed=5)
-        px = scene.frames[2].px.copy()
-        px[:, [0, 2]] = math.nan
-        scene.frames[2] = replace(scene.frames[2], px=px)
-        result = run_vo(scene)
+        result = run_vo(_non_finite_frame_scene())
         assert result.failures == 2  # frame 2 as current, then as previous
+        assert result.errors == [None, "InsufficientDataError", "InsufficientDataError", None]
+        assert result.inliers[1:3] == [0, 0] and min(result.inliers[::3]) >= 6
         assert len(result.poses) == 5
         assert all(np.all(np.isfinite(p.position)) for p in result.poses)
+
+    @pytest.mark.parametrize(
+        ("cfg", "seed", "mode", "ransac"),
+        [
+            *((CORRIDOR, seed, "subpixel", RansacConfig()) for seed in (101, 102, 103)),
+            (WIDE, 20, "pixel", RansacConfig()),
+            (SceneConfig(n_frames=40, step=0.5, closed_loop=True, max_depth=40.0), 2, "subpixel",
+             RansacConfig()),
+            (None, None, "subpixel", RansacConfig()),  # the non-finite frame
+            (SHORT_OF_CONSENSUS, 1, "subpixel", STRICT),
+        ],
+    )
+    def test_matches_per_pair_loop(self, cfg, seed, mode, ransac):
+        """The staged pass over all pairs gives the poses, inlier counts and
+        failures of estimating one pair at a time, bit for bit."""
+        scene = _non_finite_frame_scene() if cfg is None else gen_scene(cfg, seed)
+        result = run_vo(scene, mode, ransac)
+        poses, inliers, errors = _loop_run_vo(scene, mode, ransac)
+        assert _pose_bytes(result.poses) == _pose_bytes(poses)
+        assert result.inliers == inliers
+        assert result.errors == errors
+        assert result.failures == sum(e is not None for e in errors)
+        assert len(result.times_ms) == len(scene.frames) - 1
+
+    def test_failing_scene_fails_nine_of_ten(self):
+        result = run_vo(gen_scene(SHORT_OF_CONSENSUS, 1), cfg=STRICT)
+        assert result.failures == 9
+        assert set(result.errors) == {None, "NoMotionEstimateError"}
+
+    def test_unknown_mode_rejected_before_any_pair(self):
+        scene = gen_scene(SceneConfig(n_frames=1), seed=1)
+        assert len(run_vo(scene).poses) == 1
+        with pytest.raises(ValueError, match="unknown mode"):
+            run_vo(scene, mode="bogus")
+        prev, cur = gen_scene(SceneConfig(n_frames=2), seed=1).frames
+        with pytest.raises(ValueError, match="unknown mode"):
+            estimate_motion(quad_match(prev, cur), prev, cur, mode="bogus")
