@@ -1,9 +1,11 @@
 """Deterministic hexacopter rigid-body simulation with sensor models.
 
-Dynamics are semi-implicit Euler at a fixed internal step; the simulator
-holds each command over the internal steps up to the next IMU tick.
-Actuation is abstracted to collective thrust along body z plus three body
-torques, clamped to the vehicle limits. Wind enters as a pure drag force
+The simulator advances one IMU tick per call with one classic RK4 step
+under the held command, split at every gust edge inside the tick; the
+quaternion is renormalized once per step. `step_dynamics` keeps a
+semi-implicit Euler step as the tests' reference. Actuation is
+abstracted to collective thrust along body z plus three body torques,
+clamped to the vehicle limits. Wind enters as a pure drag force
 ``drag * (wind - velocity)``. Sensors run on exact grids: IMU at 100 Hz
 with a slowly random-walking bias, a pose sensor at 10 Hz whose
 measurements arrive 100 ms after capture: each pose tick measures the
@@ -91,8 +93,9 @@ class WindProfile:
         object.__setattr__(self, "constant", tuple(np.asarray(self.constant, dtype=float).tolist()))
         gusts = tuple((float(s), float(d), tuple(np.asarray(v, dtype=float).tolist()))
                       for s, d, v in self.gusts)
-        if any(d <= 0 for _, d, _ in gusts):
-            raise ValueError("gust durations must be positive")
+        # a NaN or infinite start or a NaN duration would never blow
+        if not all(math.isfinite(s) and d > 0 for s, d, _ in gusts):
+            raise ValueError("gust starts must be finite and durations positive")
         if list(s for s, _, _ in gusts) != sorted(s for s, _, _ in gusts):
             raise ValueError("gusts must be sorted by start time")
         object.__setattr__(self, "gusts", gusts)
@@ -154,6 +157,58 @@ def _rigid_step(p, v, q, w, thrust, torque, wind, dt, params):
     return p_new, v_new, q_new, w_new
 
 
+def _rk4_step(x: tuple, thrust: float, torque: tuple, wind, h: float, params) -> tuple:
+    """One classic RK4 step of length h of the rigid-body dynamics on floats.
+
+    x is the state (p, v, q, w) as 13 floats, q as (w, x, y, z); thrust
+    and torque are the clamped command and, like `wind`, held over the
+    step. Checks the wind before the step and the state after it, and
+    renormalizes the quaternion once, at the end.
+    """
+    ux, uy, uz = wind
+    if not (math.isfinite(ux) and math.isfinite(uy) and math.isfinite(uz)):
+        raise ValueError("non-finite command or wind")
+    m, drag = params.mass, params.drag
+    ix, iy, iz = params.inertia
+    tx, ty, tz = torque
+    fx, fy, fz = m * _GX + drag * ux, m * _GY + drag * uy, m * _GZ + drag * uz
+    ax, ay, az = tx / ix, ty / iy, tz / iz  # I^-1 tau
+    ex, ey, ez = (iz - iy) / ix, (ix - iz) / iy, (iy - ix) / iz  # gyroscopic term
+
+    def deriv(s):
+        _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = s
+        # body z in the world, R(q) e_z, as `quat_rotate` gives it
+        bx, by = 2.0 * (qx * qz + qw * qy), 2.0 * (qy * qz - qw * qx)
+        bz = 1.0 - 2.0 * (qx * qx + qy * qy)
+        return (
+            vx, vy, vz,
+            (thrust * bx + fx - drag * vx) / m,
+            (thrust * by + fy - drag * vy) / m,
+            (thrust * bz + fz - drag * vz) / m,
+            # q' = q (0, w) / 2
+            -0.5 * (qx * wx + qy * wy + qz * wz),
+            0.5 * (qw * wx + qy * wz - qz * wy),
+            0.5 * (qw * wy - qx * wz + qz * wx),
+            0.5 * (qw * wz + qx * wy - qy * wx),
+            # w' = I^-1 (tau - w x I w)
+            ax - ex * wy * wz, ay - ey * wz * wx, az - ez * wx * wy,
+        )
+
+    # stage states are lists: CPython 3.11 parks each freed tuple built by
+    # `tuple(generator)` on its free list and never reuses it
+    half = 0.5 * h
+    k1 = deriv(x)
+    k2 = deriv([a + half * b for a, b in zip(x, k1)])
+    k3 = deriv([a + half * b for a, b in zip(x, k2)])
+    k4 = deriv([a + h * b for a, b in zip(x, k3)])
+    sixth = h / 6.0
+    x = [a + sixth * (b1 + 2.0 * (b2 + b3) + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, x)):
+        raise ValueError("vehicle state must stay finite")
+    x[6:10] = quat_normalize(*x[6:10])
+    return tuple(x)
+
+
 def step_dynamics(
     state: VehicleState,
     thrust: float,
@@ -162,7 +217,9 @@ def step_dynamics(
     dt: float,
     params: VehicleParams = VehicleParams(),
 ) -> VehicleState:
-    """One semi-implicit Euler step of the rigid-body dynamics."""
+    """One semi-implicit Euler step of the rigid-body dynamics; the
+    simulator integrates with `_rk4_step`, this step is the tests'
+    reference."""
     if not 0.0 < dt <= 0.02:
         raise ValueError(f"dt must be in (0, 0.02], got {dt}")
     q = state.pose.orientation
@@ -227,13 +284,14 @@ def sample_pose_sensor(
 
 
 class Simulator:
-    """Fixed-step simulation loop with sensor emission on exact grids.
+    """Rigid-body simulation stepped on the IMU grid, with sensor emission
+    on exact grids.
 
-    The true state is held as floats between calls; `state` is its
-    `VehicleState` at the last IMU tick.
+    Each `step` integrates from the current stamp to the next IMU tick
+    with one RK4 step per piece of the tick between gust edges. The true
+    state is held as 13 floats between calls; `state` is its
+    `VehicleState` at the last tick, and `time` its stamp.
     """
-
-    INTERNAL_DT = 0.001
 
     def __init__(
         self,
@@ -246,6 +304,7 @@ class Simulator:
         self.params = params
         self.noise = noise
         self.wind = wind
+        self._edges = sorted({e for s, d, _ in wind.gusts for e in (s, s + d)})
         ss = np.random.SeedSequence(seed)
         imu_ss, pose_ss = ss.spawn(2)
         self._rng_imu = np.random.default_rng(imu_ss)
@@ -253,62 +312,68 @@ class Simulator:
         state = initial_state or VehicleState()
         self._state = state
         q = state.pose.orientation
-        self._x = (state.pose.position.tolist(), state.twist.linear.tolist(),
-                   (q.w, q.x, q.y, q.z), state.twist.angular.tolist())
+        self._x = (*state.pose.position.tolist(), *state.twist.linear.tolist(),
+                   q.w, q.x, q.y, q.z, *state.twist.angular.tolist())
         self._stamp = state.pose.stamp
-        self._step_count = round(self._stamp / self.INTERNAL_DT)
-        self._imu_every = round(IMU_PERIOD / self.INTERNAL_DT)
-        self._pose_every = round(POSE_PERIOD / self.INTERNAL_DT)
+        # the last IMU tick at or before the start; a start within 1 ns of a tick is on it
+        tick = round(self._stamp / IMU_PERIOD)
+        on_grid = abs(self._stamp - tick * IMU_PERIOD) < 1e-9
+        self._tick = tick if on_grid else math.floor(self._stamp / IMU_PERIOD)
+        # the pose grid is a subset of the IMU grid
+        self._pose_every = round(POSE_PERIOD / IMU_PERIOD)
         # POSE_DELAY must be a whole number of POSE_PERIODs
         self._delay_line: deque[Pose] = deque(maxlen=round(POSE_DELAY / POSE_PERIOD))
-        if self._step_count % self._pose_every == 0:
+        if on_grid and tick % self._pose_every == 0:
             self._delay_line.append(state.pose)
 
     @property
     def time(self) -> float:
-        return self._step_count * self.INTERNAL_DT
+        return self._stamp
 
     @property
     def state(self) -> VehicleState:
         return self._state
 
     def step(self, thrust: float, torque):
-        """Hold the command over the internal steps up to the next IMU
-        tick; returns (imu_sample, pose_measurement), the latter None off
-        the pose sensor's grid.
+        """Hold the command from the current stamp to the next IMU tick;
+        returns (imu_sample, pose_measurement), the latter None off the
+        pose sensor's grid.
 
-        The pose grid is a subset of the IMU grid. A pose tick with a full
-        delay line measures its oldest pose, then appends the current one,
-        so no capture precedes the first pose on the grid.
+        The tick is one RK4 step, or one per piece when gust edges fall
+        inside it. The IMU's true acceleration is the tick's mean. A pose
+        tick with a full delay line measures its oldest pose, then appends
+        the current one, so no capture precedes the first pose on the grid.
         """
-        torque = np.asarray(torque, dtype=float).tolist()
-        dt = self.INTERNAL_DT
-        p, v, q, w = self._x
-        n, stamp = self._step_count, self._stamp
-        while True:
-            v_before = v
-            p, v, q, w = _rigid_step(p, v, q, w, thrust, torque, self.wind.wind_at(n * dt), dt,
-                                     self.params)
-            n += 1
-            stamp += dt
-            if n % self._imu_every == 0:
-                break
+        params = self.params
+        tx, ty, tz = np.asarray(torque, dtype=float).tolist()
+        if not all(map(math.isfinite, (thrust, tx, ty, tz))):
+            raise ValueError("non-finite command or wind")
+        thrust = min(max(thrust, 0.0), params.max_thrust)
+        lim = params.max_torque
+        torque = (min(max(tx, -lim), lim), min(max(ty, -lim), lim), min(max(tz, -lim), lim))
+
+        tick = self._tick + 1
+        t0, t1 = self._stamp, tick * IMU_PERIOD
+        cuts = [t0, *(e for e in self._edges if t0 < e < t1), t1]
+        x0 = x = self._x
+        for a, b in zip(cuts, cuts[1:]):
+            x = _rk4_step(x, thrust, torque, self.wind.wind_at(a), b - a, params)
         # only a whole call moves the simulator: one that raises leaves it at its last tick
-        self._x, self._step_count, self._stamp = (p, v, q, w), n, stamp
+        self._x, self._tick, self._stamp = x, tick, t1
 
         state = VehicleState(
-            Pose(np.array(p), Quat(*q), self._stamp), Twist(np.array(v), np.array(w)),
+            Pose(np.array(x[0:3]), Quat(*x[6:10]), t1), Twist(np.array(x[3:6]), np.array(x[10:13])),
             self._state.accel_bias, self._state.gyro_bias,
         )
-        true_accel = np.array([(v[i] - v_before[i]) / dt for i in range(3)])
+        true_accel = (np.array(x[3:6]) - x0[3:6]) / (t1 - t0)
         imu, state.accel_bias, state.gyro_bias = sample_imu(
             state, true_accel, self.noise, self._rng_imu
         )
         self._state = state
         meas = None
-        if self._step_count % self._pose_every == 0:
+        if tick % self._pose_every == 0:
             line = self._delay_line
             if len(line) == line.maxlen:
-                meas = sample_pose_sensor(line[0], self.time, self.noise, self._rng_pose)
+                meas = sample_pose_sensor(line[0], t1, self.noise, self._rng_pose)
             line.append(state.pose)
         return imu, meas

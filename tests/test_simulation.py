@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from test_geometry import from_rotvec_oracle, mul_oracle, normalized_oracle, rotate_oracle, wxyz
 
 from mavnav.geometry import Pose, Quat, Twist
+from mavnav.scenarios import run_closed_loop, spline_ref_fn
 from mavnav.simulation import (
     GRAVITY,
     IMU_PERIOD,
@@ -15,12 +16,15 @@ from mavnav.simulation import (
     VehicleParams,
     VehicleState,
     WindProfile,
+    _rk4_step,
     sample_imu,
     sample_pose_sensor,
     step_dynamics,
 )
+from mavnav.trajectory import spline_from_path
 
 PARAMS = VehicleParams()
+NAN, INF = float("nan"), float("inf")
 QUIET = NoiseConfig(accel_std=0, gyro_std=0, bias_walk_std=0, pose_pos_std=0, pose_rot_std=0)
 
 
@@ -227,6 +231,35 @@ class TestSimulator:
         # the 0.1 s delivery would capture t = 0, before the flight began at 0.005 s
         assert captures == pytest.approx([0.1, 0.2], abs=1e-9)
 
+    def test_off_grid_start_integrates_to_the_imu_grid(self):
+        """A start between ticks integrates only the rest of the first tick,
+        and the IMU, the simulator clock and the pose share the IMU grid."""
+        start = VehicleState(pose=Pose(np.array([0.0, 0.0, 5.0]), Quat.identity(), 0.0055))
+        sim = Simulator(VehicleParams(drag=0.0), QUIET, initial_state=start)
+        deliveries = []
+        for k in range(1, 31):
+            imu, meas = sim.step(0.0, np.zeros(3))  # free fall
+            assert imu.stamp == sim.time == sim.state.pose.stamp
+            assert sim.time == pytest.approx(k * IMU_PERIOD, abs=1e-12)
+            # free fall reads no specific force, also over the shorter first tick
+            np.testing.assert_allclose(imu.specific_force, 0.0, atol=1e-9)
+            if k == 1:
+                assert sim.state.twist.linear[2] == pytest.approx(GRAVITY[2] * 0.0045, rel=1e-9)
+            if meas is not None:
+                assert meas.delivery_stamp == sim.time
+                deliveries.append((meas.capture_stamp, meas.delivery_stamp))
+        np.testing.assert_allclose(deliveries, [(0.1, 0.2), (0.2, 0.3)], rtol=0, atol=1e-12)
+
+    def test_imu_reads_the_mean_acceleration_of_the_tick(self):
+        """Drag slows a level flight; the IMU reads (v_end - v_start) / tick,
+        not the acceleration at the tick's end."""
+        start = VehicleState(twist=Twist(np.array([3.0, 0.0, 0.0]), np.zeros(3)))
+        sim = Simulator(noise=QUIET, initial_state=start)
+        v0 = sim.state.twist.linear
+        imu, _ = sim.step(PARAMS.hover_thrust, np.zeros(3))
+        mean = (sim.state.twist.linear - v0) / IMU_PERIOD
+        np.testing.assert_allclose(imu.specific_force, mean - GRAVITY, rtol=0, atol=1e-12)
+
     def test_non_finite_wind_inside_a_tick_raises_and_keeps_the_tick(self):
         wind = WindProfile(gusts=((0.015, 1.0, [float("nan"), 0.0, 0.0]),))
         sim = Simulator(noise=QUIET, wind=wind)
@@ -269,9 +302,117 @@ class TestSimulator:
         np.testing.assert_array_equal(w.wind_at(3.5), [1, 0, 0])
         with pytest.raises(ValueError):
             WindProfile(gusts=((0.0, -1.0, [0, 0, 0]),))
+        # gusts that could never blow
+        for start, duration in [(NAN, 1.0), (INF, 1.0), (-INF, 1.0), (0.0, NAN), (0.0, 0.0)]:
+            with pytest.raises(ValueError, match="gust"):
+                WindProfile(gusts=((start, duration, [0, 3, 0]),))
+        # a step that never ends, and a velocity the simulator rejects when it blows
+        for duration, velocity in [(1e6, [3, 0, 0]), (INF, [3, 0, 0]), (1.0, [NAN, 0, 0])]:
+            WindProfile(gusts=((5.0, duration, velocity),))
+        np.testing.assert_array_equal(
+            WindProfile(gusts=((5.0, INF, [3, 0, 0]),)).wind_at(1e9), [3, 0, 0])
 
 
-NAN, INF = float("nan"), float("inf")
+def run_reference(state, thrust, torque, wind, t1, h=1e-5):
+    """`state` carried to t1 by semi-implicit Euler steps of about h,
+    each piece between gust edges stepped on its own, under its wind."""
+    edges = [e for s, d, _ in wind.gusts for e in (s, s + d)]
+    cuts = sorted({state.pose.stamp, t1, *(e for e in edges if state.pose.stamp < e < t1)})
+    for a, b in zip(cuts, cuts[1:]):
+        n = max(1, round((b - a) / h))
+        for _ in range(n):
+            state = step_dynamics(state, thrust, torque, wind.wind_at(a), (b - a) / n)
+    return state
+
+
+def record_flight(monkeypatch, wind, duration):
+    """(state, thrust, torque) at every IMU tick of a closed-loop spline flight."""
+    ticks = []
+    step = Simulator.step
+
+    def recording(self, thrust, torque):
+        ticks.append((self.state, thrust, np.array(torque, dtype=float)))
+        return step(self, thrust, torque)
+
+    monkeypatch.setattr(Simulator, "step", recording)
+    # flight_gust's speed plan caps speed and acceleration at 1 m/s and 1 m/s^2
+    path = np.array([[0.0, 0.0, 1.0], [1.0, 0.5, 1.2], [2.0, 0.0, 1.0]])
+    spline = spline_from_path(path, np.array([0.0, 2.347, 4.694]))
+    start = VehicleState(pose=Pose(path[0]))
+    run_closed_loop(spline_ref_fn(spline), duration, wind, seed=3, initial_state=start)
+    return ticks
+
+
+class TestRk4Step:
+    def test_ticks_of_a_gusty_flight_match_a_fine_euler_reference(self, monkeypatch):
+        """One tick is within 2e-7 m and 5e-7 m/s of 1000 Euler steps of
+        10 us. The bound is the reference's own first-order error: on this
+        flight it reaches 8.6e-8 m and 2.6e-7 m/s, and both double with
+        20 us steps, while one RK4 tick is within 1e-11 m and 1e-10 m/s of
+        100 RK4 steps of 0.1 ms."""
+        # a flight_gust-like gust: from half the spline's duration, off the IMU grid
+        wind = WindProfile(gusts=((2.347, 0.5, [0.0, 4.0, 0.0]),))
+        ticks = record_flight(monkeypatch, wind, 3.0)
+        assert len(ticks) == 300
+        edge_ticks = [k for k, (s, _, _) in enumerate(ticks)
+                      if any(s.pose.stamp < e < s.pose.stamp + IMU_PERIOD for e in (2.347, 2.847))]
+        assert edge_ticks == [234, 284]
+        dp = dv = 0.0
+        for k in sorted({*range(0, 300, 3), *edge_ticks}):
+            state, thrust, torque = ticks[k]
+            sim = Simulator(noise=QUIET, wind=wind, initial_state=state)
+            sim.step(thrust, torque)
+            ref = run_reference(state, thrust, torque, wind, sim.time)
+            dp = max(dp, np.abs(sim.state.pose.position - ref.pose.position).max())
+            dv = max(dv, np.abs(sim.state.twist.linear - ref.twist.linear).max())
+        assert dp < 2e-7 and dv < 5e-7
+
+    def test_fourth_order_convergence(self):
+        """Over one tick, the error against 100 sub-steps falls about 16x
+        per halving of the step."""
+        q = np.array([0.9, 0.2, -0.3, 0.25]) / np.linalg.norm([0.9, 0.2, -0.3, 0.25])
+        x0 = (0.1, -0.2, 1.0, 2.0, -1.0, 0.5, *q.tolist(), 8.0, -5.0, 3.0)
+
+        def integrate(n):
+            x = x0
+            for _ in range(n):
+                x = _rk4_step(x, 20.0, (0.5, -0.3, 0.2), (3.0, -2.0, 0.5), IMU_PERIOD / n, PARAMS)
+            return np.array(x)
+
+        ref = integrate(100)
+        errs = [np.abs(integrate(n) - ref).max() for n in (1, 2, 4)]
+        assert errs[0] > 1e-9  # well above rounding
+        assert errs[0] / errs[1] >= 12 and errs[1] / errs[2] >= 12
+
+    def test_short_gust_inside_one_tick(self):
+        """A 3 ms gust inside one tick pushes the hovering vehicle by
+        drag * gust * 3 ms / m. The drag's decay of that push within the
+        tick is below 1e-3 of it."""
+        gust = ((0.0132, 0.003, [2.0, 0.0, 0.0]),)
+        calm, gusty = Simulator(noise=QUIET), Simulator(noise=QUIET, wind=WindProfile(gusts=gust))
+        for _ in range(2):
+            calm.step(PARAMS.hover_thrust, np.zeros(3))
+            gusty.step(PARAMS.hover_thrust, np.zeros(3))
+        dv = gusty.state.twist.linear - calm.state.twist.linear
+        assert dv[0] == pytest.approx(PARAMS.drag * 2.0 * 0.003 / PARAMS.mass, rel=1e-3)
+        assert dv[1] == dv[2] == 0.0
+
+    @pytest.mark.parametrize("axis", range(3))
+    def test_spin_about_a_principal_axis(self, axis):
+        """A torque-free spin at 3 rad/s stays on the closed form
+        q(t) = (cos(wt/2), sin(wt/2) axis). RK4 truncates the rotation's
+        exponential after its fourth-order term, a phase error of
+        (wh/2)^5 / 5! = 6.3e-12 per tick: 6.3e-10 after 100 ticks."""
+        w = 3.0 * np.eye(3)[axis]
+        sim = Simulator(noise=QUIET, initial_state=VehicleState(twist=Twist(np.zeros(3), w)))
+        for _ in range(100):
+            sim.step(0.0, np.zeros(3))
+        half = 0.5 * 3.0 * sim.time
+        q = sim.state.pose.orientation
+        np.testing.assert_allclose([q.w, q.x, q.y, q.z],
+                                   [math.cos(half), *(math.sin(half) * np.eye(3)[axis])],
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(sim.state.twist.angular, w)
 
 
 @pytest.mark.parametrize(
