@@ -21,7 +21,8 @@ Gauss-Newton odometry of Kitt, Geiger & Lategahn (2010). `run_vo`
 estimates every frame pair of a scene in one staged pass, and
 `estimate_motion` is that pass on one pair. Per pair, the usable quads
 are triangulated and every minimal sample is drawn up front from the
-pair's own generator. One batched Gauss-Newton then refines the
+pair's own generator, in one block of its outputs that gives the samples
+of numpy's `choice` call for call. One batched Gauss-Newton then refines the
 hypotheses of all pairs from the identity, on the summed squared
 reprojection error in both current images: one residual-and-Jacobian
 kernel evaluates the whole (hypotheses, points) stack, the 6x6 normal
@@ -30,7 +31,8 @@ step at once and all 11 halvings of the steps that raised their cost,
 keeping the largest scale that does not. A problem stops once its
 applied step is below `step_tol`, and the hypotheses get a short
 iteration budget. Each pair scores its hypotheses against its quads in
-one array. The refit starts from a pair's winning hypothesis and weights
+one array; a sample of coincident or collinear points gets no consensus.
+The refit starts from a pair's winning hypothesis and weights
 each match by the inverse of its propagated depth uncertainty: a point
 triangulated from one stereo pair has a depth error growing as z^2, and
 the disparity variance is carried into the spread of its predicted
@@ -513,8 +515,11 @@ def _gauss_newton(points, targets, calib, cfg: RansacConfig, weights=None, start
 
 
 def _pixel_error(res):
-    """Worse of the two images' pixel distances, per point."""
-    return np.maximum(np.linalg.norm(res[..., :2], axis=-1), np.linalg.norm(res[..., 2:], axis=-1))
+    """Worse of the two images' pixel distances, per point. The square
+    root is correctly rounded and monotone, so taking it after the larger
+    squared distance gives each image's `np.linalg.norm` bit for bit."""
+    sq = res * res
+    return np.sqrt(np.maximum(sq[..., 0] + sq[..., 1], sq[..., 2] + sq[..., 3]))
 
 
 def _refit_errors(points, targets, calib, r_mat, t_vec):
@@ -552,11 +557,68 @@ def _threshold(mode: str, cfg: RansacConfig) -> float:
 # samples runs in groups of this size, to bound its memory.
 _HYPOTHESIS_GROUP = 500
 
+# A sample is degenerate when the area spanned by its edges e1, e2 from its
+# first point, |e1 x e2|, is at most this fraction of max(|e1|^2, |e2|^2):
+# coincident or collinear points, which leave the rotation about their line
+# free. The smallest ratio of any sample on vo_corridor seeds 101-110 is
+# 1.4e-3.
+_DEGENERATE_AREA = 1e-6
+
+
+def _degenerate(samples):
+    """Whether each sample of triangulated points (..., 3, 3) is coincident
+    or collinear (see `_DEGENERATE_AREA`)."""
+    e1, e2 = samples[..., 1, :] - samples[..., 0, :], samples[..., 2, :] - samples[..., 0, :]
+    area = np.cross(e1, e2)
+    return (np.sqrt(row_dot(area, area))
+            <= _DEGENERATE_AREA * np.maximum(row_dot(e1, e1), row_dot(e2, e2)))
+
+
+def _draw_samples(n: int, count: int, seed: int) -> np.ndarray:
+    """The (count, 3) intp rows that `count` calls of
+    `default_rng(seed).choice(n, 3, replace=False)` give, from one block of
+    the generator's 32-bit outputs.
+
+    For 3 of n, `choice` runs Floyd's algorithm (for j = n-3, n-2, n-1 draw
+    v on [0, j], taking j instead when v is already chosen) and then swaps
+    slot 2 with a draw on [0, 2] and slot 1 with a draw on [0, 1]. A draw
+    on [0, r] takes one output u and gives (u (r+1)) >> 32 (Lemire 2019);
+    one on [0, 0] takes none. Lemire's method redraws when the low 32 bits
+    of u (r+1) fall below (2^32 - 1 - r) mod (r+1); if any draw of the
+    block would, or if n >= 2^32, the samples come from `choice` itself.
+    """
+    if n < 2**32:
+        # r + 1 of each draw on [0, r]; Floyd's first, on [0, 0] when n == 3,
+        # takes no output
+        span = np.array([n - 2, n - 1, n, 3, 2][1 if n == 3 else 0:], dtype=np.uint64)
+        u = np.random.default_rng(seed).integers(0, 2**32, size=(count, len(span)), dtype=np.uint32)
+        m = u.astype(np.uint64) * span
+        low, threshold = m % 2**32, (2**32 - span) % span
+        # compared as intp, whose loop the pass already runs: numpy's unsigned
+        # comparison would map about 64 kB more of its code into memory
+        if not np.any(low.astype(np.intp) < threshold.astype(np.intp)):
+            v = np.zeros((count, 5), dtype=np.intp)
+            v[:, 5 - len(span):] = m >> 32
+            a = v[:, 0]
+            b = np.where(v[:, 1] == a, n - 2, v[:, 1])
+            c = np.where((v[:, 2] == a) | (v[:, 2] == b), n - 1, v[:, 2])
+            out = np.column_stack([a, b, c])
+            rows = np.arange(count)
+            for slot, other in ((2, v[:, 3]), (1, v[:, 4])):
+                swapped = out[rows, other]
+                out[rows, other] = out[:, slot]
+                out[:, slot] = swapped
+            return out
+    rng = np.random.default_rng(seed)
+    return np.array([rng.choice(n, size=3, replace=False) for _ in range(count)], dtype=np.intp)
+
 
 def _estimate_pairs(pairs, calib: StereoCalib, mode: str, cfg: RansacConfig) -> list:
     """estimate_motion of each (quads, prev_frame, cur_frame, seed) of
     `pairs`, each stage run over all pairs at once: a pair's result is its
-    (pose, inliers), or the VoError it failed with. The hypotheses run in
+    (pose, inliers), or the VoError it failed with. Each pair's samples are
+    drawn in one block by `_draw_samples`, equal to `choice`'s, and its
+    degenerate samples score no consensus. The hypotheses run in
     groups of `_HYPOTHESIS_GROUP`; a pair leaves the refit once its inlier
     set settles or falls below `cfg.min_consensus`, or after 10 rounds.
     """
@@ -572,9 +634,7 @@ def _estimate_pairs(pairs, calib: StereoCalib, mode: str, cfg: RansacConfig) -> 
         if len(kept) < 3:
             out[p] = InsufficientDataError(f"need >= 3 usable quad matches, got {len(kept)}")
             continue
-        rng = np.random.default_rng(seed)
-        samples = np.array([rng.choice(len(kept), size=3, replace=False)
-                            for _ in range(cfg.iterations)], dtype=np.intp)
+        samples = _draw_samples(len(kept), cfg.iterations, seed)
         usable.append((p, kept, _triangulate(calib, prev_px[kept]), targets[kept], samples))
     if not usable:
         return out
@@ -589,11 +649,15 @@ def _estimate_pairs(pairs, calib: StereoCalib, mode: str, cfg: RansacConfig) -> 
     hyp_t = np.concatenate([h[1] for h in hyps]).reshape(len(usable), cfg.iterations, 3)
 
     refit = []  # (pair, kept quads, points, targets, best rotation, translation, inliers)
-    for (p, kept, points, targets, _), r_mats, t_vecs in zip(usable, hyp_r, hyp_t):
+    for (p, kept, points, targets, samples), r_mats, t_vecs in zip(usable, hyp_r, hyp_t):
         res = _residuals(points, targets, calib, r_mats[:, None], t_vecs[:, None])[0][:, 0]
-        counts = np.sum(_pixel_error(res) <= threshold, axis=1)
+        degenerate = _degenerate(points[samples])
+        counts = np.where(degenerate, 0, np.sum(_pixel_error(res) <= threshold, axis=1))
         best = int(np.argmax(counts))  # the first of the largest consensus
-        if counts[best] < cfg.min_consensus:
+        if degenerate.all():
+            out[p] = NoMotionEstimateError(
+                f"all {cfg.iterations} samples are coincident or collinear points")
+        elif counts[best] < cfg.min_consensus:
             out[p] = NoMotionEstimateError(
                 f"consensus {counts[best]} below minimum {cfg.min_consensus}")
         else:
@@ -670,8 +734,9 @@ def estimate_motion(
     returned poses integrates the trajectory; the inliers index rows of
     `quads` and are the quads within `threshold_px` pixels under that
     pose.
-    Raises InsufficientDataError below 3 usable quads and
-    NoMotionEstimateError below `cfg.min_consensus` inliers.
+    Raises InsufficientDataError below 3 usable quads, and
+    NoMotionEstimateError below `cfg.min_consensus` inliers or when every
+    sample is of coincident or collinear points.
     """
     (out,) = _estimate_pairs([(quads, prev_frame, cur_frame, cfg.seed)], calib, mode, cfg)
     if isinstance(out, VoError):

@@ -23,7 +23,7 @@ from mavnav.vo import (
     quad_match,
     run_vo,
 )
-from mavnav.vo import _gauss_newton, _pixel_error, _residuals, _triangulate
+from mavnav.vo import _draw_samples, _gauss_newton, _residuals, _triangulate
 
 # the accuracy test's config
 ACCURACY = SceneConfig(n_frames=2, step=1.0, pixel_noise=0.3, outlier_rate=0.3, max_depth=40.0)
@@ -138,6 +138,11 @@ def _scalar_gauss_newton(points, targets, calib, cfg: RansacConfig, weights=None
     return r_mat, t_vec, cost
 
 
+def _norm_pixel_error(res):
+    """Worse of the two images' pixel distances, per point, by their norms."""
+    return np.maximum(np.linalg.norm(res[..., :2], axis=-1), np.linalg.norm(res[..., 2:], axis=-1))
+
+
 def _loop_estimate_motion(quads, prev_frame, cur_frame, calib=StereoCalib(), mode="subpixel",
                           cfg=RansacConfig()):
     """One pair's RANSAC and depth-weighted refit, each Gauss-Newton stage
@@ -163,7 +168,7 @@ def _loop_estimate_motion(quads, prev_frame, cur_frame, calib=StereoCalib(), mod
         shift = np.einsum("nkj,nj->nk", jac[:, :, :3], dp_dd)
         g = np.maximum(np.hypot(shift[:, 0], shift[:, 1]), np.hypot(shift[:, 2], shift[:, 3]))
         scale = np.sqrt(1.0 + 2.0 * g**2)
-        err = _pixel_error(res)
+        err = _norm_pixel_error(res)
         in_front = rotated[:, 2] + t_vec[2] > 0
         return err, np.where(in_front, err / scale, np.inf), scale
 
@@ -175,7 +180,14 @@ def _loop_estimate_motion(quads, prev_frame, cur_frame, calib=StereoCalib(), mod
     hyp_cfg = replace(cfg, max_gn_iters=min(cfg.max_gn_iters, vo._HYPOTHESIS_GN_ITERS))
     hyp_r, hyp_t, _ = _gauss_newton(points[samples], targets[samples], calib, hyp_cfg)
     res = _residuals(points, targets, calib, hyp_r[:, None], hyp_t[:, None])[0][:, 0]
-    counts = np.sum(_pixel_error(res) <= threshold, axis=1)
+    counts = np.sum(_norm_pixel_error(res) <= threshold, axis=1)
+    # coincident or collinear samples get no consensus
+    e1, e2 = np.swapaxes(points[samples[:, 1:]] - points[samples[:, :1]], 0, 1)
+    flat = (np.linalg.norm(np.cross(e1, e2), axis=1)
+            <= vo._DEGENERATE_AREA * np.maximum(np.sum(e1**2, axis=1), np.sum(e2**2, axis=1)))
+    if flat.all():
+        raise NoMotionEstimateError("every sample is coincident or collinear")
+    counts[flat] = 0
     best_count = int(counts.max(initial=0))
     if best_count < max(cfg.min_consensus, 1):
         raise NoMotionEstimateError(f"consensus {best_count} below minimum {cfg.min_consensus}")
@@ -183,7 +195,7 @@ def _loop_estimate_motion(quads, prev_frame, cur_frame, calib=StereoCalib(), mod
 
     r_mat, t_vec = hyp_r[best], hyp_t[best]
     _, _, scale = refit_errors(r_mat, t_vec)
-    mask = _pixel_error(res[best]) <= threshold
+    mask = _norm_pixel_error(res[best]) <= threshold
     for _ in range(10):
         r_fit, t_fit, _ = _gauss_newton(
             points[mask][None], targets[mask][None], calib, cfg, (1.0 / scale[mask] ** 2)[None],
@@ -637,10 +649,7 @@ class TestEstimateMotion:
         r, t = w.orientation.to_matrix(), w.position
         points, targets = _pixels(calib, quads, prev, cur)
         res, _ = _scalar_residuals_and_jacobian(points, targets, calib, r, t, False)
-        err = np.maximum(
-            np.linalg.norm(res[:, :2], axis=1), np.linalg.norm(res[:, 2:], axis=1)
-        )
-        expected = set(np.nonzero(err <= 0.75)[0])
+        expected = set(np.nonzero(_norm_pixel_error(res) <= 0.75)[0])
         assert set(inliers.tolist()) == expected
 
     def test_kernel_matches_scalar_residuals_for_every_pose(self):
@@ -835,6 +844,80 @@ class TestEstimateMotion:
         px[:, :2] = math.nan
         with pytest.raises(InsufficientDataError):
             estimate_motion(quads, replace(prev, px=px), cur, mode=mode)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            np.tile([0.5, -0.3, 6.0], (20, 1)),
+            np.array([0.5, -0.3, 6.0]) + np.linspace(-1.0, 1.0, 40)[:, None] * [1.0, 0.4, 2.0],
+        ],
+        ids=["coincident", "collinear"],
+    )
+    def test_degenerate_samples_raise(self, points):
+        """Landmarks (camera frame) that are one point or lie on one line,
+        seen exactly before and after a move of 0.1 m along the optical
+        axis, leave the rotation free: every sample is degenerate and the
+        pair fails instead of returning an arbitrary rotation."""
+        calib = StereoCalib()
+
+        def frame(p):
+            u_l, v, u_r = project_stereo(calib, p).T
+            return StereoFrame(np.arange(len(p)), np.column_stack([u_l, v, u_r, v]),
+                               np.arange(len(p), dtype=float))
+
+        prev, cur = frame(points), frame(points - [0.0, 0.0, 0.1])
+        quads = np.repeat(np.arange(len(points))[:, None], 2, axis=1)
+        with pytest.raises(NoMotionEstimateError, match="coincident or collinear"):
+            estimate_motion(quads, prev, cur, calib)
+        with pytest.raises(NoMotionEstimateError, match="coincident or collinear"):
+            _loop_estimate_motion(quads, prev, cur, calib)
+
+    def test_no_sample_of_the_sweeps_is_degenerate(self, monkeypatch):
+        """The degenerate-sample rule flags nothing on the accuracy sweep
+        or on vo_corridor seed 101, so it leaves their results as they
+        were."""
+        flagged = []
+
+        def spy(samples):
+            out = degenerate(samples)
+            flagged.append(int(out.sum()))
+            return out
+
+        degenerate = vo._degenerate
+        monkeypatch.setattr(vo, "_degenerate", spy)
+        for seed in range(20):
+            _, prev, cur = self._frames(ACCURACY, seed)
+            estimate_motion(quad_match(prev, cur), prev, cur, cfg=RansacConfig(seed=seed))
+        run_vo(gen_scene(CORRIDOR, 101))
+        assert len(flagged) == 20 + 39 and sum(flagged) == 0
+
+
+class TestDrawSamples:
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 100, 257])
+    def test_matches_choice(self, n):
+        """One block of draws gives the samples of 100 `choice` calls, for
+        every seed: n = 3 draws nothing for Floyd's first pick."""
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            expected = np.array([rng.choice(n, size=3, replace=False) for _ in range(100)])
+            samples = _draw_samples(n, 100, seed)
+            assert samples.dtype == np.intp
+            np.testing.assert_array_equal(samples, expected)
+
+    def test_rejected_draw_falls_back_to_choice(self):
+        """For n = 3e9 a draw is rejected about once in three, so seed 0's
+        block holds one and the samples come from `choice` itself."""
+        n = 3 * 10**9
+        span = np.array([n - 2, n - 1, n], dtype=np.uint64)
+        u = np.random.default_rng(0).integers(0, 2**32, size=(100, 5), dtype=np.uint32)
+        low = (u[:, :3].astype(np.uint64) * span) & 0xFFFFFFFF
+        assert np.any(low < (2**32 - span) % span)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            expected = np.array([rng.choice(n, size=3, replace=False) for _ in range(100)])
+            samples = _draw_samples(n, 100, seed)
+            assert samples.dtype == np.intp
+            np.testing.assert_array_equal(samples, expected)
 
 
 class TestRunVo:
