@@ -64,15 +64,17 @@ class ProximityMap:
     distances: np.ndarray
 
     def distance_at(self, points) -> np.ndarray:
-        """Distance at each point; 0 outside the map."""
+        """Distance at each point; 0 outside the map. Raises ValueError for
+        a non-finite point."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        idx = np.floor((pts - self.origin) / self.resolution).astype(int)
-        inside = np.all((idx >= 0) & (idx < np.array(self.distances.shape)), axis=1)
-        out = np.zeros(len(idx))
-        if np.any(inside):
-            ii = idx[inside]
-            out[inside] = self.distances[ii[:, 0], ii[:, 1], ii[:, 2]]
-        return out
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite")
+        # one contiguous row per axis: about twice as fast below as strided columns
+        i, j, k = np.ascontiguousarray(np.floor((pts - self.origin) / self.resolution).T)
+        nx, ny, nz = self.distances.shape
+        inside = (i >= 0) & (i < nx) & (j >= 0) & (j < ny) & (k >= 0) & (k < nz)
+        flat = np.where(inside, (i * ny + j) * nz + k, 0).astype(np.intp)
+        return np.where(inside, self.distances.take(flat), 0.0)
 
 
 def build_proximity_map(grid: OccupancyGrid, clamp: float) -> ProximityMap:
@@ -189,6 +191,27 @@ def build_roadmap(
     return Roadmap(vertices, pairs[clear], weights[clear])
 
 
+def _links(prox: ProximityMap, vertices, end, into: bool, cfg: PlannerConfig):
+    """(vertex ids, costs) of the cfg.goal_connect_count vertices nearest
+    `end` whose segment from `end` (into it, if `into`) is clear, nearest
+    first. Vertices are checked in that order, 2 * goal_connect_count at a
+    time, up to the block that completes the count: `_segments` computes
+    each row on its own, so the links and costs are those of checking
+    every vertex."""
+    k = cfg.goal_connect_count
+    order = np.argsort(np.linalg.norm(vertices - end, axis=1))
+    ids, costs = [np.empty(0, dtype=order.dtype)], [np.empty(0)]
+    for s in range(0, len(order), 2 * k):
+        block = order[s : s + 2 * k]
+        p, q = (vertices[block], end) if into else (end, vertices[block])
+        clear, cost = _segments(prox, p, q, cfg)
+        ids.append(block[clear])
+        costs.append(cost[clear])
+        if sum(map(len, ids)) >= k:
+            break
+    return np.concatenate(ids)[:k], np.concatenate(costs)[:k]
+
+
 def plan_path(
     rm: Roadmap,
     grid: OccupancyGrid,
@@ -213,14 +236,10 @@ def plan_path(
     clear, cost = _segments(prox, start, goal, cfg)
     direct = cost[0] if clear[0] else math.inf
 
-    n, k = len(rm.vertices), cfg.goal_connect_count
+    n = len(rm.vertices)
     s_id, g_id = n, n + 1
-    order = np.argsort(np.linalg.norm(rm.vertices - start, axis=1))
-    clear, cost = _segments(prox, start, rm.vertices[order], cfg)
-    from_start, w_start = order[clear][:k], cost[clear][:k]
-    order = np.argsort(np.linalg.norm(rm.vertices - goal, axis=1))
-    clear, cost = _segments(prox, rm.vertices[order], goal, cfg)
-    to_goal, w_goal = order[clear][:k], cost[clear][:k]
+    from_start, w_start = _links(prox, rm.vertices, start, False, cfg)
+    to_goal, w_goal = _links(prox, rm.vertices, goal, True, cfg)
     e = rm.edges
     rows = np.concatenate([e[:, 0], e[:, 1], np.full(len(from_start), s_id), to_goal])
     cols = np.concatenate([e[:, 1], e[:, 0], from_start, np.full(len(to_goal), g_id)])

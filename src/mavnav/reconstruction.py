@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
@@ -66,12 +68,44 @@ class SurfaceMesh:
     watertight: bool = False
 
 
+class _NodeOfTet(Mapping):
+    """Node id per tet id: the identity on the n finite tets, n for OUTER,
+    in that order. Entries are made on demand: as a dict, the ~6,200 tets
+    of a room map held about 0.5 MB through the cut, where a map_room
+    pass reaches its peak RSS."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __getitem__(self, tid):
+        if tid == OUTER:
+            return self.n
+        if isinstance(tid, (int, np.integer)) and 0 <= tid < self.n:
+            return int(tid)
+        raise KeyError(tid)
+
+    def __iter__(self):
+        return chain(range(self.n), (OUTER,))
+
+    def __len__(self):
+        return self.n + 1
+
+    def items(self):
+        return _NodeOfTetItems(self)
+
+
+class _NodeOfTetItems(ItemsView):
+    def __iter__(self):  # as fast as a dict's items, where the base calls __getitem__
+        n = self._mapping.n
+        return chain(zip(range(n), range(n)), ((OUTER, n),))
+
+
 @dataclass
 class CutProblem:
     """s-t cut instance over finite tets plus one outer (infinite) node.
     Node ids are tet ids, the outer node last, where OUTER (-1) indexes."""
 
-    node_of_tet: dict[int, int]
+    node_of_tet: Mapping[int, int]
     outer_node: int
     source_caps: np.ndarray  # outside affinity per node
     sink_caps: np.ndarray  # inside affinity per node
@@ -98,6 +132,26 @@ NO_TET = -2
 # (ray, hull facet) pairs per block of the hull-entry test, which bounds
 # the size of its pair arrays.
 _PAIR_BLOCK = 4096
+
+
+# A tet's 6 edges (i, j), i < j, by vertex slot. Facet k of FACET_OPP,
+# (a, b, c), has the directed edges (a, b), (b, c), (c, a): edges
+# _FACET_EDGES[k], reversed where _FACET_SIGNS[k] is -1. Its facet-side
+# test takes b - a and c - a from edges _SIDE_B[k] and _SIDE_C[k], all
+# directed from a = slot _SIDE_A[k].
+_EDGES = np.array(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+_FACET_EDGES = np.array(((4, 5, 3), (1, 5, 2), (2, 4, 0), (0, 3, 1)))
+_FACET_SIGNS = np.array(((1.0, -1.0, -1.0), (1.0, 1.0, -1.0), (1.0, -1.0, -1.0), (1.0, 1.0, -1.0)))
+_SIDE_A, _SIDE_B, _SIDE_C = np.array((1, 0, 0, 0)), np.array((4, 1, 2, 0)), np.array((3, 2, 0, 1))
+
+
+def _det(b, c, d):
+    """b . (c x d), coordinates on the first axis, rounded exactly as
+    `orient3d(a, b', c', d')` rounds it from b = b' - a, c = c' - a and
+    d = d' - a."""
+    return (b[0] * (c[1] * d[2] - c[2] * d[1])
+            - b[1] * (c[0] * d[2] - c[2] * d[0])
+            + b[2] * (c[0] * d[1] - c[1] * d[0]))
 
 
 def _exits(a, b, c, origin, target, eps: float) -> np.ndarray:
@@ -148,6 +202,14 @@ def walk_rays(mesh: TetMesh, origins, vids):
     that the segment exits, skipping the facet back to the previous tet
     and those holding the target vertex. Raises RuntimeError for a walk
     that does not terminate.
+
+    A step orients the segment against each of the tet's 6 edges once,
+    not against each facet's 3 edges (12 in all): products commute and
+    rounding to nearest is symmetric under negation, so
+    orient3d(o, t, q, p) is -orient3d(o, t, p, q) exactly, and each facet
+    reads its directed edges with a sign. The facet-side test takes
+    b - a and c - a from the same edge vectors. Every test rounds as it
+    would facet by facet, so the walk is unchanged.
     """
     origins = np.asarray(origins, dtype=float).reshape(-1, 3)
     vids = np.asarray(vids, dtype=np.intp)
@@ -162,16 +224,26 @@ def walk_rays(mesh: TetMesh, origins, vids):
     active = np.flatnonzero((tid >= 0) & ~touched)
     entered = np.intersect1d(active, out)
     steps.append((entered, tid[entered]))
+    # coordinates first, then tet slot or edge, then ray
+    vt, ot, tt = (np.ascontiguousarray(x.T) for x in (mesh.verts, origins, targets))
+    dt = tt - ot
     for _ in range(1_000_000):
         if not active.size:
             break
-        tri = mesh.tets[tid[active]][:, np.array(FACET_OPP)]  # (rays, 4 facets, 3)
-        v, nb = mesh.verts[tri], mesh.neighbors[tid[active]]
-        exits = _exits(v[..., 0, :], v[..., 1, :], v[..., 2, :],
-                       origins[active, None], targets[active, None], eps)
-        exits &= (nb != prev[active, None]) & ~np.any(tri == vids[active, None, None], axis=2)
-        nxt = nb[np.arange(len(active)), np.argmax(exits, axis=1)]
-        go = exits.any(axis=1) & (nxt != OUTER)
+        tv, nb = mesh.tets[tid[active]].T, mesh.neighbors[tid[active]].T  # (4, rays)
+        v = vt[:, tv]
+        w = v - ot[:, None, active]  # each vertex from the origin
+        edge = _det(dt[:, None, active], w[:, _EDGES[:, 0]], w[:, _EDGES[:, 1]])  # (6, rays)
+        s = edge[_FACET_EDGES] * _FACET_SIGNS[..., None]  # (4 facets, 3 directed edges, rays)
+        exits = np.all(s >= -eps, axis=1) | np.all(s <= eps, axis=1)
+        # target on the far side of each facet (a, b, c): orient3d(a, b, c, target) < -eps
+        d = v[:, _EDGES[:, 1]] - v[:, _EDGES[:, 0]]
+        exits &= _det(d[:, _SIDE_B], d[:, _SIDE_C], tt[:, None, active] - v[:, _SIDE_A]) < -eps
+        # a facet holds the target when the tet holds it at another slot
+        hold = tv == vids[active]
+        exits &= (nb != prev[active]) & ~(hold.any(axis=0) & ~hold)
+        nxt = nb[np.argmax(exits, axis=0), np.arange(len(active))]
+        go = exits.any(axis=0) & (nxt != OUTER)
         active = active[go]
         prev[active], tid[active] = tid[active], nxt[go]
         steps.append((active, nxt[go]))
@@ -211,11 +283,10 @@ def build_cut_problem(mesh: TetMesh, keyframes, weights: CutWeights = CutWeights
     t, k = mesh.facets()
     nb = mesh.neighbors[t, k]
     edges = np.stack([t, np.where(nb == OUTER, n, nb)], axis=1)
-    node_of_tet = {**{tid: tid for tid in range(n)}, OUTER: n}
     source = votes(crossed, weights.alpha_vis)
     sink = votes(behind[behind != NO_TET], weights.alpha_behind)
     n_rays = int(np.count_nonzero(terminal != NO_TET))
-    return CutProblem(node_of_tet, n, source, sink, edges, weights.lambda_qual, n_rays)
+    return CutProblem(_NodeOfTet(n), n, source, sink, edges, weights.lambda_qual, n_rays)
 
 
 def label_tets(mesh: TetMesh, keyframes, weights: CutWeights = CutWeights()):
@@ -247,8 +318,8 @@ def extract_surface(mesh: TetMesh) -> SurfaceMesh:
     keep = mesh.labels[t] != mesh.labels[mesh.neighbors[t, k]]
     t, k = t[keep], k[keep]
     tris = mesh.tets[t[:, None], np.array(FACET_OPP)[k]]
-    edges = np.sort(tris[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
-    counts = np.unique(edges, axis=0, return_counts=True)[1]
+    edges = np.sort(tris[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1).astype(np.int64)
+    counts = np.unique(edges[:, 0] * len(mesh.points) + edges[:, 1], return_counts=True)[1]
     watertight = bool(len(tris)) and bool(np.all(counts == 2))
     return SurfaceMesh(mesh.points, list(map(tuple, tris.tolist())), watertight)
 
@@ -318,7 +389,10 @@ def rasterize(
     13-axis separating-axis triangle-box test (Akenine-Moeller 2001),
     evaluated as array operations over every (triangle, voxel) pair of
     the triangles' bounding boxes, `_TRI_BLOCK` triangles at a time so
-    that the pair arrays do not raise the process's peak RSS.
+    that the pair arrays do not raise the process's peak RSS. A pair
+    whose voxel is already occupied, by its tet's label or by an earlier
+    block, is not tested: the test can only make a voxel occupied, so
+    skipping it leaves the grid as it is.
 
     Raises ValueError unless `resolution` is finite and positive and
     `bounds` = (lo, hi) are finite with hi > lo on every axis.
@@ -336,7 +410,7 @@ def rasterize(
     state_of_tet = np.where(mesh.labels == TetMesh.INSIDE, OCCUPIED, FREE).astype(np.uint8)
     state_of_tet[OUTER] = UNKNOWN
     centers = lo + (np.indices(dims).reshape(3, -1).T + 0.5) * resolution
-    states = state_of_tet[mesh.locate(centers)].reshape(dims)
+    flat = state_of_tet[mesh.locate(centers)]
 
     half = np.full(3, 0.5 * resolution)
     tris = surface.vertices[np.asarray(surface.triangles, dtype=np.intp).reshape(-1, 3)]
@@ -353,9 +427,12 @@ def rasterize(
         rank = np.arange(len(tri)) - np.repeat(np.cumsum(count) - count, count)
         ny, nz = size[tri, 1], size[tri, 2]
         ijk = tlo[tri] + np.stack([rank // (ny * nz), rank // nz % ny, rank % nz], axis=1)
+        voxel = (ijk[:, 0] * dims[1] + ijk[:, 1]) * dims[2] + ijk[:, 2]
+        # the test only ever sets OCCUPIED, so a voxel that is already needs none
+        todo = flat[voxel] != OCCUPIED
+        tri, ijk, voxel = tri[todo], ijk[todo], voxel[todo]
         box_centers = lo + (ijk + 0.5) * resolution
-        ijk = ijk[_tri_box_overlaps(block[tri], box_centers, half)]
-        states[ijk[:, 0], ijk[:, 1], ijk[:, 2]] = OCCUPIED
+        flat[voxel[_tri_box_overlaps(block[tri], box_centers, half)]] = OCCUPIED
 
-    grid.set_states(states)
+    grid.set_states(flat.reshape(dims))
     return grid

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mavnav import planning
 from mavnav.grid import FREE, OCCUPIED, OccupancyGrid
 from mavnav.planning import (
     PlannedPath,
@@ -12,6 +13,8 @@ from mavnav.planning import (
     PlanningError,
     ProximityMap,
     Roadmap,
+    UnreachableError,
+    _links,
     _segments,
     build_proximity_map,
     build_roadmap,
@@ -65,6 +68,27 @@ def _edge_cost_loop(prox: ProximityMap, p, q, cfg: PlannerConfig) -> float:
     )
 
 
+def _distance_at_per_axis(prox: ProximityMap, points) -> np.ndarray:
+    """The distance lookup with a 3-D index and a per-row bounds test: the
+    oracle of the flat lookup in `distance_at`."""
+    idx = np.floor((points - prox.origin) / prox.resolution).astype(int)
+    inside = np.all((idx >= 0) & (idx < np.array(prox.distances.shape)), axis=1)
+    out = np.zeros(len(idx))
+    ii = idx[inside]
+    out[inside] = prox.distances[ii[:, 0], ii[:, 1], ii[:, 2]]
+    return out
+
+
+def _links_eager(prox: ProximityMap, vertices, end, into: bool, cfg: PlannerConfig):
+    """`_links` by checking every vertex, then keeping the first
+    goal_connect_count clear links: the oracle of the nearest-first blocks."""
+    order = np.argsort(np.linalg.norm(vertices - end, axis=1))
+    p, q = (vertices[order], end) if into else (end, vertices[order])
+    clear, cost = _segments(prox, p, q, cfg)
+    k = cfg.goal_connect_count
+    return order[clear][:k], cost[clear][:k]
+
+
 def free_grid(dims=(20, 20, 20), res=0.5, origin=(0, 0, 0)):
     g = OccupancyGrid(origin, res, dims)
     g.set_states(np.full(dims, FREE, dtype=np.uint8))
@@ -104,6 +128,21 @@ class TestProximityMap:
         oracle = np.sqrt(d2.astype(float)).reshape(dims) * 0.3
         np.testing.assert_array_equal(prox.distances, oracle)
 
+        # distance_at as the per-axis lookup reads it: points in the grid,
+        # and on each face points on it, just either side of it and far past it
+        lo, hi = g.origin, g.origin + np.array(dims) * 0.3
+        pts = [lo + rng.random((200, 3)) * (hi - lo)]
+        for axis in range(3):
+            for x in (lo[axis], np.nextafter(lo[axis], -np.inf), -1e6,
+                      hi[axis], np.nextafter(hi[axis], np.inf), np.nextafter(hi[axis], -np.inf), 1e6):
+                p = lo + rng.random((5, 3)) * (hi - lo)
+                p[:, axis] = x
+                pts.append(p)
+        pts = np.concatenate(pts)
+        want = _distance_at_per_axis(prox, pts)
+        assert prox.distance_at(pts).tobytes() == want.tobytes()
+        assert 0 < np.count_nonzero(want) < len(pts)
+
     def test_lipschitz_between_neighbors(self):
         g = free_grid(dims=(12, 12, 12), res=0.4)
         states = g.states()
@@ -115,6 +154,15 @@ class TestProximityMap:
         for ax in range(3):
             diff = np.abs(np.diff(d, axis=ax))
             assert diff.max() <= step
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_distance_at_rejects_non_finite_points(self, bad, axis):
+        prox = build_proximity_map(free_grid(dims=(4, 4, 4)), clamp=2.0)
+        pts = np.ones((3, 3))
+        pts[1, axis] = bad
+        with pytest.raises(ValueError, match="finite"):
+            prox.distance_at(pts)
 
     def test_distance_at_returns_array(self):
         prox = build_proximity_map(free_grid(dims=(4, 4, 4)), clamp=2.0)
@@ -431,6 +479,47 @@ class TestPlanPath:
         path = plan_path(rm, g, prox, start, goal, cfg)
         assert path.cost == pytest.approx(oracle, rel=1e-9)
         assert len(path.waypoints) > 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("k", [1, 4, 17])
+    def test_nearest_first_links_match_eager_links(self, seed, k, monkeypatch):
+        # links are checked 2k at a time; with k = 17, some ends have fewer
+        # than k clear links, found only by checking every block
+        rng = np.random.default_rng(seed)
+        dims = (16, 12, 6)
+        g = OccupancyGrid((0, 0, 0), 0.5, dims)
+        g.set_states(np.where(rng.random(dims) < 0.08, OCCUPIED, FREE).astype(np.uint8))
+        prox = build_proximity_map(g, clamp=10.0)
+        cfg = PlannerConfig(clearance_radius=0.3, goal_connect_count=k)
+        rm = build_roadmap(g, prox, 40, 2.5, seed=seed, cfg=cfg)
+        ends = rng.uniform(0.0, 0.5 * np.array(dims), (120, 3))
+        ends = ends[prox.distance_at(ends) >= cfg.clearance_radius]
+
+        def plan(start, goal):
+            try:
+                return plan_path(rm, g, prox, start, goal, cfg)
+            except UnreachableError:
+                return None
+
+        seen = set()
+        for start, goal in zip(ends[::2], ends[1::2]):
+            for end, into in ((start, False), (goal, True)):
+                got = _links(prox, rm.vertices, end, into, cfg)
+                want = _links_eager(prox, rm.vertices, end, into, cfg)
+                assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+                seen.add("fewer than k" if len(want[0]) < k else "k")
+            got = plan(start, goal)
+            with monkeypatch.context() as m:
+                m.setattr(planning, "_links", _links_eager)
+                want = plan(start, goal)
+            if want is None:
+                assert got is None
+                continue
+            assert got.waypoints.tobytes() == want.waypoints.tobytes()
+            assert got.cost == want.cost
+            seen.add("direct" if len(want.waypoints) == 2 else "roadmap")
+        assert {"direct", "roadmap", "k"} <= seen
+        assert k != 17 or "fewer than k" in seen
 
     def test_altitude_bump_avoided(self):
         g = free_grid(dims=(16, 16, 16), res=0.5)

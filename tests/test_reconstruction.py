@@ -108,6 +108,20 @@ class TestGraphCut:
             checked += 1
         assert checked >= 6
 
+    def test_node_of_tet_is_the_identity_plus_outer(self):
+        mesh = tetrahedralize(np.random.default_rng(5).uniform(0, 1, (30, 3)))
+        problem, _ = label_tets(mesh, [Keyframe(Pose(np.full(3, -1.0)), mesh.points)])
+        n = len(mesh.tets)
+        want = {**{tid: tid for tid in range(n)}, OUTER: n}
+        got = problem.node_of_tet
+        assert list(got.items()) == list(want.items()) and list(got) == list(want)
+        assert got == want and len(got) == len(got.items()) == n + 1
+        assert (OUTER, n) in got.items() and (OUTER, 0) not in got.items()
+        assert got[np.int64(3)] == 3 and got[np.intp(OUTER)] == n
+        for tid in (n, NO_TET, 0.5):
+            with pytest.raises(KeyError):
+                got[tid]
+
     def test_empty_scan_labels_all_inside(self):
         mesh = tetrahedralize(np.random.default_rng(2).uniform(0, 1, (6, 3)))
         kf = Keyframe(Pose(np.array([0.5, 0.5, 0.5])), [])
@@ -330,6 +344,38 @@ def walk_ray(mesh, origin, target_vid: int):
     return crossed, tid, _behind(mesh, origin, target, tid)
 
 
+_snapped = st.one_of(
+    st.floats(-4.0, 4.0, allow_nan=False),
+    st.integers(-4, 4).map(lambda m: m * 0.5),  # ties: repeated and coplanar points
+)
+_points = st.tuples(_snapped, _snapped, _snapped).map(np.array)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_points, _points, _points, _points, st.sampled_from(["free", "c=d", "a=c", "b=c"]))
+def test_orient3d_antisymmetric_in_its_last_two_points(a, b, c, d, tie):
+    # the walk reads orient3d(a, b, d, c) as -orient3d(a, b, c, d); they
+    # agree exactly (a zero may differ in sign, which no test compares)
+    c = {"free": c, "c=d": d, "a=c": a, "b=c": b}[tie]
+    assert orient3d(a, b, d, c) == -orient3d(a, b, c, d)
+    # and the determinant of the differences rounds as orient3d does
+    want = orient3d(a, b, c, d)
+    got = reconstruction._det(*(np.asarray(x - a)[:, None] for x in (b, c, d)))[0]
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_edge_tables_reproduce_facet_opp():
+    edges = reconstruction._EDGES.tolist()
+    for k, (a, b, c) in enumerate(FACET_OPP):
+        directed = [edges[e] if sign > 0 else edges[e][::-1] for e, sign
+                    in zip(reconstruction._FACET_EDGES[k], reconstruction._FACET_SIGNS[k])]
+        assert directed == [[a, b], [b, c], [c, a]]
+        assert reconstruction._SIDE_A[k] == a
+        assert edges[reconstruction._SIDE_B[k]] == [a, b]
+        assert edges[reconstruction._SIDE_C[k]] == [a, c]
+    assert sorted(map(tuple, edges)) == list(itertools.combinations(range(4), 2))
+
+
 @st.composite
 def _ray_fans(draw):
     """(mesh, camera): a random mesh and one camera inside its hull,
@@ -491,13 +537,32 @@ def _tri_box_pairs(draw):
     return np.array(tris), np.array(centers), np.full(3, 0.5 * res)
 
 
-def _random_labelled_mesh(seed):
+def _random_labelled_mesh(seed, labels="random"):
+    """A random mesh labelled at random, or every finite tet INSIDE (OUTER
+    OUTSIDE) or OUTSIDE (OUTER INSIDE): either way the hull is the surface."""
     rng = np.random.default_rng(seed)
     mesh = tetrahedralize(rng.uniform(0.0, 2.0, size=(30, 3)))
-    for tid in mesh.finite_tet_ids():
-        mesh.labels[tid] = TetMesh.INSIDE if rng.random() < 0.5 else TetMesh.OUTSIDE
-    mesh.labels[OUTER] = TetMesh.OUTSIDE
+    if labels == "random":
+        for tid in mesh.finite_tet_ids():
+            mesh.labels[tid] = TetMesh.INSIDE if rng.random() < 0.5 else TetMesh.OUTSIDE
+        mesh.labels[OUTER] = TetMesh.OUTSIDE
+    else:
+        inside = labels == "all_inside"
+        mesh.labels[:] = TetMesh.INSIDE if inside else TetMesh.OUTSIDE
+        mesh.labels[OUTER] = TetMesh.OUTSIDE if inside else TetMesh.INSIDE
     return mesh, extract_surface(mesh)
+
+
+_WINDOWS = {
+    "whole": ((-0.35, -0.35, -0.35), (2.35, 2.35, 2.35)),  # holds the whole surface
+    "cut": ((0.55, -0.35, 0.8), (1.45, 2.35, 1.4)),  # cuts through it
+    "outside": ((2.6, -3.0, 0.0), (3.5, -2.1, 2.0)),  # wholly outside: past x, before y
+}
+_RASTER_CASES = [(w, labels) for labels in ("random", "all_inside", "all_outside") for w in _WINDOWS]
+
+
+def _window_id(window, labels):
+    return window if labels == "random" else f"{labels}-{window}"
 
 
 class TestRasterizeOracles:
@@ -515,20 +580,15 @@ class TestRasterizeOracles:
         want = [_tri_box_overlap(t[0], t[1], t[2], c, half) for t, c in zip(tris, centers)]
         assert _tri_box_overlaps(tris, centers, half).tolist() == want
 
-    @pytest.mark.parametrize(
-        "window",
-        [
-            ((-0.35, -0.35, -0.35), (2.35, 2.35, 2.35)),  # holds the whole surface
-            ((0.55, -0.35, 0.8), (1.45, 2.35, 1.4)),  # cuts through it
-            ((2.6, -3.0, 0.0), (3.5, -2.1, 2.0)),  # wholly outside: past x, before y
-        ],
-        ids=["whole", "cut", "outside"],
-    )
-    def test_rasterize_matches_per_voxel_loop(self, window):
-        mesh, surface = _random_labelled_mesh(5)
+    # all INSIDE: every voxel whose centre is in the hull is occupied before
+    # any triangle is tested; all OUTSIDE: none is
+    @pytest.mark.parametrize("window, labels", _RASTER_CASES,
+                             ids=[_window_id(w, labels) for w, labels in _RASTER_CASES])
+    def test_rasterize_matches_per_voxel_loop(self, window, labels):
+        mesh, surface = _random_labelled_mesh(5, labels)
         assert surface.triangles
-        want = _rasterize_loop(mesh, surface, 0.3, window)
-        np.testing.assert_array_equal(rasterize(mesh, surface, 0.3, window).states(), want)
+        want = _rasterize_loop(mesh, surface, 0.3, _WINDOWS[window])
+        np.testing.assert_array_equal(rasterize(mesh, surface, 0.3, _WINDOWS[window]).states(), want)
 
 
 @pytest.mark.parametrize(
