@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import NavEstimate
-from .geometry import _norm, cross3
+from .estimation import NavState
+from .geometry import Quat, _norm, cross3
 from .simulation import _GX, _GY, _GZ, VehicleParams
 from .trajectory import RefPoint
 
@@ -129,18 +129,20 @@ class Controller:
         self.last_r_des = np.eye(3)
         self.freefall_events = 0
 
-    def step(self, est: NavEstimate, ref: RefPoint, body_rate, dt: float):
+    def step(self, nav: NavState, ref: RefPoint, body_rate, dt: float):
         """One control update; returns (thrust [N], body torques [N m]).
 
-        `body_rate` is the bias-corrected gyro reading. Position and
-        velocity errors feed the outer loop; the integrator adds slow
-        disturbance rejection with a hard anti-windup clamp. Runs on
-        floats, rounding as the numpy 3-vector expressions do, and raises
-        ValueError on a non-finite estimate, reference or body rate.
+        `nav` is the filter's float state and `body_rate` the bias-corrected
+        gyro reading. Position and velocity errors feed the outer loop; the
+        integrator adds slow disturbance rejection with a hard anti-windup
+        clamp. Runs on floats, rounding as the numpy 3-vector expressions
+        do, and raises ValueError on a non-finite estimate, reference or
+        body rate.
         """
         g = self.gains
         p = self.vehicle
-        (px, py, pz), (vx, vy, vz) = est.pose.position.tolist(), est.velocity.tolist()
+        (px, py, pz), (vx, vy, vz) = nav.position, nav.velocity
+        r_est = Quat(*nav.orientation).to_matrix()
         (rx, ry, rz), (rvx, rvy, rvz), (ax, ay, az), (wx, wy, wz) = (
             np.asarray(a, dtype=float).tolist()
             for a in (ref.position, ref.velocity, ref.accel, body_rate))
@@ -170,7 +172,6 @@ class Controller:
             r_des = desired_attitude((f[0] / f_norm, f[1] / f_norm, f[2] / f_norm), ref.heading)
             self.last_r_des = r_des
 
-        r_est = est.pose.orientation.to_matrix()
         thrust = p.mass * float(np.array(f).dot(r_est[:, 2]))
         thrust = min(max(thrust, 0.0), p.max_thrust)
 

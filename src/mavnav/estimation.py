@@ -15,8 +15,10 @@ on the position innovation (without this the decoupled error loop is
 unstable: its per-cycle eigenvalues exceed one).
 
 The filter runs on `geometry`'s plain-float kernels, as the simulator's
-rigid-body step and `control.Controller.step` do: `_predict` steps a float
-state tuple, and a `NavEstimate` is built from it only when read.
+rigid-body step and `control.Controller.step` do. Floats pass between the
+layers: `_predict` steps a `NavState` of plain floats on the simulator's
+float IMU reading, the controller reads that state, and a `NavEstimate`
+is built from it only when read.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,23 +82,36 @@ class FusionWeights:
                 raise ValueError(f"{name} weight must be in [0, 1], got {v}")
 
 
-def _state_of(est: NavEstimate) -> tuple:
-    q = est.pose.orientation
-    return (est.pose.position.tolist(), est.velocity.tolist(), (q.w, q.x, q.y, q.z),
-            est.accel_bias.tolist(), est.gyro_bias.tolist(), est.stamp)
+class NavState(NamedTuple):
+    """A navigation estimate as plain floats: 3-sequences, the orientation
+    as (w, x, y, z)."""
+
+    position: tuple
+    velocity: tuple
+    orientation: tuple
+    accel_bias: tuple
+    gyro_bias: tuple
+    stamp: float
+
+    @staticmethod
+    def of(est: NavEstimate) -> "NavState":
+        q = est.pose.orientation
+        return NavState(est.pose.position.tolist(), est.velocity.tolist(), (q.w, q.x, q.y, q.z),
+                        est.accel_bias.tolist(), est.gyro_bias.tolist(), est.stamp)
 
 
-def _estimate_of(x: tuple) -> NavEstimate:
+def _estimate_of(x: NavState) -> NavEstimate:
     p, v, q, ab, gb, t = x
     return NavEstimate(Pose(np.array(p), Quat(*q), t), np.array(v), np.array(ab), np.array(gb), t)
 
 
 def _imu_of(imu: ImuSample) -> tuple:
-    f, w = (np.asarray(a, dtype=float).tolist() for a in (imu.specific_force, imu.angular_rate))
-    return imu.stamp, f, w
+    # lists: CPython 3.11 parks each freed tuple built by `tuple(iterable)`
+    # on its free list and never reuses it
+    return imu.stamp, list(map(float, imu.specific_force)), list(map(float, imu.angular_rate))
 
 
-def _predict(x: tuple, stamp: float, f, w) -> tuple:
+def _predict(x: NavState, stamp: float, f, w) -> NavState:
     """Euler integration of one IMU sample (stamp, specific force f, angular
     rate w) onto the float state x, rounding as the numpy expressions do.
     Raises FilterError on a stamp not after x's, ValueError on a non-finite result.
@@ -111,12 +127,12 @@ def _predict(x: tuple, stamp: float, f, w) -> tuple:
     p = (p[0] + v[0] * dt, p[1] + v[1] * dt, p[2] + v[2] * dt)
     if not all(map(math.isfinite, (stamp, *p, *v, *q))):
         raise ValueError("IMU sample gave a non-finite estimate")
-    return (p, v, q, ab, gb, stamp)
+    return NavState(p, v, q, ab, gb, stamp)
 
 
 def predict(est: NavEstimate, imu: ImuSample) -> NavEstimate:
     """Euler integration of one IMU sample onto the estimate."""
-    return _estimate_of(_predict(_state_of(est), *_imu_of(imu)))
+    return _estimate_of(_predict(NavState.of(est), *_imu_of(imu)))
 
 
 class NavFilter:
@@ -125,7 +141,8 @@ class NavFilter:
     The float states of the initial estimate and of every prediction are
     kept, each with its IMU sample as (stamp, f, w) floats (none for the
     initial one), for the last BUFFER_SPAN seconds so that a delayed
-    measurement can be replayed; `estimate` is built once per state.
+    measurement can be replayed. `state` is the current `NavState`;
+    `estimate` is built from it once per state, when read.
     Innovations beyond GATE_SIGMAS times the per-axis innovation sigmas
     `gate_stds` (position [m], angle [rad], as `steady_state` returns
     them) are dropped and counted; with `gate_stds=None` nothing is
@@ -141,7 +158,7 @@ class NavFilter:
         weights: FusionWeights,
         gate_stds: tuple[float, float] | None = None,
     ):
-        self._x, self._estimate = _state_of(initial), initial
+        self._x, self._estimate = NavState.of(initial), initial
         self.weights = weights
         self.buffer: deque[tuple[tuple | None, tuple]] = deque(
             [(None, self._x)], maxlen=round(BUFFER_SPAN / IMU_PERIOD) + 2
@@ -156,29 +173,32 @@ class NavFilter:
             self._gate_pos, self._gate_rot = (GATE_SIGMAS * s * math.sqrt(3.0) for s in gate_stds)
 
     @property
+    def state(self) -> NavState:
+        return self._x
+
+    @property
     def estimate(self) -> NavEstimate:
         if self._estimate is None:
             self._estimate = _estimate_of(self._x)
         return self._estimate
 
-    def predict(self, imu: ImuSample) -> NavEstimate:
+    def predict(self, imu: ImuSample) -> None:
         sample = _imu_of(imu)
         self._x, self._estimate = _predict(self._x, *sample), None
         self.buffer.append((sample, self._x))
-        return self.estimate
 
-    def _blend(self, snap: tuple, innov_p: list, rot_innov: list) -> tuple:
+    def _blend(self, snap: NavState, innov_p: list, rot_innov: list) -> NavState:
         w = self.weights
         p, v, q, ab, gb, stamp = snap
         kv = w.velocity / POSE_PERIOD
         dq = quat_from_rotvec([w.orientation * r for r in rot_innov])
         # a 3x3 @ 3-vector product (gemv) rounds unlike per-row dots, so it stays numpy
         body = (Quat(*q).to_matrix().T @ np.array(innov_p)).tolist()
-        return ([a + w.position * d for a, d in zip(p, innov_p)],
-                [a + kv * d for a, d in zip(v, innov_p)],
-                quat_normalize(*quat_normalize(*quat_mul(q, dq))),
-                [a - w.accel_bias * d for a, d in zip(ab, body)],
-                [a - w.gyro_bias * r for a, r in zip(gb, rot_innov)], stamp)
+        return NavState([a + w.position * d for a, d in zip(p, innov_p)],
+                        [a + kv * d for a, d in zip(v, innov_p)],
+                        quat_normalize(*quat_normalize(*quat_mul(q, dq))),
+                        [a - w.accel_bias * d for a, d in zip(ab, body)],
+                        [a - w.gyro_bias * r for a, r in zip(gb, rot_innov)], stamp)
 
     def _gated(self, innov_p: list, rot_innov: list) -> bool:
         if self._gate_pos is None:

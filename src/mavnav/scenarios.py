@@ -3,7 +3,12 @@
 The loop advances the simulator one IMU tick at a time, feeds every IMU
 sample to the filter, recomputes the control command at the IMU rate
 from the latest estimate (the simulator holds it in between), and
-applies delayed pose corrections as they arrive.
+applies delayed pose corrections as they arrive. Floats pass between the
+layers on every tick: the simulator's IMU reading, the filter's
+`NavState` and the controller's command; the simulator's `VehicleState`
+and the filter's `NavEstimate` are built only when read, and the loop
+reads neither. The log grows as flat float buffers that become its
+arrays once, at the end.
 
 Every run has one configuration: the default vehicle and sensor noise,
 the gains `place_poles` derives for that vehicle, and the filter weights
@@ -12,7 +17,9 @@ and gate `steady_state` derives for that noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,22 +31,23 @@ from .trajectory import QuinticSpline, RefPoint, eval_spline
 
 @dataclass
 class LoopLog:
-    """Synchronized per-IMU-tick records of one closed-loop run."""
+    """Synchronized per-IMU-tick records of one closed-loop run: stamps and
+    thrusts (n,), true, estimated and reference positions (n, 3)."""
 
-    t: list[float] = field(default_factory=list)
-    truth_pos: list[np.ndarray] = field(default_factory=list)
-    est_pos: list[np.ndarray] = field(default_factory=list)
-    ref_pos: list[np.ndarray] = field(default_factory=list)
-    thrust: list[float] = field(default_factory=list)
+    t: np.ndarray
+    truth_pos: np.ndarray
+    est_pos: np.ndarray
+    ref_pos: np.ndarray
+    thrust: np.ndarray
 
     def position_error(self) -> np.ndarray:
-        return np.linalg.norm(np.array(self.truth_pos) - np.array(self.ref_pos), axis=1)
+        return np.linalg.norm(self.truth_pos - self.ref_pos, axis=1)
 
     def estimate_error(self) -> np.ndarray:
-        return np.linalg.norm(np.array(self.truth_pos) - np.array(self.est_pos), axis=1)
+        return np.linalg.norm(self.truth_pos - self.est_pos, axis=1)
 
     def times(self) -> np.ndarray:
-        return np.array(self.t)
+        return self.t
 
 
 def hover_ref_fn(position):
@@ -66,7 +74,13 @@ def run_closed_loop(
     seed: int = 0,
     initial_state: VehicleState | None = None,
 ) -> LoopLog:
-    """Fly `ref_fn` for `duration` seconds; returns the synchronized log."""
+    """Fly `ref_fn` for `duration` seconds; returns the synchronized log.
+
+    Raises ValueError, before the first step, on a duration that is not
+    finite and positive.
+    """
+    if not (math.isfinite(duration) and duration > 0):
+        raise ValueError(f"duration must be finite and positive, got {duration}")
     params, noise = VehicleParams(), NoiseConfig()
     sim = Simulator(params, noise, wind, seed, initial_state)
     controller = Controller(place_poles(vehicle=params), params)
@@ -76,8 +90,8 @@ def run_closed_loop(
         *steady_state(noise),
     )
 
-    log = LoopLog()
-    thrust, torque = params.hover_thrust, np.zeros(3)
+    stamps, truth, est, refs, thrusts = (array("d") for _ in range(5))
+    thrust, torque = params.hover_thrust, (0.0, 0.0, 0.0)
     t_end = sim.time + duration
     while sim.time < t_end - 1e-9:
         imu, meas = sim.step(thrust, torque)
@@ -86,16 +100,17 @@ def run_closed_loop(
         filt.predict(imu)
         if meas is not None:
             filt.correct(meas)
-        est = filt.estimate
+        nav = filt.state
         ref = ref_fn(imu.stamp)
-        body_rate = np.asarray(imu.angular_rate) - est.gyro_bias
-        thrust, torque = controller.step(est, ref, body_rate, IMU_PERIOD)
-        log.t.append(imu.stamp)
-        log.truth_pos.append(sim.state.pose.position)
-        log.est_pos.append(est.pose.position.copy())
-        log.ref_pos.append(ref.position.copy())
-        log.thrust.append(thrust)
-    return log
+        (wx, wy, wz), (bx, by, bz) = imu.angular_rate, nav.gyro_bias
+        thrust, torque = controller.step(nav, ref, (wx - bx, wy - by, wz - bz), IMU_PERIOD)
+        stamps.append(imu.stamp)
+        truth.extend(sim.position)
+        est.extend(nav.position)
+        refs.extend(ref.position.tolist())
+        thrusts.append(thrust)
+    rows = [np.array(buf).reshape(-1, 3) for buf in (truth, est, refs)]
+    return LoopLog(np.array(stamps), *rows, np.array(thrusts))
 
 
 def run_hover(duration: float = 60.0, seed: int = 0) -> LoopLog:

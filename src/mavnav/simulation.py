@@ -10,6 +10,13 @@ clamped to the vehicle limits. Wind enters as a pure drag force
 with a slowly random-walking bias, a pose sensor at 10 Hz whose
 measurements arrive 100 ms after capture: each pose tick measures the
 oldest entry of a delay line of the true poses of the last pose ticks.
+
+The simulator carries the true state and the IMU biases as plain floats
+from tick to tick and hands the IMU reading on as floats; a
+`VehicleState` is built only when something reads `Simulator.state`.
+The IMU's white noise and bias walk come from one block of standard
+normal draws per NOISE_BLOCK ticks, scaled per noise vector: the same
+numbers, bit for bit, as one `rng.normal(0, std, 3)` call per vector.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ _GX, _GY, _GZ = GRAVITY.tolist()
 IMU_PERIOD = 0.01  # [s]
 POSE_PERIOD = 0.1  # [s]
 POSE_DELAY = 0.1  # capture to delivery [s]
+NOISE_BLOCK = 10  # IMU ticks of noise drawn at once; 100 (9.6 kB a draw) raised peak RSS
 
 
 def _require_finite_non_negative(name: str, value: float) -> None:
@@ -71,8 +79,8 @@ class VehicleState:
 @dataclass(frozen=True)
 class ImuSample:
     stamp: float
-    specific_force: np.ndarray  # body frame [m/s^2]
-    angular_rate: np.ndarray  # body frame [rad/s]
+    specific_force: tuple  # body frame, 3 floats [m/s^2]
+    angular_rate: tuple  # body frame, 3 floats [rad/s]
 
 
 @dataclass(frozen=True)
@@ -236,35 +244,6 @@ def step_dynamics(
     )
 
 
-def sample_imu(
-    state: VehicleState,
-    true_accel,
-    noise: NoiseConfig,
-    rng: np.random.Generator,
-):
-    """IMU reading at the state's stamp plus the bias random-walk step.
-
-    Returns (ImuSample, new_accel_bias, new_gyro_bias). The specific
-    force is the body-frame difference between true acceleration and
-    gravity, corrupted by the current bias and white noise.
-    """
-    r_t = state.pose.orientation.to_matrix().T
-    f = r_t @ (np.asarray(true_accel, dtype=float) - GRAVITY) + state.accel_bias
-    w = state.twist.angular + state.gyro_bias
-    if noise.accel_std > 0:
-        f = f + rng.normal(0.0, noise.accel_std, 3)
-    if noise.gyro_std > 0:
-        w = w + rng.normal(0.0, noise.gyro_std, 3)
-    if noise.bias_walk_std > 0:
-        step = noise.bias_walk_std * math.sqrt(IMU_PERIOD)
-        new_ab = state.accel_bias + rng.normal(0.0, step, 3)
-        new_gb = state.gyro_bias + rng.normal(0.0, step, 3)
-    else:
-        new_ab = state.accel_bias.copy()
-        new_gb = state.gyro_bias.copy()
-    return ImuSample(state.pose.stamp, f, w), new_ab, new_gb
-
-
 def sample_pose_sensor(
     truth: Pose,
     now: float,
@@ -289,8 +268,9 @@ class Simulator:
 
     Each `step` integrates from the current stamp to the next IMU tick
     with one RK4 step per piece of the tick between gust edges. The true
-    state is held as 13 floats between calls; `state` is its
-    `VehicleState` at the last tick, and `time` its stamp.
+    state is held as 13 floats and the IMU biases as two float 3-tuples
+    between calls; `state` builds their `VehicleState` at the last tick
+    when read, and `time` is its stamp.
     """
 
     def __init__(
@@ -314,6 +294,16 @@ class Simulator:
         q = state.pose.orientation
         self._x = (*state.pose.position.tolist(), *state.twist.linear.tolist(),
                    q.w, q.x, q.y, q.z, *state.twist.angular.tolist())
+        ax, ay, az = state.accel_bias.tolist()
+        gx, gy, gz = state.gyro_bias.tolist()
+        self._ab, self._gb = (ax, ay, az), (gx, gy, gz)
+        # IMU noise per tick: accel and gyro white noise, then the accel and
+        # gyro bias steps. A zero std draws nothing: its vector has no `rng.normal` call.
+        walk = noise.bias_walk_std * math.sqrt(IMU_PERIOD)
+        stds = (noise.accel_std, noise.gyro_std, noise.bias_walk_std, noise.bias_walk_std)
+        self._drawn = [j for j, std in enumerate(stds) if std > 0]
+        self._scale = np.array([noise.accel_std, noise.gyro_std, walk, walk])[self._drawn, None]
+        self._noise, self._row = None, NOISE_BLOCK
         self._stamp = state.pose.stamp
         # the last IMU tick at or before the start; a start within 1 ns of a tick is on it
         tick = round(self._stamp / IMU_PERIOD)
@@ -331,8 +321,34 @@ class Simulator:
         return self._stamp
 
     @property
+    def position(self) -> tuple:
+        """The true position at the last tick, as 3 floats."""
+        return self._x[0:3]
+
+    @property
     def state(self) -> VehicleState:
+        if self._state is None:
+            x = self._x
+            self._state = VehicleState(
+                Pose(np.array(x[0:3]), Quat(*x[6:10]), self._stamp),
+                Twist(np.array(x[3:6]), np.array(x[10:13])),
+                np.array(self._ab), np.array(self._gb),
+            )
         return self._state
+
+    def _draw_noise(self) -> np.ndarray:
+        """The IMU noise of the next NOISE_BLOCK ticks, one row of 12 per
+        tick in the order of `__init__`'s columns. A column whose std is 0
+        holds -0.0, which added leaves every float as it is."""
+        block = np.full((NOISE_BLOCK, 4, 3), -0.0)
+        # rng.normal(0.0, std) returns 0.0 + std * z for a standard normal z, and
+        # rng.normal(0.0, 1.0) returns z itself (+0.0 for -0.0): each value is
+        # the one its vector's own call would return
+        z = self._rng_imu.normal(0.0, 1.0, (NOISE_BLOCK, len(self._drawn), 3))
+        z *= self._scale
+        z += 0.0
+        block[:, self._drawn] = z
+        return block.reshape(NOISE_BLOCK, 12)
 
     def step(self, thrust: float, torque):
         """Hold the command from the current stamp to the next IMU tick;
@@ -340,12 +356,14 @@ class Simulator:
         pose sensor's grid.
 
         The tick is one RK4 step, or one per piece when gust edges fall
-        inside it. The IMU's true acceleration is the tick's mean. A pose
+        inside it. The IMU reads the tick's mean acceleration less gravity
+        and the body rate at its end, in the body frame, plus the biases
+        and white noise; then the biases take one random-walk step. A pose
         tick with a full delay line measures its oldest pose, then appends
         the current one, so no capture precedes the first pose on the grid.
         """
         params = self.params
-        tx, ty, tz = np.asarray(torque, dtype=float).tolist()
+        tx, ty, tz = map(float, torque)
         if not all(map(math.isfinite, (thrust, tx, ty, tz))):
             raise ValueError("non-finite command or wind")
         thrust = min(max(thrust, 0.0), params.max_thrust)
@@ -358,22 +376,28 @@ class Simulator:
         x0 = x = self._x
         for a, b in zip(cuts, cuts[1:]):
             x = _rk4_step(x, thrust, torque, self.wind.wind_at(a), b - a, params)
-        # only a whole call moves the simulator: one that raises leaves it at its last tick
-        self._x, self._tick, self._stamp = x, tick, t1
 
-        state = VehicleState(
-            Pose(np.array(x[0:3]), Quat(*x[6:10]), t1), Twist(np.array(x[3:6]), np.array(x[10:13])),
-            self._state.accel_bias, self._state.gyro_bias,
-        )
-        true_accel = (np.array(x[3:6]) - x0[3:6]) / (t1 - t0)
-        imu, state.accel_bias, state.gyro_bias = sample_imu(
-            state, true_accel, self.noise, self._rng_imu
-        )
-        self._state = state
+        block, row = self._noise, self._row
+        if row == NOISE_BLOCK:
+            block, row = self._draw_noise(), 0
+        nfx, nfy, nfz, nwx, nwy, nwz, nax, nay, naz, ngx, ngy, ngz = block[row].tolist()
+        dt = t1 - t0
+        u = np.array([(x[3] - x0[3]) / dt - _GX, (x[4] - x0[4]) / dt - _GY,
+                      (x[5] - x0[5]) / dt - _GZ])
+        # a 3x3 @ 3-vector product (gemv) rounds unlike per-row dots, so it stays numpy
+        fx, fy, fz = (Quat(*x[6:10]).to_matrix().T @ u).tolist()
+        (abx, aby, abz), (gbx, gby, gbz) = self._ab, self._gb
+        imu = ImuSample(t1, (fx + abx + nfx, fy + aby + nfy, fz + abz + nfz),
+                        (x[10] + gbx + nwx, x[11] + gby + nwy, x[12] + gbz + nwz))
+        # only a whole call moves the simulator: one that raises leaves it at its last tick
+        self._x, self._tick, self._stamp, self._state = x, tick, t1, None
+        self._noise, self._row = block, row + 1
+        self._ab = (abx + nax, aby + nay, abz + naz)
+        self._gb = (gbx + ngx, gby + ngy, gbz + ngz)
         meas = None
         if tick % self._pose_every == 0:
             line = self._delay_line
             if len(line) == line.maxlen:
                 meas = sample_pose_sensor(line[0], t1, self.noise, self._rng_pose)
-            line.append(state.pose)
+            line.append(self.state.pose)
         return imu, meas

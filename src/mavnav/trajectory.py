@@ -8,13 +8,16 @@ knots carries m + 4 degrees of freedom, so meeting n waypoints plus the
 inserted into the first span and two into the last (four evenly when
 there is only a single span). Heading is fitted on unwrapped angles.
 `fit_spline` takes arrays: positions (n, 3), headings (n,), times (n,).
+A spline stores each segment's Horner term table once, so that
+`eval_spline`, called once per tick of the closed loop, only runs the
+Horner steps.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +41,15 @@ class RefPoint:
 class QuinticSpline:
     knots: np.ndarray  # (m,) knot times
     coeffs: np.ndarray  # (m-1, 4, 6): per segment, per channel (x,y,z,psi)
+    # per segment, per (order, channel) pair in row-major order, the Horner
+    # terms of that derivative from the highest power of tau down
+    terms: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # d^o/dt^o sum_p c_p t^p = sum_{p >= o} perm(p, o) c_p t^(p - o)
+        terms = [[[math.perm(p, order) * ch[p] for p in range(5, order - 1, -1)]
+                  for order in range(5) for ch in seg] for seg in np.asarray(self.coeffs).tolist()]
+        object.__setattr__(self, "terms", terms)
 
     @property
     def t_start(self) -> float:
@@ -50,15 +62,6 @@ class QuinticSpline:
     @property
     def duration(self) -> float:
         return self.t_end - self.t_start
-
-
-# d^order/dt^order t^p = perm(p, order) t^(p - order). The derivative table
-# shifted by order: _SHIFTED[k, order] scales coefficient
-# _COEFF_IDX[k, order] = order + k of the tau^k term. Its zeros past degree 5
-# start each order's Horner sum from k = 5 where a scalar sum from p = 5 starts.
-_COEFF_IDX = np.minimum(np.arange(6)[:, None] + np.arange(5), 5)
-_SHIFTED = np.array([[math.perm(o + k, o) if o + k < 6 else 0 for o in range(5)]
-                     for k in range(6)], dtype=float)[:, :, None]
 
 
 def _basis_row(tau: float, order: int) -> np.ndarray:
@@ -127,9 +130,11 @@ def fit_spline(positions, headings, times) -> QuinticSpline:
 def eval_spline(spline: QuinticSpline, t: float) -> RefPoint:
     """Polynomial evaluation of position and derivatives 1..4 at time t.
 
-    Out-of-range times clamp to the nearest endpoint with zero
-    derivatives and set the `clamped` flag.
+    Out-of-range times, infinite ones too, clamp to the nearest endpoint
+    with zero derivatives and set the `clamped` flag; NaN raises ValueError.
     """
+    if math.isnan(t):
+        raise ValueError("spline time must not be NaN")
     tq, clamped = t, False
     if t < spline.t_start:
         tq, clamped = spline.t_start, True
@@ -138,11 +143,13 @@ def eval_spline(spline: QuinticSpline, t: float) -> RefPoint:
     seg = min(max(bisect_right(spline.knots, tq) - 1, 0), len(spline.knots) - 2)
     tau = float(tq - spline.knots[seg])
 
-    # terms[k]: (order, channel) terms in front of tau^k
-    terms = _SHIFTED * spline.coeffs[seg].T[_COEFF_IDX]
-    vals = np.zeros((5, 4))
-    for k in range(5, -1, -1):
-        vals = vals * tau + terms[k]
+    vals = []
+    for terms in spline.terms[seg]:
+        acc = 0.0
+        for a in terms:
+            acc = acc * tau + a
+        vals.append(acc)
+    vals = np.array(vals).reshape(5, 4)
     if clamped:
         vals[1:] = 0.0
     heading = math.remainder(vals[0, 3], math.tau)

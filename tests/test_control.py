@@ -14,12 +14,13 @@ from mavnav.control import (
     integrator_chain_gains,
     place_poles,
 )
-from mavnav.estimation import NavEstimate
+from mavnav.estimation import NavEstimate, NavState
 from mavnav.geometry import Pose, Quat
 from mavnav.simulation import GRAVITY, VehicleParams
 from mavnav.trajectory import RefPoint
 
 PARAMS = VehicleParams()
+LEVEL = NavState.of(NavEstimate())  # at rest at the origin, level
 
 
 def hover_ref(position=(0.0, 0.0, 0.0), heading=0.0):
@@ -82,7 +83,7 @@ def assert_step_matches_oracle(ctl, est, ref, body_rate, dt=0.01):
     thrust, torque, integrator, r_des, freefall = controller_step_oracle(ctl, est, ref, body_rate,
                                                                          dt)
     events = ctl.freefall_events
-    out = ctl.step(est, ref, body_rate, dt)
+    out = ctl.step(NavState.of(est), ref, body_rate, dt)
     bits = lambda a: np.asarray(a, dtype=float).tobytes()
     assert bits(out[0]) == bits(thrust)
     assert bits(out[1]) == bits(torque)
@@ -131,23 +132,23 @@ class TestIntegratorChainGains:
 class TestControlStep:
     def test_hover_equilibrium(self):
         ctl = Controller(place_poles(vehicle=PARAMS), PARAMS)
-        thrust, torque = ctl.step(NavEstimate(), hover_ref(), np.zeros(3), 0.01)
+        thrust, torque = ctl.step(LEVEL, hover_ref(), np.zeros(3), 0.01)
         assert thrust == pytest.approx(PARAMS.mass * 9.81, abs=1e-9)
         np.testing.assert_allclose(torque, 0.0, atol=1e-9)
 
     def test_positive_x_error_tilts_body_z_forward(self):
         ctl = Controller(place_poles(vehicle=PARAMS), PARAMS)
-        thrust, torque = ctl.step(NavEstimate(), hover_ref(position=(1.0, 0, 0)), np.zeros(3), 0.01)
+        thrust, torque = ctl.step(LEVEL, hover_ref(position=(1.0, 0, 0)), np.zeros(3), 0.01)
         assert ctl.last_r_des[0, 2] > 0.0  # commanded body z leans toward +x
         assert torque[1] > 0.0  # positive pitch torque
 
     def test_freefall_singularity_holds_attitude(self):
         ctl = Controller(place_poles(vehicle=PARAMS), PARAMS)
-        ctl.step(NavEstimate(), hover_ref(position=(1.0, 0, 0)), np.zeros(3), 0.01)
+        ctl.step(LEVEL, hover_ref(position=(1.0, 0, 0)), np.zeros(3), 0.01)
         held = ctl.last_r_des.copy()
         z = np.zeros(3)
         falling = RefPoint(z, z, np.array([0, 0, -9.81]), z, z, 0.0, 0.0, 0.0)
-        ctl.step(NavEstimate(), falling, np.zeros(3), 0.01)
+        ctl.step(LEVEL, falling, np.zeros(3), 0.01)
         assert ctl.freefall_events == 1
         np.testing.assert_array_equal(ctl.last_r_des, held)
 
@@ -156,13 +157,13 @@ class TestControlStep:
         ctl = Controller(gains, PARAMS)
         est = NavEstimate()
         for _ in range(10000):
-            ctl.step(est, hover_ref(position=(5.0, -5.0, 5.0)), np.zeros(3), 0.01)
+            ctl.step(NavState.of(est), hover_ref(position=(5.0, -5.0, 5.0)), np.zeros(3), 0.01)
         assert np.all(np.abs(ctl.integrator) <= 0.5 + 1e-12)
 
     def test_thrust_clamped(self):
         ctl = Controller(place_poles(vehicle=PARAMS), PARAMS)
         est = NavEstimate(pose=Pose(np.array([0.0, 0.0, -50.0])))
-        thrust, _ = ctl.step(est, hover_ref(), np.zeros(3), 0.01)
+        thrust, _ = ctl.step(NavState.of(est), hover_ref(), np.zeros(3), 0.01)
         assert thrust <= PARAMS.max_thrust
 
     def test_desired_attitude_orthonormal(self):
@@ -224,7 +225,7 @@ class TestControlKernel:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_input_rejected(self, where, value):
         ctl = Controller(place_poles(vehicle=PARAMS), PARAMS)
-        ctl.step(NavEstimate(), hover_ref(position=(1.0, 0.0, 0.0)), np.zeros(3), 0.01)
+        ctl.step(LEVEL, hover_ref(position=(1.0, 0.0, 0.0)), np.zeros(3), 0.01)
         state = (ctl.integrator, ctl.last_r_des.copy(), ctl.freefall_events)
         est = NavEstimate(velocity=[value, 0.0, 0.0] if where == "velocity" else np.zeros(3))
         if where == "position":
@@ -237,7 +238,7 @@ class TestControlKernel:
                         value if where == "heading_rate" else 0.0)
         rate = bad if where == "body_rate" else np.zeros(3)
         with pytest.raises(ValueError, match="non-finite"):
-            ctl.step(est, ref, rate, 0.01)
+            ctl.step(NavState.of(est), ref, rate, 0.01)
         assert ctl.integrator == state[0] and ctl.freefall_events == state[2]
         np.testing.assert_array_equal(ctl.last_r_des, state[1])
 
@@ -256,7 +257,7 @@ class TestClosedLoopEigenvalues:
             q = Quat.from_rotvec(rv)
             est = NavEstimate(pose=Pose(p, q, 0.0), velocity=v)
             ctl.integrator = np.zeros(3)
-            thrust, torque = ctl.step(est, ref, w, 1e-6)
+            thrust, torque = ctl.step(NavState.of(est), ref, w, 1e-6)
             r = q.to_matrix()
             dv = thrust * r[:, 2] / params.mass + g_vec - params.drag / params.mass * v
             dw = (torque - np.cross(w, inertia * w)) / inertia

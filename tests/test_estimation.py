@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_geometry import from_rotvec_oracle, mul_oracle, normalized_oracle, rotate_oracle, wxyz
-from test_simulation import orientations, rates, vec
+from test_simulation import orientations, rates, sample_imu, vec
 
 from mavnav.estimation import (
     MAX_GATE_REJECTS,
@@ -26,7 +26,6 @@ from mavnav.simulation import (
     Simulator,
     VehicleParams,
     VehicleState,
-    sample_imu,
     sample_pose_sensor,
 )
 

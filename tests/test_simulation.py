@@ -11,13 +11,14 @@ from mavnav.scenarios import run_closed_loop, spline_ref_fn
 from mavnav.simulation import (
     GRAVITY,
     IMU_PERIOD,
+    NOISE_BLOCK,
+    ImuSample,
     NoiseConfig,
     Simulator,
     VehicleParams,
     VehicleState,
     WindProfile,
     _rk4_step,
-    sample_imu,
     sample_pose_sensor,
     step_dynamics,
 )
@@ -49,6 +50,32 @@ def step_dynamics_oracle(state, thrust, torque, wind, dt, params=PARAMS):
     p_new = state.pose.position + v_new * dt
     q_new = normalized_oracle(mul_oracle(q, from_rotvec_oracle(w_new * dt)))
     return p_new, v_new, q_new, w_new
+
+
+def sample_imu(state, true_accel, noise, rng):
+    """The IMU reading as numpy 3-vectors with one `rng.normal` call per
+    noise vector: the oracle of `Simulator.step`'s reading and its noise
+    blocks.
+
+    Returns (ImuSample at the state's stamp, new accel bias, new gyro bias).
+    The specific force is the body-frame difference between true
+    acceleration and gravity, corrupted by the current bias and white noise.
+    """
+    r_t = state.pose.orientation.to_matrix().T
+    f = r_t @ (np.asarray(true_accel, dtype=float) - GRAVITY) + state.accel_bias
+    w = state.twist.angular + state.gyro_bias
+    if noise.accel_std > 0:
+        f = f + rng.normal(0.0, noise.accel_std, 3)
+    if noise.gyro_std > 0:
+        w = w + rng.normal(0.0, noise.gyro_std, 3)
+    if noise.bias_walk_std > 0:
+        step = noise.bias_walk_std * math.sqrt(IMU_PERIOD)
+        new_ab = state.accel_bias + rng.normal(0.0, step, 3)
+        new_gb = state.gyro_bias + rng.normal(0.0, step, 3)
+    else:
+        new_ab = state.accel_bias.copy()
+        new_gb = state.gyro_bias.copy()
+    return ImuSample(state.pose.stamp, f, w), new_ab, new_gb
 
 
 def assert_matches_oracle(state, thrust, torque, wind, dt, params=PARAMS):
@@ -169,6 +196,36 @@ class TestImu:
                 s.accel_bias = ab
             finals[trial] = s.accel_bias[0]
         assert np.var(finals) == pytest.approx(walk**2 * t, rel=0.2)
+
+
+class TestImuNoiseBlocks:
+    @pytest.mark.parametrize("zero", [None, "accel_std", "gyro_std", "bias_walk_std"])
+    def test_samples_equal_per_call_draws(self, zero):
+        """Over two block boundaries, with every std set and with each IMU
+        std at 0 in turn, the simulator's IMU samples and biases equal the
+        oracle's per-call `rng.normal` draws bit for bit. A zero std draws
+        nothing: the later draws stay aligned only if the simulator skips it
+        too."""
+        noise = NoiseConfig(**{"bias_walk_std": 0.05, **({zero: 0.0} if zero else {})})
+        seed = 9
+        start = VehicleState(accel_bias=[0.1, -0.2, 0.05], gyro_bias=[0.01, 0.02, -0.03])
+        sim = Simulator(noise=noise, seed=seed, initial_state=start)
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+        ab, gb = start.accel_bias, start.gyro_bias
+        bits = lambda a: np.asarray(a, dtype=float).tobytes()
+        for k in range(2 * NOISE_BLOCK + 17):
+            before = sim.state
+            imu, _ = sim.step(PARAMS.hover_thrust + 0.5 * math.sin(0.1 * k),
+                              [0.01, -0.02 * math.cos(0.05 * k), 0.005])
+            after = sim.state
+            true_accel = ((after.twist.linear - before.twist.linear)
+                          / (after.pose.stamp - before.pose.stamp))
+            want, ab, gb = sample_imu(VehicleState(after.pose, after.twist, ab, gb), true_accel,
+                                      noise, rng)
+            assert imu.stamp == want.stamp
+            assert bits(imu.specific_force) == bits(want.specific_force), k
+            assert bits(imu.angular_rate) == bits(want.angular_rate), k
+            assert bits(after.accel_bias) == bits(ab) and bits(after.gyro_bias) == bits(gb), k
 
 
 class TestPoseSensor:

@@ -109,6 +109,35 @@ def eval_spline_oracle(spline: QuinticSpline, t: float) -> RefPoint:
                     clamped)
 
 
+# The Horner evaluation on numpy arrays that gathered each segment's term
+# table on every call, before the spline stored it: the oracle of the
+# stored table. terms[k] holds the (order, channel) terms in front of tau^k;
+# its zeros past degree 5 start each order's sum at its highest power.
+_COEFF_IDX = np.minimum(np.arange(6)[:, None] + np.arange(5), 5)
+_SHIFTED = np.array([[math.perm(o + k, o) if o + k < 6 else 0 for o in range(5)]
+                     for k in range(6)], dtype=float)[:, :, None]
+
+
+def eval_spline_gather(spline: QuinticSpline, t: float) -> RefPoint:
+    tq, clamped = t, False
+    if t < spline.t_start:
+        tq, clamped = spline.t_start, True
+    elif t > spline.t_end:
+        tq, clamped = spline.t_end, True
+    seg = min(max(bisect_right(spline.knots, tq) - 1, 0), len(spline.knots) - 2)
+    tau = float(tq - spline.knots[seg])
+    terms = _SHIFTED * spline.coeffs[seg].T[_COEFF_IDX]
+    vals = np.zeros((5, 4))
+    for k in range(5, -1, -1):
+        vals = vals * tau + terms[k]
+    if clamped:
+        vals[1:] = 0.0
+    heading = math.remainder(vals[0, 3], math.tau)
+    if heading <= -math.pi:
+        heading += math.tau
+    return RefPoint(*vals[:, :3], heading, float(vals[1, 3]), t, clamped)
+
+
 def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
@@ -225,6 +254,16 @@ class TestEvalSpline:
         assert after.clamped
         np.testing.assert_allclose(after.position, [6, 0, 1], atol=1e-9)
 
+    def test_nan_time_rejected_infinite_times_clamped(self):
+        s = fit_spline(*demo_waypoints())
+        with pytest.raises(ValueError, match="NaN"):
+            eval_spline(s, math.nan)
+        for t, end in [(-math.inf, [0, 0, 1]), (math.inf, [6, 0, 1])]:
+            r = eval_spline(s, t)
+            assert r.clamped and r.stamp == t
+            np.testing.assert_allclose(r.position, end, atol=1e-9)
+            np.testing.assert_array_equal(r.velocity, 0.0)
+
     def test_heading_wraps_without_jump(self):
         s = fit_spline([[0, 0, 0], [1, 0, 0]], [3.0, -3.0], [0.0, 2.0])
         # unwrapped target is 3.2832: the trajectory passes through pi
@@ -236,6 +275,25 @@ class TestEvalSpline:
 
 
 class TestOracleParity:
+    def test_stored_table_matches_per_call_gather(self):
+        """Every segment at its start, inside and just before its end, and
+        both clamped ends, infinite times too."""
+        rng = np.random.default_rng(25)
+        sets = [demo_waypoints()]
+        for n in (2, 3, 5, 8):
+            times = np.cumsum(rng.uniform(0.2, 3.0, n)) - rng.uniform(0.0, 5.0)
+            sets.append((rng.uniform(-5, 5, (n, 3)), rng.uniform(-4, 4, n), times))
+        for positions, headings, times in sets:
+            s = fit_spline(positions, headings, times)
+            k = s.knots
+            inner = [a + f * (b - a) for a, b in zip(k, k[1:]) for f in (0.0, 0.37, 0.999)]
+            ends = [k[0] - 1.0, -math.inf, k[-1], k[-1] + 1.0, math.inf]
+            for t in inner + ends:
+                r, o = eval_spline(s, float(t)), eval_spline_gather(s, float(t))
+                assert r.clamped == o.clamped
+                for name in REF_FIELDS:
+                    assert _bits(getattr(r, name)) == _bits(getattr(o, name)), (name, t)
+
     def test_random_waypoint_sets(self):
         rng = np.random.default_rng(18)
         for _ in range(240):
