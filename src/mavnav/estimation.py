@@ -17,8 +17,7 @@ unstable: its per-cycle eigenvalues exceed one).
 The filter runs on `geometry`'s plain-float kernels, as the simulator's
 rigid-body step and `control.Controller.step` do. Floats pass between the
 layers: `_predict` steps a `NavState` of plain floats on the simulator's
-float IMU reading, the controller reads that state, and a `NavEstimate`
-is built from it only when read.
+float IMU reading, and the controller reads that state.
 """
 
 from __future__ import annotations
@@ -141,8 +140,7 @@ class NavFilter:
     The float states of the initial estimate and of every prediction are
     kept, each with its IMU sample as (stamp, f, w) floats (none for the
     initial one), for the last BUFFER_SPAN seconds so that a delayed
-    measurement can be replayed. `state` is the current `NavState`;
-    `estimate` is built from it once per state, when read.
+    measurement can be replayed. `state` is the current `NavState`.
     Innovations beyond GATE_SIGMAS times the per-axis innovation sigmas
     `gate_stds` (position [m], angle [rad], as `steady_state` returns
     them) are dropped and counted; with `gate_stds=None` nothing is
@@ -158,7 +156,7 @@ class NavFilter:
         weights: FusionWeights,
         gate_stds: tuple[float, float] | None = None,
     ):
-        self._x, self._estimate = NavState.of(initial), initial
+        self._x = NavState.of(initial)
         self.weights = weights
         self.buffer: deque[tuple[tuple | None, tuple]] = deque(
             [(None, self._x)], maxlen=round(BUFFER_SPAN / IMU_PERIOD) + 2
@@ -176,15 +174,9 @@ class NavFilter:
     def state(self) -> NavState:
         return self._x
 
-    @property
-    def estimate(self) -> NavEstimate:
-        if self._estimate is None:
-            self._estimate = _estimate_of(self._x)
-        return self._estimate
-
     def predict(self, imu: ImuSample) -> None:
         sample = _imu_of(imu)
-        self._x, self._estimate = _predict(self._x, *sample), None
+        self._x = _predict(self._x, *sample)
         self.buffer.append((sample, self._x))
 
     def _blend(self, snap: NavState, innov_p: list, rot_innov: list) -> NavState:
@@ -213,7 +205,7 @@ class NavFilter:
         self._consecutive_rejects += 1
         return True
 
-    def correct(self, meas: PoseMeasurement) -> NavEstimate:
+    def correct(self, meas: PoseMeasurement) -> None:
         """Blend the snapshot at capture time, then re-apply interim IMU.
 
         The anchor is the latest snapshot at or before the capture time; a
@@ -225,22 +217,21 @@ class NavFilter:
         idx = bisect_right(buf, meas.capture_stamp + 1e-9, key=lambda entry: entry[1][5]) - 1
         if idx < 0:
             self.dropped_stale += 1
-            return self.estimate
+            return
 
         snap = buf[idx][1]
         innov_p = [a - b for a, b in zip(meas.pose.position.tolist(), snap[0])]
         rot_innov = (Quat(*snap[2]).conjugate() * meas.pose.orientation).as_rotvec().tolist()
         if self._gated(innov_p, rot_innov):
             self.dropped_gated += 1
-            return self.estimate
+            return
 
         current = self._blend(snap, innov_p, rot_innov)
         for i in range(idx + 1, len(buf)):
             sample = buf[i][0]
             current = _predict(current, *sample)
             buf[i] = (sample, current)
-        self._x, self._estimate = current, None
-        return self.estimate
+        self._x = current
 
 
 def riccati_gain(F, Q, H, R, predicts_per_update: int = 1):

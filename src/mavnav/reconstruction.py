@@ -6,8 +6,9 @@ point toward "inside". All rays are walked through the mesh together,
 one tet per step, by array-wide facet exit tests (`walk_rays`). A
 constant-capacity smoothness term on shared facets completes an s-t cut
 problem whose exact minimum labels every tetrahedron; facets separating
-differently-labeled tetrahedra form the reconstructed surface, which is
-finally rasterized to an occupancy grid.
+differently-labeled tetrahedra form the reconstructed surface. The
+occupancy grid takes each voxel's state from the label of the tet at the
+voxel's center alone: occupied inside, free outside, unknown off the hull.
 """
 
 from __future__ import annotations
@@ -199,8 +200,10 @@ def walk_rays(mesh: TetMesh, origins, vids):
     (or OUTER) one step past the target, NO_TET where the segment ends
     there. A grazing ray crosses nothing; its terminal and behind are
     NO_TET. Each step leaves every ray's tet through the first facet
-    that the segment exits, skipping the facet back to the previous tet
-    and those holding the target vertex. Raises RuntimeError for a walk
+    that the segment exits, skipping the facet back to the previous tet.
+    A facet that holds the target vertex never passes the exit test: the
+    target lies on its plane to within rounding, far inside eps, so it is
+    not strictly on the facet's far side. Raises RuntimeError for a walk
     that does not terminate.
 
     A step orients the segment against each of the tet's 6 edges once,
@@ -239,9 +242,7 @@ def walk_rays(mesh: TetMesh, origins, vids):
         # target on the far side of each facet (a, b, c): orient3d(a, b, c, target) < -eps
         d = v[:, _EDGES[:, 1]] - v[:, _EDGES[:, 0]]
         exits &= _det(d[:, _SIDE_B], d[:, _SIDE_C], tt[:, None, active] - v[:, _SIDE_A]) < -eps
-        # a facet holds the target when the tet holds it at another slot
-        hold = tv == vids[active]
-        exits &= (nb != prev[active]) & ~(hold.any(axis=0) & ~hold)
+        exits &= nb != prev[active]
         nxt = nb[np.argmax(exits, axis=0), np.arange(len(active))]
         go = exits.any(axis=0) & (nxt != OUTER)
         active = active[go]
@@ -327,53 +328,6 @@ def extract_surface(mesh: TetMesh) -> SurfaceMesh:
 # -- rasterization -------------------------------------------------------
 
 
-# Triangles per batch of the triangle-box test, which bounds the size of
-# its pair arrays. On map_room (~24k pairs) one batch over all pairs raised
-# the benchmark's peak RSS from 83 to 102 MB, blocks of 64 triangles by
-# 0.8 MB (median); blocks of 32 (~500 pairs) add 0.3 MB, for ~9 ms more per
-# pass than 64.
-_TRI_BLOCK = 32
-
-
-def _apart(p: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Whether the projections p[..., 0, :], p[..., 1, :], p[..., 2, :] of
-    a triangle's vertices lie strictly outside [-r, r]."""
-    lo = np.minimum(np.minimum(p[..., 0, :], p[..., 1, :]), p[..., 2, :])
-    hi = np.maximum(np.maximum(p[..., 0, :], p[..., 1, :]), p[..., 2, :])
-    return (lo > r) | (hi < -r)
-
-
-def _tri_box_overlaps(tris: np.ndarray, centers: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """Separating-axis test (Akenine-Moeller 2001) of triangles against
-    axis-aligned boxes, pair by pair.
-
-    `tris` is (n, 3, 3), one triangle's vertices per pair; `centers` is
-    (n, 3) box centers; `half` the (3,) half-extent shared by every box.
-    Returns a bool (n,) mask of the overlapping pairs. Touching counts as
-    overlap: an axis separates only when the projections are strictly
-    apart, so an all-zero edge axis (edge parallel to a box axis) never
-    separates.
-    """
-    v = tris - centers[:, None, :]
-    edges = np.roll(v, -1, axis=1) - v  # v1 - v0, v2 - v1, v0 - v2
-    # box face axes, then the triangle normal axis
-    n = np.cross(edges[:, 0], edges[:, 1])
-    hit = ~np.any(_apart(v, half), axis=1)
-    hit &= np.abs(row_dot(n, v[:, 0])) <= row_dot(np.abs(n), half)
-    # nine edge axes e x unit_k on the pairs left
-    idx = np.flatnonzero(hit)
-    v, e = v[idx], edges[idx]
-    ex, ey, ez = e[..., 0], e[..., 1], e[..., 2]
-    a = np.zeros((len(idx), 3, 3, 3))  # pair, edge, unit axis k, component
-    a[:, :, 0, 1], a[:, :, 0, 2] = ez, -ey  # e x x = (0, e_z, -e_y)
-    a[:, :, 1, 0], a[:, :, 1, 2] = -ez, ex  # e x y = (-e_z, 0, e_x)
-    a[:, :, 2, 0], a[:, :, 2, 1] = ey, -ex  # e x z = (e_y, -e_x, 0)
-    a = a.reshape(-1, 9, 3)
-    p = row_dot(a[:, None], v[:, :, None])  # (pairs, 3 vertices, 9 axes)
-    hit[idx] = ~np.any(_apart(p, row_dot(np.abs(a), half)), axis=1)
-    return hit
-
-
 def rasterize(
     mesh: TetMesh,
     surface: SurfaceMesh,
@@ -381,18 +335,13 @@ def rasterize(
     bounds,
     params: LogOddsParams | None = None,
 ) -> OccupancyGrid:
-    """Occupancy grid from a labeled tetrahedralization.
+    """Occupancy grid from a labeled tetrahedralization, by the cut's
+    labels alone: a voxel is occupied when its center lies in an
+    inside-labeled tet, free in an outside-labeled one, and unknown
+    outside the convex hull.
 
-    Voxel centers in inside-labeled tets are occupied, in outside-labeled
-    tets free, outside the convex hull unknown; any voxel intersecting a
-    surface triangle is occupied regardless. That intersection is the
-    13-axis separating-axis triangle-box test (Akenine-Moeller 2001),
-    evaluated as array operations over every (triangle, voxel) pair of
-    the triangles' bounding boxes, `_TRI_BLOCK` triangles at a time so
-    that the pair arrays do not raise the process's peak RSS. A pair
-    whose voxel is already occupied, by its tet's label or by an earlier
-    block, is not tested: the test can only make a voxel occupied, so
-    skipping it leaves the grid as it is.
+    `surface` is not read. It stays in the signature because callers
+    (`perfbench/workloads.py`) pass the later arguments by position.
 
     Raises ValueError unless `resolution` is finite and positive and
     `bounds` = (lo, hi) are finite with hi > lo on every axis.
@@ -410,29 +359,5 @@ def rasterize(
     state_of_tet = np.where(mesh.labels == TetMesh.INSIDE, OCCUPIED, FREE).astype(np.uint8)
     state_of_tet[OUTER] = UNKNOWN
     centers = lo + (np.indices(dims).reshape(3, -1).T + 0.5) * resolution
-    flat = state_of_tet[mesh.locate(centers)]
-
-    half = np.full(3, 0.5 * resolution)
-    tris = surface.vertices[np.asarray(surface.triangles, dtype=np.intp).reshape(-1, 3)]
-    for start in range(0, len(tris), _TRI_BLOCK):
-        block = tris[start : start + _TRI_BLOCK]
-        # each triangle's voxel range, clipped to the grid; may be empty
-        tlo = np.floor((block.min(axis=1) - lo) / resolution).astype(int)
-        thi = np.floor((block.max(axis=1) - lo) / resolution).astype(int)
-        tlo, thi = np.maximum(tlo, 0), np.minimum(thi, np.array(dims) - 1)
-        size = np.maximum(thi - tlo + 1, 0)
-        count = size.prod(axis=1)
-        tri = np.repeat(np.arange(len(block)), count)
-        # pair's rank within its triangle's range, unravelled row-major
-        rank = np.arange(len(tri)) - np.repeat(np.cumsum(count) - count, count)
-        ny, nz = size[tri, 1], size[tri, 2]
-        ijk = tlo[tri] + np.stack([rank // (ny * nz), rank // nz % ny, rank % nz], axis=1)
-        voxel = (ijk[:, 0] * dims[1] + ijk[:, 1]) * dims[2] + ijk[:, 2]
-        # the test only ever sets OCCUPIED, so a voxel that is already needs none
-        todo = flat[voxel] != OCCUPIED
-        tri, ijk, voxel = tri[todo], ijk[todo], voxel[todo]
-        box_centers = lo + (ijk + 0.5) * resolution
-        flat[voxel[_tri_box_overlaps(block[tri], box_centers, half)]] = OCCUPIED
-
-    grid.set_states(flat.reshape(dims))
+    grid.set_states(state_of_tet[mesh.locate(centers)].reshape(dims))
     return grid

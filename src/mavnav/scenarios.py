@@ -6,9 +6,8 @@ from the latest estimate (the simulator holds it in between), and
 applies delayed pose corrections as they arrive. Floats pass between the
 layers on every tick: the simulator's IMU reading, the filter's
 `NavState` and the controller's command; the simulator's `VehicleState`
-and the filter's `NavEstimate` are built only when read, and the loop
-reads neither. The log grows as flat float buffers that become its
-arrays once, at the end.
+is built only when read, and the loop does not read it. The log grows
+as flat float buffers that become its arrays once, at the end.
 
 Every run has one configuration: the default vehicle and sensor noise,
 the gains `place_poles` derives for that vehicle, and the filter weights

@@ -13,6 +13,7 @@ from mavnav.estimation import (
     FusionWeights,
     NavEstimate,
     NavFilter,
+    _estimate_of,
     predict,
     riccati_gain,
     steady_state,
@@ -121,13 +122,18 @@ class TestPredict:
         filt = make_filter()
         for k in range(1, 6):
             filt.predict(imu_at(0.01 * k, w=(0.1, 0.0, 0.2)))
-        before, buffer = filt.estimate, list(filt.buffer)
+        before, buffer = filt.state, list(filt.buffer)
         with pytest.raises(ValueError):
             filt.predict(bad)
-        assert filt.estimate is before
+        assert filt.state is before
         assert list(filt.buffer) == buffer
         filt.predict(imu_at(0.06))  # the filter goes on from where it was
-        assert filt.estimate.stamp == 0.06
+        assert estimate_of(filt).stamp == 0.06
+
+
+def estimate_of(filt):
+    """The filter's current state as a `NavEstimate`."""
+    return _estimate_of(filt.state)
 
 
 def make_filter(weights=None, gate_stds=None):
@@ -144,7 +150,8 @@ class TestCorrect:
             plain = predict(plain, imu_at(0.01 * k))
         snap_pose = Pose(np.zeros(3), Quat.identity(), 0.2)
         meas = PoseMeasurement(0.2, 0.3, snap_pose)
-        out = filt.correct(meas)
+        filt.correct(meas)
+        out = estimate_of(filt)
         np.testing.assert_allclose(out.pose.position, plain.pose.position, atol=1e-12)
         np.testing.assert_allclose(out.velocity, plain.velocity, atol=1e-12)
         assert out.pose.orientation.angle_to(plain.pose.orientation) < 1e-12
@@ -156,7 +163,8 @@ class TestCorrect:
         target = Pose(
             np.array([0.4, -0.2, 0.1]), Quat(*quat_from_axis_angle([0.0, 0.0, 1.0], 0.3)), 0.3
         )
-        out = filt.correct(PoseMeasurement(0.3, 0.3, target))
+        filt.correct(PoseMeasurement(0.3, 0.3, target))
+        out = estimate_of(filt)
         np.testing.assert_allclose(out.pose.position, target.position, atol=1e-9)
         assert out.pose.orientation.angle_to(target.orientation) < 1e-9
 
@@ -164,10 +172,10 @@ class TestCorrect:
         filt = make_filter()
         for k in range(1, 101):
             filt.predict(imu_at(0.01 * k))
-        before = filt.estimate
-        out = filt.correct(PoseMeasurement(0.1, 1.0, Pose(np.ones(3), Quat.identity(), 0.1)))
+        before = filt.state
+        filt.correct(PoseMeasurement(0.1, 1.0, Pose(np.ones(3), Quat.identity(), 0.1)))
         assert filt.dropped_stale == 1
-        assert out is before
+        assert filt.state is before
 
     def test_first_measurement_anchors_on_initial_estimate(self):
         """A measurement captured at the start stamp is blended into the
@@ -185,11 +193,11 @@ class TestCorrect:
             immediate.predict(imu_at(0.01 * k))
         assert delayed.dropped_stale == 0 and immediate.dropped_stale == 0
         np.testing.assert_allclose(
-            delayed.estimate.pose.position, immediate.estimate.pose.position, atol=1e-12
+            estimate_of(delayed).pose.position, estimate_of(immediate).pose.position, atol=1e-12
         )
-        np.testing.assert_allclose(delayed.estimate.velocity, immediate.estimate.velocity,
+        np.testing.assert_allclose(estimate_of(delayed).velocity, estimate_of(immediate).velocity,
                                    atol=1e-12)
-        assert delayed.estimate.pose.position[0] > 0.05  # the measurement moved it
+        assert estimate_of(delayed).pose.position[0] > 0.05  # the measurement moved it
 
     def test_matches_full_history_refilter_oracle(self):
         """Replay correction == reprocessing the whole history offline."""
@@ -215,7 +223,7 @@ class TestCorrect:
             if pending and abs(imu.stamp - pending.delivery_stamp) < 1e-9:
                 filt.correct(pending)
                 pending = next(meas_iter, None)
-        final = filt.estimate
+        final = estimate_of(filt)
 
         # oracle: offline pass applying each blend at its capture time
         def blend(est, meas):
@@ -252,13 +260,15 @@ class TestInnovationGate:
 
     @staticmethod
     def _measure(filt, position, orientation=Quat.identity()):
-        """Ten stationary IMU ticks, then a pose measurement at the new stamp."""
-        t0 = filt.estimate.stamp
+        """Ten stationary IMU ticks, then a pose measurement at the new
+        stamp; the estimate after it."""
+        t0 = estimate_of(filt).stamp
         for k in range(1, 11):
             filt.predict(imu_at(t0 + 0.01 * k))
-        t = filt.estimate.stamp
+        t = estimate_of(filt).stamp
         pose = Pose(np.asarray(position, dtype=float), orientation, t)
-        return filt.correct(PoseMeasurement(t, t, pose))
+        filt.correct(PoseMeasurement(t, t, pose))
+        return estimate_of(filt)
 
     @pytest.mark.parametrize(
         "outlier",
@@ -269,15 +279,14 @@ class TestInnovationGate:
     def test_single_outlier_dropped_and_counted(self, outlier):
         filt = make_filter(self.WEIGHTS, self.GATE_STDS)
         self._measure(filt, [0.01, 0.0, 0.0])  # inside the band: applied
-        assert filt.estimate.pose.position[0] == pytest.approx(0.003)
+        assert estimate_of(filt).pose.position[0] == pytest.approx(0.003)
         out = self._measure(filt, *outlier)
         assert filt.dropped_gated == 1
-        assert out is filt.estimate
         assert out.pose.position[0] == pytest.approx(0.003)
         assert out.pose.orientation.angle_to(Quat.identity()) < 1e-12
         self._measure(filt, [0.01, 0.0, 0.0])  # the next good one is applied
         assert filt.dropped_gated == 1
-        assert filt.estimate.pose.position[0] == pytest.approx(0.0051)
+        assert estimate_of(filt).pose.position[0] == pytest.approx(0.0051)
 
     def test_persistent_offset_opens_then_closes_gate(self):
         filt = make_filter(self.WEIGHTS, self.GATE_STDS)
@@ -285,29 +294,29 @@ class TestInnovationGate:
         for _ in range(MAX_GATE_REJECTS):
             self._measure(filt, offset)
         assert filt.dropped_gated == MAX_GATE_REJECTS
-        np.testing.assert_array_equal(filt.estimate.pose.position, np.zeros(3))
+        np.testing.assert_array_equal(estimate_of(filt).pose.position, np.zeros(3))
         # that many drops in a row mean the filter is off: the gate opens
         self._measure(filt, offset)
         assert filt.dropped_gated == MAX_GATE_REJECTS
-        assert filt.estimate.pose.position[0] == pytest.approx(0.3)
+        assert estimate_of(filt).pose.position[0] == pytest.approx(0.3)
         # it stays open while the innovation (0.7, 0.49, ... m) is outside the band
         for _ in range(10):
             self._measure(filt, offset)
         assert filt.dropped_gated == MAX_GATE_REJECTS
-        assert filt.estimate.pose.position[0] == pytest.approx(1.0 - 0.7**11)
+        assert estimate_of(filt).pose.position[0] == pytest.approx(1.0 - 0.7**11)
         # back inside the band the gate has closed: a lone outlier is dropped again
-        before = filt.estimate.pose.position.copy()
+        before = estimate_of(filt).pose.position.copy()
         self._measure(filt, [0.0, 0.0, 0.0])
         assert filt.dropped_gated == MAX_GATE_REJECTS + 1
-        np.testing.assert_array_equal(filt.estimate.pose.position, before)
+        np.testing.assert_array_equal(estimate_of(filt).pose.position, before)
 
     def test_without_gate_stds_nothing_is_gated(self):
         filt = make_filter(self.WEIGHTS)
         for k in range(20):
             target = 10.0 * (-1.0) ** k
-            before = filt.estimate.pose.position[0]
-            self._measure(filt, [target, 0.0, 0.0], Quat(*quat_from_axis_angle([0, 0, 1], 3.0)))
-            assert filt.estimate.pose.position[0] == pytest.approx(before + 0.3 * (target - before))
+            before = estimate_of(filt).pose.position[0]
+            out = self._measure(filt, [target, 0.0, 0.0], Quat(*quat_from_axis_angle([0, 0, 1], 3.0)))
+            assert out.pose.position[0] == pytest.approx(before + 0.3 * (target - before))
         assert filt.dropped_gated == 0
 
     @pytest.mark.parametrize(
@@ -411,8 +420,8 @@ class TestFilterBehaviour:
             if key in by_delivery:
                 delayed.correct(by_delivery[key])
                 np.testing.assert_allclose(
-                    delayed.estimate.pose.position,
-                    immediate.estimate.pose.position,
+                    estimate_of(delayed).pose.position,
+                    estimate_of(immediate).pose.position,
                     atol=1e-6,
                 )
                 compared += 1
@@ -429,7 +438,7 @@ class TestFilterBehaviour:
             filt.predict(imu)
             if meas is not None:
                 filt.correct(meas)
-        assert filt.estimate.accel_bias[0] == pytest.approx(0.1, rel=0.2)
+        assert estimate_of(filt).accel_bias[0] == pytest.approx(0.1, rel=0.2)
 
     def test_filter_beats_dead_reckoning(self):
         noise = NoiseConfig()
@@ -442,7 +451,7 @@ class TestFilterBehaviour:
             dead = predict(dead, imu)
             if meas is not None:
                 filt.correct(meas)
-            filt_err.append(np.linalg.norm(filt.estimate.pose.position))
+            filt_err.append(np.linalg.norm(estimate_of(filt).pose.position))
             dead_err.append(np.linalg.norm(dead.pose.position))
         rms = lambda e: math.sqrt(np.mean(np.square(e)))
         assert rms(filt_err) * 10.0 <= rms(dead_err)

@@ -265,7 +265,7 @@ def blend_orientation(a: Quat, b: Quat, w: float) -> Quat:
     orientation weight `w` toward a measurement of `b` at the same stamp."""
     filt = NavFilter(NavEstimate(pose=Pose(np.zeros(3), a)), FusionWeights(0.0, 0.0, w, 0.0, 0.0))
     filt.correct(PoseMeasurement(0.0, 0.0, Pose(np.zeros(3), b)))
-    return filt.estimate.pose.orientation
+    return Quat(*filt.state.orientation)
 
 
 class TestPartialRotation:

@@ -28,6 +28,27 @@ PUBLISHED_ROWS = [
 ]
 
 
+def test_sparse_map_of_the_room_meets_the_papers_bounds():
+    """The sparse map of the benchmark's room on seeds 101-110, built as
+    map_room builds it: median MCC at least 0.80, and on every seed no
+    more missed collisions than the paper's sparse rows have (0.67 %)."""
+    from mavnav import delaunay, reconstruction
+    from perfbench import room as rooms
+
+    max_missed = max(row[3] for row in PUBLISHED_ROWS if row[1] == "sparse")
+    mccs = []
+    for seed in range(101, 111):
+        room = rooms.make_room(seed)
+        mesh = delaunay.tetrahedralize(np.vstack([kf.points for kf in room.keyframes]))
+        reconstruction.label_tets(mesh, room.keyframes)
+        surface = reconstruction.extract_surface(mesh)
+        sparse = reconstruction.rasterize(mesh, surface, rooms.RESOLUTION, rooms.BOUNDS)
+        conf, mcc = mcc_eval(rooms.ground_truth_grid(room.pillars), sparse)
+        assert conf.missed_collision <= max_missed, (seed, conf)
+        mccs.append(mcc)
+    assert np.median(mccs) >= 0.80, mccs
+
+
 class TestMcc:
     @pytest.mark.parametrize("row", PUBLISHED_ROWS, ids=lambda r: f"{r[0]}-{r[1]}")
     def test_published_confusions_reproduce_mcc(self, row):
