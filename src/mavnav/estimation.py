@@ -14,10 +14,10 @@ the velocity state is instead corrected by its steady-state gain acting
 on the position innovation (without this the decoupled error loop is
 unstable: its per-cycle eigenvalues exceed one).
 
-The filter runs on `geometry`'s plain-float kernels, as the simulator's
-rigid-body step and `control.Controller.step` do. Floats pass between the
-layers: `_predict` steps a `NavState` of plain floats on the simulator's
-float IMU reading, and the controller reads that state.
+The filter runs on `geometry`'s plain-float kernels, as
+`control.Controller.step` does. Floats pass between the layers: the
+filter starts from a `NavState` of plain floats, `_predict` steps it on
+the simulator's float IMU reading, and the controller reads it.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Pose, Quat, _norm, quat_from_rotvec, quat_mul, quat_normalize, quat_rotate
+from .geometry import Quat, _norm, quat_from_rotvec, quat_mul, quat_normalize, quat_rotate
 from .simulation import (
     _GX, _GY, _GZ, IMU_PERIOD, POSE_PERIOD, ImuSample, NoiseConfig, PoseMeasurement,
 )
@@ -44,19 +44,6 @@ RICCATI_MAX_DOUBLINGS = 64  # 2^64 updates
 
 class FilterError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class NavEstimate:
-    pose: Pose = field(default_factory=Pose.identity)
-    velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    accel_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    gyro_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    stamp: float = 0.0
-
-    def __post_init__(self):
-        for name in ("velocity", "accel_bias", "gyro_bias"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -83,25 +70,15 @@ class FusionWeights:
 
 class NavState(NamedTuple):
     """A navigation estimate as plain floats: 3-sequences, the orientation
-    as (w, x, y, z)."""
+    as (w, x, y, z). The defaults are at rest at the origin, level, with
+    zero biases, at stamp 0."""
 
-    position: tuple
-    velocity: tuple
-    orientation: tuple
-    accel_bias: tuple
-    gyro_bias: tuple
-    stamp: float
-
-    @staticmethod
-    def of(est: NavEstimate) -> "NavState":
-        q = est.pose.orientation
-        return NavState(est.pose.position.tolist(), est.velocity.tolist(), (q.w, q.x, q.y, q.z),
-                        est.accel_bias.tolist(), est.gyro_bias.tolist(), est.stamp)
-
-
-def _estimate_of(x: NavState) -> NavEstimate:
-    p, v, q, ab, gb, t = x
-    return NavEstimate(Pose(np.array(p), Quat(*q), t), np.array(v), np.array(ab), np.array(gb), t)
+    position: tuple = (0.0, 0.0, 0.0)
+    velocity: tuple = (0.0, 0.0, 0.0)
+    orientation: tuple = (1.0, 0.0, 0.0, 0.0)
+    accel_bias: tuple = (0.0, 0.0, 0.0)
+    gyro_bias: tuple = (0.0, 0.0, 0.0)
+    stamp: float = 0.0
 
 
 def _imu_of(imu: ImuSample) -> tuple:
@@ -129,16 +106,11 @@ def _predict(x: NavState, stamp: float, f, w) -> NavState:
     return NavState(p, v, q, ab, gb, stamp)
 
 
-def predict(est: NavEstimate, imu: ImuSample) -> NavEstimate:
-    """Euler integration of one IMU sample onto the estimate."""
-    return _estimate_of(_predict(NavState.of(est), *_imu_of(imu)))
-
-
 class NavFilter:
     """Single-writer prediction/correction filter instance.
 
-    The float states of the initial estimate and of every prediction are
-    kept, each with its IMU sample as (stamp, f, w) floats (none for the
+    The initial state and the state after every prediction are kept,
+    each with its IMU sample as (stamp, f, w) floats (none for the
     initial one), for the last BUFFER_SPAN seconds so that a delayed
     measurement can be replayed. `state` is the current `NavState`.
     Innovations beyond GATE_SIGMAS times the per-axis innovation sigmas
@@ -147,16 +119,20 @@ class NavFilter:
     gated. A string of MAX_GATE_REJECTS consecutive drops means the
     filter itself is off rather than the measurements, so the gate then
     stays open until innovations re-enter the band; isolated outliers
-    are still rejected.
+    are still rejected. Raises ValueError on an initial state with a
+    non-finite value.
     """
 
     def __init__(
         self,
-        initial: NavEstimate,
+        initial: NavState,
         weights: FusionWeights,
         gate_stds: tuple[float, float] | None = None,
     ):
-        self._x = NavState.of(initial)
+        p, v, q, ab, gb, t = initial
+        if not all(map(math.isfinite, (*p, *v, *q, *ab, *gb, t))):
+            raise ValueError("initial state must be finite")
+        self._x = initial
         self.weights = weights
         self.buffer: deque[tuple[tuple | None, tuple]] = deque(
             [(None, self._x)], maxlen=round(BUFFER_SPAN / IMU_PERIOD) + 2

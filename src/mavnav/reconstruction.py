@@ -23,7 +23,7 @@ import numpy as np
 
 from .delaunay import FACET_OPP, OUTER, TetMesh, orient3d
 from .geometry import Pose, point_rows, row_dot
-from .grid import FREE, OCCUPIED, UNKNOWN, LogOddsParams, OccupancyGrid
+from .grid import FREE, OCCUPIED, UNKNOWN, OccupancyGrid
 from .maxflow import FlowNetwork
 
 
@@ -333,7 +333,6 @@ def rasterize(
     surface: SurfaceMesh,
     resolution: float,
     bounds,
-    params: LogOddsParams | None = None,
 ) -> OccupancyGrid:
     """Occupancy grid from a labeled tetrahedralization, by the cut's
     labels alone: a voxel is occupied when its center lies in an
@@ -353,7 +352,7 @@ def rasterize(
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(hi > lo)):
         raise ValueError(f"bounds must be finite with hi > lo, got {lo}, {hi}")
     dims = tuple(int(np.ceil((hi[i] - lo[i]) / resolution - 1e-9)) for i in range(3))
-    grid = OccupancyGrid(lo, resolution, dims, params)
+    grid = OccupancyGrid(lo, resolution, dims)
 
     # state per tet id; OUTER (-1) reads the last entry, which stays UNKNOWN
     state_of_tet = np.where(mesh.labels == TetMesh.INSIDE, OCCUPIED, FREE).astype(np.uint8)

@@ -5,8 +5,8 @@ sample to the filter, recomputes the control command at the IMU rate
 from the latest estimate (the simulator holds it in between), and
 applies delayed pose corrections as they arrive. Floats pass between the
 layers on every tick: the simulator's IMU reading, the filter's
-`NavState` and the controller's command; the simulator's `VehicleState`
-is built only when read, and the loop does not read it. The log grows
+`NavState` and the controller's command. The loop reads the simulator's
+`VehicleState` once, for the filter's first state. The log grows
 as flat float buffers that become its arrays once, at the end.
 
 Every run has one configuration: the default vehicle and sensor noise,
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import Controller, place_poles
-from .estimation import NavEstimate, NavFilter, steady_state
+from .estimation import NavFilter, NavState, steady_state
 from .simulation import IMU_PERIOD, NoiseConfig, Simulator, VehicleParams, VehicleState, WindProfile
 from .trajectory import QuinticSpline, RefPoint, eval_spline
 
@@ -54,7 +54,7 @@ def hover_ref_fn(position):
     z = np.zeros(3)
 
     def ref(t: float) -> RefPoint:
-        return RefPoint(target, z, z, z, z, 0.0, 0.0, t)
+        return RefPoint(target, z, z, 0.0, 0.0, t)
 
     return ref
 
@@ -83,11 +83,10 @@ def run_closed_loop(
     params, noise = VehicleParams(), NoiseConfig()
     sim = Simulator(params, noise, wind, seed, initial_state)
     controller = Controller(place_poles(vehicle=params), params)
-    filt = NavFilter(
-        NavEstimate(pose=sim.state.pose, velocity=sim.state.twist.linear,
-                    stamp=sim.state.pose.stamp),
-        *steady_state(noise),
-    )
+    start = sim.state
+    q = start.pose.orientation
+    filt = NavFilter(NavState(start.pose.position.tolist(), start.twist.linear.tolist(),
+                              (q.w, q.x, q.y, q.z), stamp=sim.time), *steady_state(noise))
 
     stamps, truth, est, refs, thrusts = (array("d") for _ in range(5))
     thrust, torque = params.hover_thrust, (0.0, 0.0, 0.0)

@@ -2,10 +2,9 @@
 
 The simulator advances one IMU tick per call with one classic RK4 step
 under the held command, split at every gust edge inside the tick; the
-quaternion is renormalized once per step. `step_dynamics` keeps a
-semi-implicit Euler step as the tests' reference. Actuation is
-abstracted to collective thrust along body z plus three body torques,
-clamped to the vehicle limits. Wind enters as a pure drag force
+quaternion is renormalized once per step. Actuation is abstracted to
+collective thrust along body z plus three body torques, clamped to the
+vehicle limits. Wind enters as a pure drag force
 ``drag * (wind - velocity)``. Sensors run on exact grids: IMU at 100 Hz
 with a slowly random-walking bias, a pose sensor at 10 Hz whose
 measurements arrive 100 ms after capture: each pose tick measures the
@@ -27,9 +26,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import (
-    Pose, Quat, Twist, cross3, quat_from_rotvec, quat_mul, quat_normalize, quat_rotate,
-)
+from .geometry import Pose, Quat, Twist, quat_normalize
 
 GRAVITY = np.array([0.0, 0.0, -9.81])  # world frame, z up [m/s^2]
 GRAVITY.flags.writeable = False
@@ -129,42 +126,6 @@ class NoiseConfig:
             _require_finite_non_negative(f.name, getattr(self, f.name))
 
 
-def _rigid_step(p, v, q, w, thrust, torque, wind, dt, params):
-    """One semi-implicit Euler step of the rigid-body dynamics on floats.
-
-    p, v, w, torque and wind are 3-sequences and q a (w, x, y, z)
-    sequence of floats; returns the new (p, v, q, w) as tuples. Checks
-    the command and wind before the step and the state after it, and
-    rounds as the same expression on numpy 3-vectors and `Quat`s would.
-    """
-    tx, ty, tz = torque
-    ux, uy, uz = wind
-    if not all(map(math.isfinite, (thrust, tx, ty, tz, ux, uy, uz))):
-        raise ValueError("non-finite command or wind")
-    thrust = min(max(thrust, 0.0), params.max_thrust)
-    lim = params.max_torque
-    tx, ty, tz = (min(max(tx, -lim), lim), min(max(ty, -lim), lim), min(max(tz, -lim), lim))
-
-    mass, drag = params.mass, params.drag
-    ix, iy, iz = params.inertia
-    vx, vy, vz = v
-    wx, wy, wz = w
-    bx, by, bz = quat_rotate(q, (0.0, 0.0, 1.0))
-    ax = (thrust * bx + mass * _GX + drag * (ux - vx)) / mass
-    ay = (thrust * by + mass * _GY + drag * (uy - vy)) / mass
-    az = (thrust * bz + mass * _GZ + drag * (uz - vz)) / mass
-    cx, cy, cz = cross3(w, (ix * wx, iy * wy, iz * wz))  # gyroscopic term
-    w_new = (wx + (tx - cx) / ix * dt, wy + (ty - cy) / iy * dt, wz + (tz - cz) / iz * dt)
-    v_new = (vx + ax * dt, vy + ay * dt, vz + az * dt)
-    p_new = (p[0] + v_new[0] * dt, p[1] + v_new[1] * dt, p[2] + v_new[2] * dt)
-    dq = quat_from_rotvec((w_new[0] * dt, w_new[1] * dt, w_new[2] * dt))
-    # as `(q * dq).normalized()`: the product renormalizes, then the step again
-    q_new = quat_normalize(*quat_normalize(*quat_mul(q, dq)))
-    if not all(map(math.isfinite, (*p_new, *v_new, *q_new, *w_new))):
-        raise ValueError("vehicle state must stay finite")
-    return p_new, v_new, q_new, w_new
-
-
 def _rk4_step(x: tuple, thrust: float, torque: tuple, wind, h: float, params) -> tuple:
     """One classic RK4 step of length h of the rigid-body dynamics on floats.
 
@@ -215,33 +176,6 @@ def _rk4_step(x: tuple, thrust: float, torque: tuple, wind, h: float, params) ->
         raise ValueError("vehicle state must stay finite")
     x[6:10] = quat_normalize(*x[6:10])
     return tuple(x)
-
-
-def step_dynamics(
-    state: VehicleState,
-    thrust: float,
-    torque,
-    wind,
-    dt: float,
-    params: VehicleParams = VehicleParams(),
-) -> VehicleState:
-    """One semi-implicit Euler step of the rigid-body dynamics; the
-    simulator integrates with `_rk4_step`, this step is the tests'
-    reference."""
-    if not 0.0 < dt <= 0.02:
-        raise ValueError(f"dt must be in (0, 0.02], got {dt}")
-    q = state.pose.orientation
-    p, v, q, w = _rigid_step(
-        state.pose.position.tolist(), state.twist.linear.tolist(), (q.w, q.x, q.y, q.z),
-        state.twist.angular.tolist(), thrust, np.asarray(torque, dtype=float).tolist(),
-        np.asarray(wind, dtype=float).tolist(), dt, params,
-    )
-    return VehicleState(
-        Pose(np.array(p), Quat(*q), state.pose.stamp + dt),
-        Twist(np.array(v), np.array(w)),
-        state.accel_bias,
-        state.gyro_bias,
-    )
 
 
 def sample_pose_sensor(

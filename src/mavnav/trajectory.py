@@ -8,9 +8,9 @@ knots carries m + 4 degrees of freedom, so meeting n waypoints plus the
 inserted into the first span and two into the last (four evenly when
 there is only a single span). Heading is fitted on unwrapped angles.
 `fit_spline` takes arrays: positions (n, 3), headings (n,), times (n,).
-A spline stores each segment's Horner term table once, so that
-`eval_spline`, called once per tick of the closed loop, only runs the
-Horner steps.
+A spline stores each segment's Horner term table for position, velocity
+and acceleration once, so that `eval_spline`, called once per tick of the
+closed loop, only runs the Horner steps.
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class RefPoint:
-    """Trajectory reference: position and derivatives through snap."""
+    """Trajectory reference: position, velocity and acceleration, the
+    derivatives the controller tracks."""
 
     position: np.ndarray
     velocity: np.ndarray
     accel: np.ndarray
-    jerk: np.ndarray
-    snap: np.ndarray
     heading: float
     heading_rate: float
     stamp: float
@@ -41,14 +40,14 @@ class RefPoint:
 class QuinticSpline:
     knots: np.ndarray  # (m,) knot times
     coeffs: np.ndarray  # (m-1, 4, 6): per segment, per channel (x,y,z,psi)
-    # per segment, per (order, channel) pair in row-major order, the Horner
-    # terms of that derivative from the highest power of tau down
+    # per segment, per (order, channel) pair in row-major order for orders
+    # 0-2, the Horner terms of that derivative from the highest power of tau down
     terms: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # d^o/dt^o sum_p c_p t^p = sum_{p >= o} perm(p, o) c_p t^(p - o)
         terms = [[[math.perm(p, order) * ch[p] for p in range(5, order - 1, -1)]
-                  for order in range(5) for ch in seg] for seg in np.asarray(self.coeffs).tolist()]
+                  for order in range(3) for ch in seg] for seg in np.asarray(self.coeffs).tolist()]
         object.__setattr__(self, "terms", terms)
 
     @property
@@ -128,7 +127,7 @@ def fit_spline(positions, headings, times) -> QuinticSpline:
 
 
 def eval_spline(spline: QuinticSpline, t: float) -> RefPoint:
-    """Polynomial evaluation of position and derivatives 1..4 at time t.
+    """Polynomial evaluation of position, velocity and acceleration at time t.
 
     Out-of-range times, infinite ones too, clamp to the nearest endpoint
     with zero derivatives and set the `clamped` flag; NaN raises ValueError.
@@ -149,13 +148,13 @@ def eval_spline(spline: QuinticSpline, t: float) -> RefPoint:
         for a in terms:
             acc = acc * tau + a
         vals.append(acc)
-    vals = np.array(vals).reshape(5, 4)
+    vals = np.array(vals).reshape(3, 4)
     if clamped:
         vals[1:] = 0.0
     heading = math.remainder(vals[0, 3], math.tau)
     if heading <= -math.pi:
         heading += math.tau
-    # rows: position, velocity, accel, jerk, snap
+    # rows: position, velocity, accel
     return RefPoint(*vals[:, :3], heading, float(vals[1, 3]), t, clamped)
 
 

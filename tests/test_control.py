@@ -14,18 +14,18 @@ from mavnav.control import (
     integrator_chain_gains,
     place_poles,
 )
-from mavnav.estimation import NavEstimate, NavState
-from mavnav.geometry import Pose, Quat
+from mavnav.estimation import NavState
+from mavnav.geometry import Quat
 from mavnav.simulation import GRAVITY, VehicleParams
 from mavnav.trajectory import RefPoint
 
 PARAMS = VehicleParams()
-LEVEL = NavState.of(NavEstimate())  # at rest at the origin, level
+LEVEL = NavState()  # at rest at the origin, level
 
 
 def hover_ref(position=(0.0, 0.0, 0.0), heading=0.0):
     z = np.zeros(3)
-    return RefPoint(np.asarray(position, dtype=float), z, z, z, z, heading, 0.0, 0.0)
+    return RefPoint(np.asarray(position, dtype=float), z, z, heading, 0.0, 0.0)
 
 
 def desired_attitude_oracle(f_vec, heading):
@@ -41,23 +41,24 @@ def desired_attitude_oracle(f_vec, heading):
     return np.column_stack([x_b, y_b, z_b])
 
 
-def controller_step_oracle(ctl, est, ref, body_rate, dt):
+def controller_step_oracle(ctl, nav, ref, body_rate, dt):
     """`Controller.step` as numpy 3-vector expressions, on a copy of the
     controller's state; returns (thrust, torque, integrator, r_des, freefall)."""
     g, p = ctl.gains, ctl.vehicle
-    e_p = ref.position - est.pose.position
-    e_v = ref.velocity - est.velocity
+    position, velocity = np.array(nav.position), np.array(nav.velocity)
+    e_p = ref.position - position
+    e_v = ref.velocity - velocity
     integrator = np.clip(np.array(ctl.integrator) + e_p * dt, -g.integrator_limit,
                          g.integrator_limit)
     kp = np.array([g.kp_planar, g.kp_planar, g.kp_vertical])
     kd = np.array([g.kd_planar, g.kd_planar, g.kd_vertical])
     a_cmd = ref.accel + kp * e_p + kd * e_v + g.ki * integrator
-    a_cmd = a_cmd + (p.drag / p.mass) * est.velocity
+    a_cmd = a_cmd + (p.drag / p.mass) * velocity
     f_vec = a_cmd - GRAVITY
     freefall = bool(np.linalg.norm(f_vec) < -0.1 * GRAVITY[2])
     r_des = ctl.last_r_des if freefall else desired_attitude_oracle(f_vec, ref.heading)
 
-    w, x, y, z = wxyz(est.pose.orientation)
+    w, x, y, z = nav.orientation
     r_est = np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
@@ -78,12 +79,12 @@ def controller_step_oracle(ctl, est, ref, body_rate, dt):
     return thrust, torque, integrator, r_des, freefall
 
 
-def assert_step_matches_oracle(ctl, est, ref, body_rate, dt=0.01):
+def assert_step_matches_oracle(ctl, nav, ref, body_rate, dt=0.01):
     """Steps `ctl` and checks every output and state bit against the oracle."""
-    thrust, torque, integrator, r_des, freefall = controller_step_oracle(ctl, est, ref, body_rate,
+    thrust, torque, integrator, r_des, freefall = controller_step_oracle(ctl, nav, ref, body_rate,
                                                                          dt)
     events = ctl.freefall_events
-    out = ctl.step(NavState.of(est), ref, body_rate, dt)
+    out = ctl.step(nav, ref, body_rate, dt)
     bits = lambda a: np.asarray(a, dtype=float).tobytes()
     assert bits(out[0]) == bits(thrust)
     assert bits(out[1]) == bits(torque)
@@ -94,9 +95,8 @@ def assert_step_matches_oracle(ctl, est, ref, body_rate, dt=0.01):
 
 
 def ref_point(position, velocity, accel, heading, heading_rate):
-    z = np.zeros(3)
     return RefPoint(np.asarray(position, dtype=float), np.asarray(velocity, dtype=float),
-                    np.asarray(accel, dtype=float), z, z, heading, heading_rate, 0.0)
+                    np.asarray(accel, dtype=float), heading, heading_rate, 0.0)
 
 
 class TestIntegratorChainGains:
@@ -147,7 +147,7 @@ class TestControlStep:
         ctl.step(LEVEL, hover_ref(position=(1.0, 0, 0)), np.zeros(3), 0.01)
         held = ctl.last_r_des.copy()
         z = np.zeros(3)
-        falling = RefPoint(z, z, np.array([0, 0, -9.81]), z, z, 0.0, 0.0, 0.0)
+        falling = RefPoint(z, z, np.array([0, 0, -9.81]), 0.0, 0.0, 0.0)
         ctl.step(LEVEL, falling, np.zeros(3), 0.01)
         assert ctl.freefall_events == 1
         np.testing.assert_array_equal(ctl.last_r_des, held)
@@ -155,15 +155,13 @@ class TestControlStep:
     def test_integrator_stays_clamped(self):
         gains = place_poles(vehicle=PARAMS, integrator_limit=0.5)
         ctl = Controller(gains, PARAMS)
-        est = NavEstimate()
         for _ in range(10000):
-            ctl.step(NavState.of(est), hover_ref(position=(5.0, -5.0, 5.0)), np.zeros(3), 0.01)
+            ctl.step(LEVEL, hover_ref(position=(5.0, -5.0, 5.0)), np.zeros(3), 0.01)
         assert np.all(np.abs(ctl.integrator) <= 0.5 + 1e-12)
 
     def test_thrust_clamped(self):
         ctl = Controller(place_poles(vehicle=PARAMS), PARAMS)
-        est = NavEstimate(pose=Pose(np.array([0.0, 0.0, -50.0])))
-        thrust, _ = ctl.step(NavState.of(est), hover_ref(), np.zeros(3), 0.01)
+        thrust, _ = ctl.step(NavState(position=(0.0, 0.0, -50.0)), hover_ref(), np.zeros(3), 0.01)
         assert thrust <= PARAMS.max_thrust
 
     def test_desired_attitude_orthonormal(self):
@@ -184,39 +182,38 @@ class TestControlKernel:
     def test_kernel_matches_oracle(self, p, v, q, rp, rv, ra, heading, heading_rate, rate, integ):
         ctl = Controller(place_poles(vehicle=PARAMS, integrator_limit=2.0), PARAMS)
         ctl.integrator = tuple(integ.tolist())
-        est = NavEstimate(pose=Pose(p, q), velocity=v)
+        nav = NavState(p.tolist(), v.tolist(), wxyz(q))
         ref = ref_point(rp, rv, ra, heading, heading_rate)
         for _ in range(3):  # the integrator and the held attitude carry over
-            assert_step_matches_oracle(ctl, est, ref, rate)
+            assert_step_matches_oracle(ctl, nav, ref, rate)
 
     def test_kernel_matches_oracle_on_each_branch(self):
         ctl = Controller(place_poles(vehicle=PARAMS, integrator_limit=0.5), PARAMS)
-        level = NavEstimate()
         # half turns: w == 0 exactly
         for q in [(0.0, -0.6, 0.8, 0.0), (0.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 0.0)]:
-            est = NavEstimate(pose=Pose(np.array([0.3, -0.2, 0.1]), Quat(*q)))
+            nav = NavState((0.3, -0.2, 0.1), orientation=q)
             ref = ref_point([1, 2, 0], [0, 0, 1], [0, 1, 0], 0.4, 0.2)
-            assert_step_matches_oracle(ctl, est, ref, [0.1, -0.3, 0.2])
+            assert_step_matches_oracle(ctl, nav, ref, [0.1, -0.3, 0.2])
         # freefall: the commanded force vanishes, the last attitude is held
         held = ctl.last_r_des.copy()
         falling = ref_point(np.zeros(3), np.zeros(3), GRAVITY, 1.0, 0.5)
-        assert_step_matches_oracle(ctl, level, falling, [0.2, 0.0, 0.0])
+        assert_step_matches_oracle(ctl, LEVEL, falling, [0.2, 0.0, 0.0])
         assert ctl.freefall_events == 1 and np.array_equal(ctl.last_r_des, held)
         # clamped thrust, both ends, and clamped torque on every axis
         thrust, torque = assert_step_matches_oracle(
-            ctl, level, ref_point([0, 0, 50], [0, 0, 10], [0, 0, 30], 0.0, 0.0), [60, -60, 60])
+            ctl, LEVEL, ref_point([0, 0, 50], [0, 0, 10], [0, 0, 30], 0.0, 0.0), [60, -60, 60])
         assert thrust == PARAMS.max_thrust and np.all(np.abs(torque) == PARAMS.max_torque)
-        upside_down = NavEstimate(pose=Pose(np.zeros(3), Quat(0.0, 1.0, 0.0, 0.0)))
+        upside_down = NavState(orientation=(0.0, 1.0, 0.0, 0.0))
         thrust, _ = assert_step_matches_oracle(ctl, upside_down, hover_ref(), np.zeros(3))
         assert thrust == 0.0
         # thrust along the heading axis: world y is the fallback
         fresh = Controller(place_poles(vehicle=PARAMS), PARAMS)
         along_x = ref_point(np.zeros(3), np.zeros(3), [5.0, 0.0, -9.81], 0.0, 0.0)
-        assert_step_matches_oracle(fresh, level, along_x, np.zeros(3))
+        assert_step_matches_oracle(fresh, LEVEL, along_x, np.zeros(3))
         np.testing.assert_array_equal(fresh.last_r_des[:, 1], [0.0, 1.0, 0.0])
         # a saturated integrator
         for _ in range(200):
-            assert_step_matches_oracle(ctl, level, hover_ref(position=(5.0, -5.0, 5.0)),
+            assert_step_matches_oracle(ctl, LEVEL, hover_ref(position=(5.0, -5.0, 5.0)),
                                        np.zeros(3))
         assert ctl.integrator == (0.5, -0.5, 0.5)
 
@@ -227,10 +224,9 @@ class TestControlKernel:
         ctl = Controller(place_poles(vehicle=PARAMS), PARAMS)
         ctl.step(LEVEL, hover_ref(position=(1.0, 0.0, 0.0)), np.zeros(3), 0.01)
         state = (ctl.integrator, ctl.last_r_des.copy(), ctl.freefall_events)
-        est = NavEstimate(velocity=[value, 0.0, 0.0] if where == "velocity" else np.zeros(3))
-        if where == "position":
-            est.pose.position[1] = value  # Pose checks on construction, not afterwards
         bad = [0.0, value, 0.0]
+        nav = NavState(position=bad if where == "position" else (0.0, 0.0, 0.0),
+                       velocity=bad if where == "velocity" else (0.0, 0.0, 0.0))
         ref = ref_point(bad if where == "ref_position" else np.zeros(3),
                         bad if where == "ref_velocity" else np.zeros(3),
                         bad if where == "ref_accel" else np.zeros(3),
@@ -238,7 +234,7 @@ class TestControlKernel:
                         value if where == "heading_rate" else 0.0)
         rate = bad if where == "body_rate" else np.zeros(3)
         with pytest.raises(ValueError, match="non-finite"):
-            ctl.step(NavState.of(est), ref, rate, 0.01)
+            ctl.step(nav, ref, rate, 0.01)
         assert ctl.integrator == state[0] and ctl.freefall_events == state[2]
         np.testing.assert_array_equal(ctl.last_r_des, state[1])
 
@@ -255,9 +251,8 @@ class TestClosedLoopEigenvalues:
         def deriv(x):
             p, v, rv, w = x[:3], x[3:6], x[6:9], x[9:12]
             q = Quat.from_rotvec(rv)
-            est = NavEstimate(pose=Pose(p, q, 0.0), velocity=v)
             ctl.integrator = np.zeros(3)
-            thrust, torque = ctl.step(NavState.of(est), ref, w, 1e-6)
+            thrust, torque = ctl.step(NavState(p.tolist(), v.tolist(), wxyz(q)), ref, w, 1e-6)
             r = q.to_matrix()
             dv = thrust * r[:, 2] / params.mass + g_vec - params.drag / params.mass * v
             dw = (torque - np.cross(w, inertia * w)) / inertia

@@ -11,10 +11,10 @@ from mavnav.estimation import (
     MAX_GATE_REJECTS,
     FilterError,
     FusionWeights,
-    NavEstimate,
     NavFilter,
-    _estimate_of,
-    predict,
+    NavState,
+    _imu_of,
+    _predict,
     riccati_gain,
     steady_state,
 )
@@ -38,27 +38,32 @@ def imu_at(t, f=(0.0, 0.0, 9.81), w=(0.0, 0.0, 0.0)):
     return ImuSample(t, np.asarray(f, dtype=float), np.asarray(w, dtype=float))
 
 
-def predict_oracle(est, imu):
+def predict(x: NavState, imu: ImuSample) -> NavState:
+    """One Euler prediction of `x` on `imu`, as `NavFilter.predict` makes
+    it: the filter's kernel, without the filter."""
+    return _predict(x, *_imu_of(imu))
+
+
+def predict_oracle(x, imu):
     """`predict` as numpy 3-vector expressions with the numpy quaternion
     oracles; returns (p, v, q), q a (w, x, y, z) tuple."""
-    dt = imu.stamp - est.stamp
-    rate = np.asarray(imu.angular_rate, dtype=float) - est.gyro_bias
-    q = normalized_oracle(mul_oracle(wxyz(est.pose.orientation), from_rotvec_oracle(rate * dt)))
-    f = np.asarray(imu.specific_force, dtype=float) - est.accel_bias
-    v = est.velocity + (rotate_oracle(q, f) + GRAVITY) * dt
-    p = est.pose.position + v * dt
+    dt = imu.stamp - x.stamp
+    rate = np.asarray(imu.angular_rate, dtype=float) - np.array(x.gyro_bias)
+    q = normalized_oracle(mul_oracle(x.orientation, from_rotvec_oracle(rate * dt)))
+    f = np.asarray(imu.specific_force, dtype=float) - np.array(x.accel_bias)
+    v = np.array(x.velocity) + (rotate_oracle(q, f) + GRAVITY) * dt
+    p = np.array(x.position) + v * dt
     return p, v, q
 
 
-def assert_predict_matches_oracle(est, imu):
-    out = predict(est, imu)
-    p, v, q = predict_oracle(est, imu)
-    assert out.pose.position.tobytes() == p.tobytes()
-    assert out.velocity.tobytes() == v.tobytes()
-    assert wxyz(out.pose.orientation) == q
-    assert out.stamp == out.pose.stamp == imu.stamp
-    assert np.array_equal(out.accel_bias, est.accel_bias)
-    assert np.array_equal(out.gyro_bias, est.gyro_bias)
+def assert_predict_matches_oracle(x, imu):
+    out = predict(x, imu)
+    p, v, q = predict_oracle(x, imu)
+    assert np.array(out.position).tobytes() == p.tobytes()
+    assert np.array(out.velocity).tobytes() == v.tobytes()
+    assert tuple(out.orientation) == q
+    assert out.stamp == imu.stamp
+    assert out.accel_bias == x.accel_bias and out.gyro_bias == x.gyro_bias
     return out
 
 
@@ -67,51 +72,50 @@ class TestPredict:
            st.sampled_from([0.001, 0.01, 0.02]))
     @settings(max_examples=400, deadline=None)
     def test_kernel_matches_oracle(self, p, v, q, accel_bias, gyro_bias, force, rate, dt):
-        est = NavEstimate(Pose(p, q, 0.25), v, accel_bias, gyro_bias, 0.25)
-        assert_predict_matches_oracle(est, ImuSample(0.25 + dt, force, rate + gyro_bias))
+        x = NavState(p.tolist(), v.tolist(), wxyz(q), accel_bias.tolist(), gyro_bias.tolist(), 0.25)
+        assert_predict_matches_oracle(x, ImuSample(0.25 + dt, force, rate + gyro_bias))
 
     def test_kernel_matches_oracle_on_half_turns(self):
         # w == 0 exactly with no net increment, and the canonical sign makes
         # the largest component positive
         for q in [(0.0, -0.6, 0.8, 0.0), (0.0, 0.0, -0.8, 0.6), (0.0, 1.0, 0.0, 0.0)]:
-            est = NavEstimate(Pose(np.ones(3), Quat(*q)), np.ones(3), gyro_bias=[0.1, -0.2, 0.3])
-            out = assert_predict_matches_oracle(est, imu_at(0.01, w=[0.1, -0.2, 0.3]))
-            w, *xyz = wxyz(out.pose.orientation)
+            x = NavState((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), q, gyro_bias=(0.1, -0.2, 0.3))
+            out = assert_predict_matches_oracle(x, imu_at(0.01, w=[0.1, -0.2, 0.3]))
+            w, *xyz = out.orientation
             assert w == 0.0 and max(xyz, key=abs) > 0
         # the first-order rotvec branch: an increment below 1e-12 rad
-        assert_predict_matches_oracle(NavEstimate(), imu_at(0.001, w=[3e-10, -1e-10, 2e-10]))
+        assert_predict_matches_oracle(NavState(), imu_at(0.001, w=[3e-10, -1e-10, 2e-10]))
 
     def test_stationary_equilibrium(self):
-        est = NavEstimate()
+        x = NavState()
         for k in range(1, 101):
-            est = predict(est, imu_at(0.01 * k))
-        np.testing.assert_allclose(est.pose.position, 0.0, atol=1e-12)
-        np.testing.assert_allclose(est.velocity, 0.0, atol=1e-12)
+            x = predict(x, imu_at(0.01 * k))
+        np.testing.assert_allclose(x.position, 0.0, atol=1e-12)
+        np.testing.assert_allclose(x.velocity, 0.0, atol=1e-12)
 
     def test_constant_accel_euler_sum(self):
-        est = NavEstimate()
+        x = NavState()
         for k in range(1, 101):
-            est = predict(est, imu_at(0.01 * k, f=(1.0, 0.0, 9.81)))
-        assert est.velocity[0] == pytest.approx(1.0, abs=1e-12)
-        assert est.pose.position[0] == pytest.approx(0.505, abs=1e-12)
+            x = predict(x, imu_at(0.01 * k, f=(1.0, 0.0, 9.81)))
+        assert x.velocity[0] == pytest.approx(1.0, abs=1e-12)
+        assert x.position[0] == pytest.approx(0.505, abs=1e-12)
 
     def test_gyro_yaw_integration(self):
-        est = NavEstimate()
+        x = NavState()
         rate = (0.0, 0.0, math.pi / 2)
         for k in range(1, 101):
-            est = predict(est, imu_at(0.01 * k, w=rate))
+            x = predict(x, imu_at(0.01 * k, w=rate))
         quarter_turn = Quat(*quat_from_axis_angle([0.0, 0.0, 1.0], math.pi / 2))
-        assert est.pose.orientation.angle_to(quarter_turn) < math.radians(0.5)
+        assert Quat(*x.orientation).angle_to(quarter_turn) < math.radians(0.5)
         # oracle: same integration at dt = 1e-5
         q = Quat.identity()
         for _ in range(100000):
             q = (q * Quat.from_rotvec(np.array(rate) * 1e-5)).normalized()
-        assert est.pose.orientation.angle_to(q) < math.radians(0.5)
+        assert Quat(*x.orientation).angle_to(q) < math.radians(0.5)
 
     def test_non_monotonic_stamp_rejected(self):
-        est = NavEstimate(stamp=1.0)
         with pytest.raises(FilterError):
-            predict(est, imu_at(0.5))
+            predict(NavState(stamp=1.0), imu_at(0.5))
 
     @pytest.mark.parametrize("bad", [
         imu_at(0.06, f=(0.0, math.nan, 9.81)), imu_at(0.06, f=(math.inf, 0.0, 9.81)),
@@ -128,45 +132,52 @@ class TestPredict:
         assert filt.state is before
         assert list(filt.buffer) == buffer
         filt.predict(imu_at(0.06))  # the filter goes on from where it was
-        assert estimate_of(filt).stamp == 0.06
+        assert filt.state.stamp == 0.06
 
 
-def estimate_of(filt):
-    """The filter's current state as a `NavEstimate`."""
-    return _estimate_of(filt.state)
-
-
-def make_filter(weights=None, gate_stds=None):
+def make_filter(weights=None, gate_stds=None, initial=NavState()):
     w = weights or FusionWeights(0.3, 0.05, 0.3, 0.01, 0.01)
-    return NavFilter(NavEstimate(), w, gate_stds)
+    return NavFilter(initial, w, gate_stds)
+
+
+class TestInitialState:
+    @pytest.mark.parametrize("field", NavState._fields)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, field, value):
+        """Every float of the initial state is checked: position, velocity,
+        orientation, both biases and the stamp."""
+        rest = getattr(NavState(), field)
+        bad = value if field == "stamp" else (*rest[:-1], value)
+        with pytest.raises(ValueError, match="initial state"):
+            make_filter(initial=NavState()._replace(**{field: bad}))
 
 
 class TestCorrect:
     def test_zero_innovation_equals_prediction(self):
         filt = make_filter()
-        plain = NavEstimate()
+        plain = NavState()
         for k in range(1, 31):
             filt.predict(imu_at(0.01 * k))
             plain = predict(plain, imu_at(0.01 * k))
         snap_pose = Pose(np.zeros(3), Quat.identity(), 0.2)
         meas = PoseMeasurement(0.2, 0.3, snap_pose)
         filt.correct(meas)
-        out = estimate_of(filt)
-        np.testing.assert_allclose(out.pose.position, plain.pose.position, atol=1e-12)
+        out = filt.state
+        np.testing.assert_allclose(out.position, plain.position, atol=1e-12)
         np.testing.assert_allclose(out.velocity, plain.velocity, atol=1e-12)
-        assert out.pose.orientation.angle_to(plain.pose.orientation) < 1e-12
+        assert Quat(*out.orientation).angle_to(Quat(*plain.orientation)) < 1e-12
 
     def test_full_trust_snaps_to_measurement(self):
-        filt = NavFilter(NavEstimate(), FusionWeights(1.0, 0.0, 1.0, 0.0, 0.0))
+        filt = NavFilter(NavState(), FusionWeights(1.0, 0.0, 1.0, 0.0, 0.0))
         for k in range(1, 31):
             filt.predict(imu_at(0.01 * k))
         target = Pose(
             np.array([0.4, -0.2, 0.1]), Quat(*quat_from_axis_angle([0.0, 0.0, 1.0], 0.3)), 0.3
         )
         filt.correct(PoseMeasurement(0.3, 0.3, target))
-        out = estimate_of(filt)
-        np.testing.assert_allclose(out.pose.position, target.position, atol=1e-9)
-        assert out.pose.orientation.angle_to(target.orientation) < 1e-9
+        out = filt.state
+        np.testing.assert_allclose(out.position, target.position, atol=1e-9)
+        assert Quat(*out.orientation).angle_to(target.orientation) < 1e-9
 
     def test_stale_measurement_dropped_and_counted(self):
         filt = make_filter()
@@ -192,12 +203,9 @@ class TestCorrect:
         for k in range(1, 11):
             immediate.predict(imu_at(0.01 * k))
         assert delayed.dropped_stale == 0 and immediate.dropped_stale == 0
-        np.testing.assert_allclose(
-            estimate_of(delayed).pose.position, estimate_of(immediate).pose.position, atol=1e-12
-        )
-        np.testing.assert_allclose(estimate_of(delayed).velocity, estimate_of(immediate).velocity,
-                                   atol=1e-12)
-        assert estimate_of(delayed).pose.position[0] > 0.05  # the measurement moved it
+        np.testing.assert_allclose(delayed.state.position, immediate.state.position, atol=1e-12)
+        np.testing.assert_allclose(delayed.state.velocity, immediate.state.velocity, atol=1e-12)
+        assert delayed.state.position[0] > 0.05  # the measurement moved it
 
     def test_matches_full_history_refilter_oracle(self):
         """Replay correction == reprocessing the whole history offline."""
@@ -215,7 +223,7 @@ class TestCorrect:
             pose = Pose(rng.normal(0, 0.3, 3), Quat.from_rotvec(rng.normal(0, 0.1, 3)), t_cap)
             measurements.append(PoseMeasurement(t_cap, t_cap + 0.1, pose))
 
-        filt = NavFilter(NavEstimate(), w)
+        filt = NavFilter(NavState(), w)
         meas_iter = iter(measurements)
         pending = next(meas_iter, None)
         for imu in imus:
@@ -223,23 +231,24 @@ class TestCorrect:
             if pending and abs(imu.stamp - pending.delivery_stamp) < 1e-9:
                 filt.correct(pending)
                 pending = next(meas_iter, None)
-        final = estimate_of(filt)
+        final = filt.state
 
         # oracle: offline pass applying each blend at its capture time
-        def blend(est, meas):
-            innov = meas.pose.position - est.pose.position
-            p = est.pose.position + w.position * innov
-            v = est.velocity + (w.velocity / 0.1) * innov
-            rel = (est.pose.orientation.conjugate() * meas.pose.orientation).normalized()
+        def blend(x, meas):
+            orientation = Quat(*x.orientation)
+            innov = meas.pose.position - np.array(x.position)
+            p = np.array(x.position) + w.position * innov
+            v = np.array(x.velocity) + (w.velocity / 0.1) * innov
+            rel = (orientation.conjugate() * meas.pose.orientation).normalized()
             step = Quat.from_rotvec(w.orientation * rel.as_rotvec())
-            q = (est.pose.orientation * step).normalized()
-            rot_in = (est.pose.orientation.conjugate() * meas.pose.orientation).as_rotvec()
-            r_t = est.pose.orientation.to_matrix().T
-            ba = est.accel_bias - w.accel_bias * (r_t @ innov)
-            bg = est.gyro_bias - w.gyro_bias * rot_in
-            return NavEstimate(Pose(p, q, est.stamp), v, ba, bg, est.stamp)
+            q = (orientation * step).normalized()
+            rot_in = (orientation.conjugate() * meas.pose.orientation).as_rotvec()
+            r_t = orientation.to_matrix().T
+            ba = np.array(x.accel_bias) - w.accel_bias * (r_t @ innov)
+            bg = np.array(x.gyro_bias) - w.gyro_bias * rot_in
+            return NavState(p.tolist(), v.tolist(), wxyz(q), ba.tolist(), bg.tolist(), x.stamp)
 
-        oracle = NavEstimate()
+        oracle = NavState()
         applied = [m for m in measurements if m.delivery_stamp <= imus[-1].stamp + 1e-9]
         mi = 0
         for imu in imus:
@@ -248,10 +257,10 @@ class TestCorrect:
                 oracle = blend(oracle, applied[mi])
                 mi += 1
 
-        np.testing.assert_allclose(final.pose.position, oracle.pose.position, atol=1e-9)
+        np.testing.assert_allclose(final.position, oracle.position, atol=1e-9)
         np.testing.assert_allclose(final.velocity, oracle.velocity, atol=1e-9)
         np.testing.assert_allclose(final.accel_bias, oracle.accel_bias, atol=1e-9)
-        assert final.pose.orientation.angle_to(oracle.pose.orientation) < 1e-9
+        assert Quat(*final.orientation).angle_to(Quat(*oracle.orientation)) < 1e-9
 
 
 class TestInnovationGate:
@@ -262,13 +271,13 @@ class TestInnovationGate:
     def _measure(filt, position, orientation=Quat.identity()):
         """Ten stationary IMU ticks, then a pose measurement at the new
         stamp; the estimate after it."""
-        t0 = estimate_of(filt).stamp
+        t0 = filt.state.stamp
         for k in range(1, 11):
             filt.predict(imu_at(t0 + 0.01 * k))
-        t = estimate_of(filt).stamp
+        t = filt.state.stamp
         pose = Pose(np.asarray(position, dtype=float), orientation, t)
         filt.correct(PoseMeasurement(t, t, pose))
-        return estimate_of(filt)
+        return filt.state
 
     @pytest.mark.parametrize(
         "outlier",
@@ -279,14 +288,14 @@ class TestInnovationGate:
     def test_single_outlier_dropped_and_counted(self, outlier):
         filt = make_filter(self.WEIGHTS, self.GATE_STDS)
         self._measure(filt, [0.01, 0.0, 0.0])  # inside the band: applied
-        assert estimate_of(filt).pose.position[0] == pytest.approx(0.003)
+        assert filt.state.position[0] == pytest.approx(0.003)
         out = self._measure(filt, *outlier)
         assert filt.dropped_gated == 1
-        assert out.pose.position[0] == pytest.approx(0.003)
-        assert out.pose.orientation.angle_to(Quat.identity()) < 1e-12
+        assert out.position[0] == pytest.approx(0.003)
+        assert Quat(*out.orientation).angle_to(Quat.identity()) < 1e-12
         self._measure(filt, [0.01, 0.0, 0.0])  # the next good one is applied
         assert filt.dropped_gated == 1
-        assert estimate_of(filt).pose.position[0] == pytest.approx(0.0051)
+        assert filt.state.position[0] == pytest.approx(0.0051)
 
     def test_persistent_offset_opens_then_closes_gate(self):
         filt = make_filter(self.WEIGHTS, self.GATE_STDS)
@@ -294,29 +303,29 @@ class TestInnovationGate:
         for _ in range(MAX_GATE_REJECTS):
             self._measure(filt, offset)
         assert filt.dropped_gated == MAX_GATE_REJECTS
-        np.testing.assert_array_equal(estimate_of(filt).pose.position, np.zeros(3))
+        np.testing.assert_array_equal(filt.state.position, np.zeros(3))
         # that many drops in a row mean the filter is off: the gate opens
         self._measure(filt, offset)
         assert filt.dropped_gated == MAX_GATE_REJECTS
-        assert estimate_of(filt).pose.position[0] == pytest.approx(0.3)
+        assert filt.state.position[0] == pytest.approx(0.3)
         # it stays open while the innovation (0.7, 0.49, ... m) is outside the band
         for _ in range(10):
             self._measure(filt, offset)
         assert filt.dropped_gated == MAX_GATE_REJECTS
-        assert estimate_of(filt).pose.position[0] == pytest.approx(1.0 - 0.7**11)
+        assert filt.state.position[0] == pytest.approx(1.0 - 0.7**11)
         # back inside the band the gate has closed: a lone outlier is dropped again
-        before = estimate_of(filt).pose.position.copy()
+        before = filt.state.position
         self._measure(filt, [0.0, 0.0, 0.0])
         assert filt.dropped_gated == MAX_GATE_REJECTS + 1
-        np.testing.assert_array_equal(estimate_of(filt).pose.position, before)
+        np.testing.assert_array_equal(filt.state.position, before)
 
     def test_without_gate_stds_nothing_is_gated(self):
         filt = make_filter(self.WEIGHTS)
         for k in range(20):
             target = 10.0 * (-1.0) ** k
-            before = estimate_of(filt).pose.position[0]
+            before = filt.state.position[0]
             out = self._measure(filt, [target, 0.0, 0.0], Quat(*quat_from_axis_angle([0, 0, 1], 3.0)))
-            assert out.pose.position[0] == pytest.approx(before + 0.3 * (target - before))
+            assert out.position[0] == pytest.approx(before + 0.3 * (target - before))
         assert filt.dropped_gated == 0
 
     @pytest.mark.parametrize(
@@ -410,8 +419,8 @@ class TestFilterBehaviour:
                 by_delivery[round(meas.delivery_stamp, 6)] = meas
 
         w = FusionWeights(0.3, 0.05, 0.3, 0.0, 0.0)
-        delayed = NavFilter(NavEstimate(), w)
-        immediate = NavFilter(NavEstimate(), w)
+        delayed = NavFilter(NavState(), w)
+        immediate = NavFilter(NavState(), w)
         compared = 0
         for imu in imus:
             delayed.predict(imu)
@@ -419,11 +428,8 @@ class TestFilterBehaviour:
             key = round(imu.stamp, 6)
             if key in by_delivery:
                 delayed.correct(by_delivery[key])
-                np.testing.assert_allclose(
-                    estimate_of(delayed).pose.position,
-                    estimate_of(immediate).pose.position,
-                    atol=1e-6,
-                )
+                np.testing.assert_allclose(delayed.state.position, immediate.state.position,
+                                           atol=1e-6)
                 compared += 1
             if key in by_capture:
                 m = by_capture[key]
@@ -433,34 +439,33 @@ class TestFilterBehaviour:
     def test_bias_observability(self):
         noise = NoiseConfig()
         events, truth = _drive_sensors(30.0, noise, seed=5, truth_bias=[0.1, 0.0, 0.0])
-        filt = NavFilter(NavEstimate(), *steady_state(noise))
+        filt = NavFilter(NavState(), *steady_state(noise))
         for imu, meas in events:
             filt.predict(imu)
             if meas is not None:
                 filt.correct(meas)
-        assert estimate_of(filt).accel_bias[0] == pytest.approx(0.1, rel=0.2)
+        assert filt.state.accel_bias[0] == pytest.approx(0.1, rel=0.2)
 
     def test_filter_beats_dead_reckoning(self):
         noise = NoiseConfig()
         events, _ = _drive_sensors(60.0, noise, seed=11)
-        filt = NavFilter(NavEstimate(), *steady_state(noise))
-        dead = NavEstimate()
+        filt = NavFilter(NavState(), *steady_state(noise))
+        dead = NavState()
         filt_err, dead_err = [], []
         for imu, meas in events:
             filt.predict(imu)
             dead = predict(dead, imu)
             if meas is not None:
                 filt.correct(meas)
-            filt_err.append(np.linalg.norm(estimate_of(filt).pose.position))
-            dead_err.append(np.linalg.norm(dead.pose.position))
+            filt_err.append(np.linalg.norm(filt.state.position))
+            dead_err.append(np.linalg.norm(dead.position))
         rms = lambda e: math.sqrt(np.mean(np.square(e)))
         assert rms(filt_err) * 10.0 <= rms(dead_err)
 
     def test_orientation_unit_norm_many_predictions(self):
         rng = np.random.default_rng(2)
-        est = NavEstimate()
+        x = NavState()
         rates = rng.normal(0, 0.5, (100_000, 3))
         for k in range(100_000):
-            est = predict(est, imu_at(0.01 * (k + 1), w=rates[k]))
-        q = est.pose.orientation
-        assert abs(math.sqrt(q.w**2 + q.x**2 + q.y**2 + q.z**2) - 1.0) < 1e-9
+            x = predict(x, imu_at(0.01 * (k + 1), w=rates[k]))
+        assert abs(math.sqrt(sum(c * c for c in x.orientation)) - 1.0) < 1e-9

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mavnav.estimation import FusionWeights, NavEstimate, NavFilter
+from mavnav.estimation import FusionWeights, NavFilter, NavState
 from mavnav.geometry import (
     Pose,
     Quat,
@@ -263,7 +263,7 @@ class TestComposeInverse:
 def blend_orientation(a: Quat, b: Quat, w: float) -> Quat:
     """Orientation of a `NavFilter` at `a` after it corrects with
     orientation weight `w` toward a measurement of `b` at the same stamp."""
-    filt = NavFilter(NavEstimate(pose=Pose(np.zeros(3), a)), FusionWeights(0.0, 0.0, w, 0.0, 0.0))
+    filt = NavFilter(NavState(orientation=wxyz(a)), FusionWeights(0.0, 0.0, w, 0.0, 0.0))
     filt.correct(PoseMeasurement(0.0, 0.0, Pose(np.zeros(3), b)))
     return Quat(*filt.state.orientation)
 

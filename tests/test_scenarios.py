@@ -3,11 +3,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from test_geometry import wxyz
 
 from mavnav import scenarios
 from mavnav.control import Controller, place_poles
-from mavnav.estimation import NavEstimate, NavFilter, NavState, _estimate_of, steady_state
-from mavnav.geometry import Pose, Quat
+from mavnav.estimation import NavFilter, NavState, steady_state
+from mavnav.geometry import Pose, Quat, Twist
 from mavnav.metrics import recovery_time, rms
 from mavnav.scenarios import (
     LoopLog, hover_ref_fn, run_closed_loop, run_hover, run_wind_step, spline_ref_fn,
@@ -26,16 +27,16 @@ LOG_FIELDS = ("t", "truth_pos", "est_pos", "ref_pos", "thrust")
 
 def _loop_run_closed_loop(ref_fn, duration, wind=WindProfile(), seed=0, initial_state=None):
     """`run_closed_loop` on the layers' objects, as before floats passed
-    between them: every tick reads the simulator's `VehicleState` and the
-    filter's `NavEstimate`, and takes the body rate on numpy arrays."""
+    between them: the filter starts from the simulator's `VehicleState`,
+    and every tick reads that state, logs numpy copies of the filter's
+    position and takes the body rate on numpy arrays."""
     params, noise = VehicleParams(), NoiseConfig()
     sim = Simulator(params, noise, wind, seed, initial_state)
     controller = Controller(place_poles(vehicle=params), params)
-    filt = NavFilter(
-        NavEstimate(pose=sim.state.pose, velocity=sim.state.twist.linear,
-                    stamp=sim.state.pose.stamp),
-        *steady_state(noise),
-    )
+    pose, twist = sim.state.pose, sim.state.twist
+    start = NavState(pose.position.tolist(), twist.linear.tolist(), wxyz(pose.orientation),
+                     stamp=pose.stamp)
+    filt = NavFilter(start, *steady_state(noise))
 
     log = {name: [] for name in LOG_FIELDS}
     thrust, torque = params.hover_thrust, np.zeros(3)
@@ -47,13 +48,13 @@ def _loop_run_closed_loop(ref_fn, duration, wind=WindProfile(), seed=0, initial_
         filt.predict(imu)
         if meas is not None:
             filt.correct(meas)
-        est = _estimate_of(filt.state)
+        nav = filt.state
         ref = ref_fn(imu.stamp)
-        body_rate = np.asarray(imu.angular_rate) - est.gyro_bias
-        thrust, torque = controller.step(NavState.of(est), ref, body_rate, IMU_PERIOD)
+        body_rate = np.asarray(imu.angular_rate) - np.array(nav.gyro_bias)
+        thrust, torque = controller.step(nav, ref, body_rate, IMU_PERIOD)
         log["t"].append(imu.stamp)
         log["truth_pos"].append(sim.state.pose.position)
-        log["est_pos"].append(est.pose.position.copy())
+        log["est_pos"].append(np.array(nav.position))
         log["ref_pos"].append(ref.position.copy())
         log["thrust"].append(thrust)
     return LoopLog(**{name: np.array(rows) for name, rows in log.items()})
@@ -94,6 +95,17 @@ def test_start_off_the_imu_grid_matches_per_object_loop():
     args = (hover_ref_fn([0.5, -0.2, 1.0]), 3.0, WindProfile(), 5, start)
     got, want = run_closed_loop(*args), _loop_run_closed_loop(*args)
     assert got.t[0] == want.t[0] == 0.01 and len(got.t) == 300
+    assert_logs_equal(got, want)
+
+
+def test_rotated_moving_start_off_the_imu_grid_matches_per_object_loop():
+    """The filter's first state is the simulator's start: tilted and yawed,
+    moving and turning, between two IMU ticks."""
+    pose = Pose(np.array([0.3, -0.4, 1.2]), Quat.from_rotvec([0.1, -0.15, 0.8]), 0.0137)
+    start = VehicleState(pose, Twist(np.array([0.4, -0.2, 0.1]), np.array([0.05, -0.02, 0.1])))
+    args = (hover_ref_fn([0.5, -0.2, 1.0]), 3.0, WindProfile(), 6, start)
+    got, want = run_closed_loop(*args), _loop_run_closed_loop(*args)
+    assert got.t[0] == want.t[0] == 0.02 and len(got.t) == 300
     assert_logs_equal(got, want)
 
 

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_geometry import from_rotvec_oracle, mul_oracle, normalized_oracle, rotate_oracle, wxyz
 
-from mavnav.geometry import Pose, Quat, Twist
+from mavnav.geometry import (
+    Pose, Quat, Twist, cross3, quat_from_rotvec, quat_mul, quat_normalize, quat_rotate,
+)
 from mavnav.scenarios import run_closed_loop, spline_ref_fn
 from mavnav.simulation import (
     GRAVITY,
@@ -20,13 +22,58 @@ from mavnav.simulation import (
     WindProfile,
     _rk4_step,
     sample_pose_sensor,
-    step_dynamics,
 )
 from mavnav.trajectory import spline_from_path
 
 PARAMS = VehicleParams()
 NAN, INF = float("nan"), float("inf")
 QUIET = NoiseConfig(accel_std=0, gyro_std=0, bias_walk_std=0, pose_pos_std=0, pose_rot_std=0)
+GX, GY, GZ = GRAVITY.tolist()
+ZERO = (0.0, 0.0, 0.0)
+REST = (ZERO, ZERO, (1.0, 0.0, 0.0, 0.0), ZERO)  # (p, v, q, w) at rest at the origin, level
+
+
+def rigid_step(p, v, q, w, thrust, torque, wind, dt, params=PARAMS):
+    """One semi-implicit Euler step of the rigid-body dynamics on floats:
+    the fast reference of `run_reference`.
+
+    p, v, w, torque and wind are 3-sequences and q a (w, x, y, z)
+    sequence of floats; returns the new (p, v, q, w) as tuples. Checks
+    the command and wind before the step and the state after it, and
+    rounds as `step_dynamics_oracle`'s numpy expressions do.
+    """
+    tx, ty, tz = torque
+    ux, uy, uz = wind
+    if not all(map(math.isfinite, (thrust, tx, ty, tz, ux, uy, uz))):
+        raise ValueError("non-finite command or wind")
+    thrust = min(max(thrust, 0.0), params.max_thrust)
+    lim = params.max_torque
+    tx, ty, tz = (min(max(tx, -lim), lim), min(max(ty, -lim), lim), min(max(tz, -lim), lim))
+
+    mass, drag = params.mass, params.drag
+    ix, iy, iz = params.inertia
+    vx, vy, vz = v
+    wx, wy, wz = w
+    bx, by, bz = quat_rotate(q, (0.0, 0.0, 1.0))
+    ax = (thrust * bx + mass * GX + drag * (ux - vx)) / mass
+    ay = (thrust * by + mass * GY + drag * (uy - vy)) / mass
+    az = (thrust * bz + mass * GZ + drag * (uz - vz)) / mass
+    cx, cy, cz = cross3(w, (ix * wx, iy * wy, iz * wz))  # gyroscopic term
+    w_new = (wx + (tx - cx) / ix * dt, wy + (ty - cy) / iy * dt, wz + (tz - cz) / iz * dt)
+    v_new = (vx + ax * dt, vy + ay * dt, vz + az * dt)
+    p_new = (p[0] + v_new[0] * dt, p[1] + v_new[1] * dt, p[2] + v_new[2] * dt)
+    dq = quat_from_rotvec((w_new[0] * dt, w_new[1] * dt, w_new[2] * dt))
+    # as `(q * dq).normalized()`: the product renormalizes, then the step again
+    q_new = quat_normalize(*quat_normalize(*quat_mul(q, dq)))
+    if not all(map(math.isfinite, (*p_new, *v_new, *q_new, *w_new))):
+        raise ValueError("vehicle state must stay finite")
+    return p_new, v_new, q_new, w_new
+
+
+def state_floats(state: VehicleState) -> tuple:
+    """(p, v, q, w) of a `VehicleState` as float sequences, q as (w, x, y, z)."""
+    return (state.pose.position.tolist(), state.twist.linear.tolist(),
+            wxyz(state.pose.orientation), state.twist.angular.tolist())
 
 
 def step_dynamics_oracle(state, thrust, torque, wind, dt, params=PARAMS):
@@ -79,13 +126,14 @@ def sample_imu(state, true_accel, noise, rng):
 
 
 def assert_matches_oracle(state, thrust, torque, wind, dt, params=PARAMS):
-    out = step_dynamics(state, thrust, torque, wind, dt, params)
+    """`rigid_step` from `state` equals the oracle bit for bit; returns its (p, v, q, w)."""
+    out = rigid_step(*state_floats(state), thrust, np.asarray(torque, dtype=float).tolist(),
+                     np.asarray(wind, dtype=float).tolist(), dt, params)
     p, v, q, w = step_dynamics_oracle(state, thrust, torque, wind, dt, params)
-    assert np.array_equal(out.pose.position, p)
-    assert np.array_equal(out.twist.linear, v)
-    assert np.array_equal(out.twist.angular, w)
-    assert wxyz(out.pose.orientation) == q
-    assert out.pose.stamp == state.pose.stamp + dt
+    assert np.array_equal(out[0], p)
+    assert np.array_equal(out[1], v)
+    assert np.array_equal(out[3], w)
+    assert out[2] == q
     return out
 
 
@@ -103,35 +151,31 @@ commands = st.tuples(st.floats(-10.0, 60.0), st.one_of(st.just(np.zeros(3)), vec
 
 
 class TestStepDynamics:
+    """The Euler reference `rigid_step`: its physics, and its parity with
+    the numpy oracle."""
+
     def test_hover_equilibrium(self):
-        s = VehicleState()
-        out = step_dynamics(s, PARAMS.hover_thrust, np.zeros(3), np.zeros(3), 0.01, PARAMS)
-        np.testing.assert_allclose(out.pose.position, 0.0, atol=1e-12)
-        np.testing.assert_allclose(out.twist.linear, 0.0, atol=1e-12)
-        assert out.pose.orientation.angle_to(Quat.identity()) < 1e-12
+        p, v, q, _ = rigid_step(*REST, PARAMS.hover_thrust, ZERO, ZERO, 0.01)
+        np.testing.assert_allclose(p, 0.0, atol=1e-12)
+        np.testing.assert_allclose(v, 0.0, atol=1e-12)
+        assert Quat(*q).angle_to(Quat.identity()) < 1e-12
 
     def test_one_step_free_fall(self):
-        s = VehicleState()
-        p = VehicleParams(drag=0.0)
-        out = step_dynamics(s, 0.0, np.zeros(3), np.zeros(3), 0.01, p)
-        assert out.twist.linear[2] == pytest.approx(-0.0981, abs=1e-12)
+        _, v, _, _ = rigid_step(*REST, 0.0, ZERO, ZERO, 0.01, VehicleParams(drag=0.0))
+        assert v[2] == pytest.approx(-0.0981, abs=1e-12)
 
     def test_wind_drag_one_step(self):
-        s = VehicleState()
-        wind = np.array([2.0, 0.0, 0.0])
         dt = 0.01
-        out = step_dynamics(s, PARAMS.hover_thrust, np.zeros(3), wind, dt, PARAMS)
+        _, v, _, _ = rigid_step(*REST, PARAMS.hover_thrust, ZERO, (2.0, 0.0, 0.0), dt)
         expected = PARAMS.drag * 2.0 / PARAMS.mass * dt
-        assert out.twist.linear[0] == pytest.approx(expected, rel=1e-12)
+        assert v[0] == pytest.approx(expected, rel=1e-12)
 
     def test_actuator_clamping(self):
-        s = VehicleState()
-        out = step_dynamics(s, 1e6, np.array([1e6, -1e6, 0.0]), np.zeros(3), 0.01, PARAMS)
+        _, v, _, w = rigid_step(*REST, 1e6, (1e6, -1e6, 0.0), ZERO, 0.01)
         # acceleration bounded by clamped limits
         az_max = PARAMS.max_thrust / PARAMS.mass + GRAVITY[2]
-        assert out.twist.linear[2] <= az_max * 0.01 + 1e-9
-        wx = out.twist.angular[0]
-        assert abs(wx) <= PARAMS.max_torque / PARAMS.inertia[0] * 0.01 + 1e-9
+        assert v[2] <= az_max * 0.01 + 1e-9
+        assert abs(w[0]) <= PARAMS.max_torque / PARAMS.inertia[0] * 0.01 + 1e-9
 
     @given(vec(100.0), vec(20.0), orientations, rates, commands, vec(10.0),
            st.sampled_from([0.001, 0.01, 0.02]))
@@ -150,18 +194,11 @@ class TestStepDynamics:
         # a half turn with no increment: w == 0 exactly, and the canonical
         # sign makes the largest component positive
         half = VehicleState(pose=Pose(np.zeros(3), Quat(0.0, -0.6, 0.8, 0.0), 0.0))
-        out = assert_matches_oracle(half, 14.0, np.zeros(3), np.zeros(3), 0.01)
-        assert wxyz(out.pose.orientation) == (0.0, -0.6, 0.8, 0.0)
+        _, _, q, _ = assert_matches_oracle(half, 14.0, np.zeros(3), np.zeros(3), 0.01)
+        assert q == (0.0, -0.6, 0.8, 0.0)
         flipped = VehicleState(pose=Pose(np.zeros(3), Quat(0.0, 0.0, -0.8, 0.6), 0.0))
-        out = assert_matches_oracle(flipped, 14.0, np.zeros(3), np.zeros(3), 0.01)
-        assert wxyz(out.pose.orientation) == (0.0, 0.0, 0.8, -0.6)
-
-    def test_rejects_bad_dt_and_nan(self):
-        s = VehicleState()
-        with pytest.raises(ValueError):
-            step_dynamics(s, 1.0, np.zeros(3), np.zeros(3), 0.05, PARAMS)
-        with pytest.raises(ValueError):
-            step_dynamics(s, float("nan"), np.zeros(3), np.zeros(3), 0.01, PARAMS)
+        _, _, q, _ = assert_matches_oracle(flipped, 14.0, np.zeros(3), np.zeros(3), 0.01)
+        assert q == (0.0, 0.0, 0.8, -0.6)
 
 
 class TestImu:
@@ -326,6 +363,16 @@ class TestSimulator:
         assert sim.time == pytest.approx(0.01, abs=1e-12)
         assert sim.state.pose.stamp == pytest.approx(0.01, abs=1e-12)
 
+    def test_non_finite_command_raises_and_keeps_the_tick(self):
+        sim = Simulator(noise=QUIET)
+        sim.step(PARAMS.hover_thrust, np.zeros(3))
+        for thrust, torque in [(NAN, ZERO), (PARAMS.hover_thrust, (0.0, INF, 0.0))]:
+            with pytest.raises(ValueError, match="non-finite"):
+                sim.step(thrust, torque)
+            assert sim.time == sim.state.pose.stamp == pytest.approx(0.01, abs=1e-12)
+        sim.step(PARAMS.hover_thrust, np.zeros(3))  # the simulator goes on from where it was
+        assert sim.time == pytest.approx(0.02, abs=1e-12)
+
     def test_history_holds_every_capture_stamp(self):
         """Each measurement is the true pose at its capture tick."""
         sim = Simulator(noise=QUIET)
@@ -371,15 +418,17 @@ class TestSimulator:
 
 
 def run_reference(state, thrust, torque, wind, t1, h=1e-5):
-    """`state` carried to t1 by semi-implicit Euler steps of about h,
-    each piece between gust edges stepped on its own, under its wind."""
+    """`state` carried to t1 by `rigid_step`s of about h, each piece
+    between gust edges stepped on its own, under its wind; returns the
+    (p, v, q, w) floats at t1."""
+    x, torque = state_floats(state), np.asarray(torque, dtype=float).tolist()
     edges = [e for s, d, _ in wind.gusts for e in (s, s + d)]
     cuts = sorted({state.pose.stamp, t1, *(e for e in edges if state.pose.stamp < e < t1)})
     for a, b in zip(cuts, cuts[1:]):
         n = max(1, round((b - a) / h))
         for _ in range(n):
-            state = step_dynamics(state, thrust, torque, wind.wind_at(a), (b - a) / n)
-    return state
+            x = rigid_step(*x, thrust, torque, wind.wind_at(a), (b - a) / n)
+    return x
 
 
 def record_flight(monkeypatch, wind, duration):
@@ -419,9 +468,9 @@ class TestRk4Step:
             state, thrust, torque = ticks[k]
             sim = Simulator(noise=QUIET, wind=wind, initial_state=state)
             sim.step(thrust, torque)
-            ref = run_reference(state, thrust, torque, wind, sim.time)
-            dp = max(dp, np.abs(sim.state.pose.position - ref.pose.position).max())
-            dv = max(dv, np.abs(sim.state.twist.linear - ref.twist.linear).max())
+            p, v, _, _ = run_reference(state, thrust, torque, wind, sim.time)
+            dp = max(dp, np.abs(sim.state.pose.position - p).max())
+            dv = max(dv, np.abs(sim.state.twist.linear - v).max())
         assert dp < 2e-7 and dv < 5e-7
 
     def test_fourth_order_convergence(self):

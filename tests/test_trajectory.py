@@ -19,7 +19,8 @@ from mavnav.trajectory import (
 # The row-by-row system assembly and the triple-loop Horner evaluation the
 # spline used before it worked on arrays: the oracles that fit_spline and
 # eval_spline must match bit for bit. The knot layout is the module's own,
-# unchanged.
+# unchanged. The triple loop also evaluates jerk and snap, which the
+# reference no longer carries, for the tests of the fit's smoothness.
 
 _DERIV_FACTORS = [
     [1, 1, 1, 1, 1, 1],
@@ -83,7 +84,9 @@ def fit_spline_oracle(positions, headings, times) -> QuinticSpline:
     return QuinticSpline(knots, coeffs)
 
 
-def eval_spline_oracle(spline: QuinticSpline, t: float) -> RefPoint:
+def _oracle_rows(spline: QuinticSpline, t: float):
+    """(values, clamped): values (4 channels, 5 orders) at t, position
+    through snap, by the triple loop."""
     clamped = False
     tq = t
     if t < spline.t_start:
@@ -101,12 +104,22 @@ def eval_spline_oracle(spline: QuinticSpline, t: float) -> RefPoint:
             vals[ch, order] = acc
     if clamped:
         vals[:, 1:] = 0.0
+    return vals, clamped
+
+
+def eval_spline_oracle(spline: QuinticSpline, t: float) -> RefPoint:
+    vals, clamped = _oracle_rows(spline, t)
     heading = math.remainder(vals[3, 0], math.tau)
     if heading <= -math.pi:
         heading += math.tau
-    return RefPoint(vals[:3, 0].copy(), vals[:3, 1].copy(), vals[:3, 2].copy(),
-                    vals[:3, 3].copy(), vals[:3, 4].copy(), heading, float(vals[3, 1]), t,
-                    clamped)
+    return RefPoint(vals[:3, 0].copy(), vals[:3, 1].copy(), vals[:3, 2].copy(), heading,
+                    float(vals[3, 1]), t, clamped)
+
+
+def jerk_snap(spline: QuinticSpline, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The position channels' jerk and snap at t, by the triple loop."""
+    vals, _ = _oracle_rows(spline, t)
+    return vals[:3, 3].copy(), vals[:3, 4].copy()
 
 
 # The Horner evaluation on numpy arrays that gathered each segment's term
@@ -135,14 +148,14 @@ def eval_spline_gather(spline: QuinticSpline, t: float) -> RefPoint:
     heading = math.remainder(vals[0, 3], math.tau)
     if heading <= -math.pi:
         heading += math.tau
-    return RefPoint(*vals[:, :3], heading, float(vals[1, 3]), t, clamped)
+    return RefPoint(*vals[:3, :3], heading, float(vals[1, 3]), t, clamped)
 
 
 def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
-REF_FIELDS = ("position", "velocity", "accel", "jerk", "snap", "heading", "heading_rate", "stamp")
+REF_FIELDS = ("position", "velocity", "accel", "heading", "heading_rate", "stamp")
 
 
 def assert_spline_matches_oracle(positions, headings, times, probes):
@@ -169,8 +182,8 @@ class TestFitSpline:
             r = eval_spline(s, t)
             np.testing.assert_allclose(r.velocity, 0.0, atol=1e-9)
             np.testing.assert_allclose(r.accel, 0.0, atol=1e-9)
-            np.testing.assert_allclose(r.jerk, 0.0, atol=1e-9)
-            np.testing.assert_allclose(r.snap, 0.0, atol=1e-9)
+            for d in jerk_snap(s, t):
+                np.testing.assert_allclose(d, 0.0, atol=1e-9)
 
     def test_interpolates_waypoints(self):
         positions, headings, times = demo_waypoints()
@@ -184,17 +197,19 @@ class TestFitSpline:
         for tk in s.knots[1:-1]:
             left = eval_spline(s, tk - 1e-12)
             right = eval_spline(s, tk + 1e-12)
-            for attr in ("position", "velocity", "accel", "jerk", "snap"):
+            for attr in ("position", "velocity", "accel"):
                 np.testing.assert_allclose(
                     getattr(left, attr), getattr(right, attr), atol=1e-6
                 )
+            for a, b in zip(jerk_snap(s, tk - 1e-12), jerk_snap(s, tk + 1e-12)):
+                np.testing.assert_allclose(a, b, atol=1e-6)
 
     def test_snap_matches_jerk_finite_difference_across_knots(self):
         s = fit_spline(*demo_waypoints())
         h = 1e-4
         for tk in s.knots[1:-1]:
-            fd = (np.array(eval_spline(s, tk + h).jerk) - eval_spline(s, tk - h).jerk) / (2 * h)
-            np.testing.assert_allclose(fd, eval_spline(s, tk).snap, atol=1e-4, rtol=1e-3)
+            fd = (jerk_snap(s, tk + h)[0] - jerk_snap(s, tk - h)[0]) / (2 * h)
+            np.testing.assert_allclose(fd, jerk_snap(s, tk)[1], atol=1e-4, rtol=1e-3)
 
     def test_duplicate_times_rejected(self):
         with pytest.raises(ValueError):
@@ -237,10 +252,7 @@ class TestEvalSpline:
             if t1 - t0 < 6 * h:
                 continue
             probes = np.linspace(t0 + 2 * h, t1 - 2 * h, 5)
-            d5 = [
-                (np.array(eval_spline(s, t + h).snap) - eval_spline(s, t - h).snap) / (2 * h)
-                for t in probes
-            ]
+            d5 = [(jerk_snap(s, t + h)[1] - jerk_snap(s, t - h)[1]) / (2 * h) for t in probes]
             for a, b in zip(d5, d5[1:]):
                 np.testing.assert_allclose(a, b, atol=1e-3)
 
@@ -337,8 +349,8 @@ def test_random_waypoints_interpolate_and_stay_smooth(n, seed):
     for p, t in zip(positions, times):
         np.testing.assert_allclose(eval_spline(s, t).position, p, atol=1e-8)
     for tk in s.knots[1:-1]:
-        left, right = eval_spline(s, tk - 1e-12), eval_spline(s, tk + 1e-12)
-        np.testing.assert_allclose(left.snap, right.snap, atol=1e-5)
+        np.testing.assert_allclose(jerk_snap(s, tk - 1e-12)[1], jerk_snap(s, tk + 1e-12)[1],
+                                   atol=1e-5)
 
 
 def test_spline_from_path_headings_follow_travel():
