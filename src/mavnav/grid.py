@@ -49,7 +49,9 @@ class LogOddsParams:
 class OccupancyGrid:
     """Axis-aligned voxel grid of free/occupied/unknown states."""
 
-    def __init__(self, origin, resolution: float, dims, params: LogOddsParams | None = None):
+    params = LogOddsParams()
+
+    def __init__(self, origin, resolution: float, dims):
         if not (np.isfinite(resolution) and resolution > 0):
             raise ValueError(f"resolution must be finite and positive, got {resolution}")
         self.origin = np.asarray(origin, dtype=float)
@@ -57,7 +59,6 @@ class OccupancyGrid:
         self.dims = tuple(int(d) for d in dims)
         if any(d <= 0 for d in self.dims):
             raise ValueError("dims must be positive")
-        self.params = params or LogOddsParams()
         self.log_odds = np.zeros(self.dims, dtype=float)
         self.touched = np.zeros(self.dims, dtype=bool)
 
@@ -118,7 +119,7 @@ class OccupancyGrid:
             self.log_odds[sl] = self.params.l_max if state == OCCUPIED else self.params.l_min
 
     def copy(self) -> "OccupancyGrid":
-        g = OccupancyGrid(self.origin, self.resolution, self.dims, self.params)
+        g = OccupancyGrid(self.origin, self.resolution, self.dims)
         g.log_odds = self.log_odds.copy()
         g.touched = self.touched.copy()
         return g

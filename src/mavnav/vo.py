@@ -29,11 +29,13 @@ kernel evaluates the whole (hypotheses, points) stack, the 6x6 normal
 equations are solved as a stack, and the line search tries every full
 step at once and all 11 halvings of the steps that raised their cost,
 keeping the largest scale that does not. A problem stops once its
-applied step is below `step_tol`, and the hypotheses get a short
-iteration budget. Each pair scores its hypotheses against its quads in
-one array; a sample of coincident or collinear points gets no consensus.
-The refit starts from a pair's winning hypothesis and weights
-each match by the inverse of its propagated depth uncertainty: a point
+applied step is below `step_tol`; a hypothesis, which only a count of
+quads within the inlier threshold reads, stops at a step below 1e-4
+already and runs at most 4 iterations. Each pair scores its hypotheses
+against its quads in one array; a sample of coincident or collinear
+points gets no consensus. The refit, run to `step_tol`, starts from a
+pair's winning hypothesis and weights each match by the inverse of its
+propagated depth uncertainty: a point
 triangulated from one stereo pair has a depth error growing as z^2, and
 the disparity variance is carried into the spread of its predicted
 reprojection. Each refit round is one Gauss-Newton over every pair still
@@ -292,7 +294,8 @@ class RansacConfig:
     """`max_gn_iters` caps each refit round's Gauss-Newton; the hypotheses
     run at most `_HYPOTHESIS_GN_ITERS` of them. A Gauss-Newton problem
     stops after an applied step whose largest component is below
-    `step_tol` (metres for translation, radians for rotation)."""
+    `step_tol` (metres for translation, radians for rotation), or for a
+    hypothesis below `_HYPOTHESIS_STEP_TOL` if that is larger."""
 
     iterations: int = 100
     threshold_px: float | None = None  # default 1.5 pixel mode, 0.75 subpixel
@@ -308,17 +311,22 @@ class RansacConfig:
         _validate(self, iterations=count(self.iterations),
                   threshold_px=self.threshold_px is None or self.threshold_px > 0,
                   min_consensus=count(self.min_consensus), max_gn_iters=count(self.max_gn_iters),
-                  step_tol=self.step_tol >= 0, seed=isinstance(self.seed, (int, np.integer)))
+                  step_tol=self.step_tol >= 0,
+                  seed=isinstance(self.seed, (int, np.integer)) and self.seed >= 0)
 
 
 _HALVINGS = 0.5 ** np.arange(12)  # line-search step scales, largest first
 
-# Iteration budget of the hypothesis stage. On vo_corridor seed 101, 90 % of
-# the 3-point samples whose quads lie within 3 px of the true motion stop on
-# `step_tol` within 6 iterations, against 47 % of those with an outlier. Run
-# to `max_gn_iters` instead, 12 of its 3,900 hypotheses reach another
-# consensus and no frame's winner changes; the refit polishes the winner.
-_HYPOTHESIS_GN_ITERS = 6
+# Iteration budget and step tolerance of the hypothesis stage. Only a count
+# of quads within the inlier threshold reads a hypothesis, and after a
+# Gauss-Newton step below 1e-4 the error left is O(1e-8) m or rad. On
+# vo_corridor seed 101, 95 % of the 3-point samples whose quads lie within
+# 3 px of the true motion stop on this tolerance within 4 iterations, against
+# 54 % of those with an outlier. Run to `max_gn_iters` with no tolerance
+# instead, 26 of its 3,900 hypotheses reach another consensus and no frame's
+# winner changes; the refit polishes the winner to `step_tol`.
+_HYPOTHESIS_GN_ITERS = 4
+_HYPOTHESIS_STEP_TOL = 1e-4
 
 
 def _residuals(points, targets, calib, r_mat, t_vec, want_jacobian=False):
@@ -453,23 +461,31 @@ def _gauss_newton(points, targets, calib, cfg: RansacConfig, weights=None, start
     shorter ones at once for the problems whose full step raised it.
     """
     n_prob = len(points)
-    sw = (np.ones(points.shape[:-1]) if weights is None else np.sqrt(weights))[:, None, :, None]
+    sw = None if weights is None else np.sqrt(weights)[:, None, :, None]
+
+    def squared(p, res):  # weighted, in place; unit weights skipped as x * 1.0 == x
+        if sw is not None:
+            res *= sw[p]
+        return np.square(res, out=res)
+
     if start is None:
         r_mat, t_vec = np.tile(np.eye(3), (n_prob, 1, 1)), np.zeros((n_prob, 3))
     else:
         r_mat, t_vec = np.array(start[0], dtype=float), np.array(start[1], dtype=float)
     res, _ = _residuals(points, targets, calib, r_mat[:, None], t_vec[:, None])
-    cost = _row_sums((sw * res) ** 2, sizes)[:, 0]
+    cost = _row_sums(squared(slice(None), res), sizes)[:, 0]
     active = np.arange(n_prob)
     for _ in range(cfg.max_gn_iters):
         if not len(active):
             break
-        w = sw[active]
         n = None if sizes is None else sizes[active]
         res, jac = _residuals(points[active], targets[active], calib,
                               r_mat[active, None], t_vec[active, None], True)
-        grad, h = _normal_equations((w * res).reshape(len(active), -1, 1),
-                                    (w[..., None] * jac).reshape(len(active), -1, 6), n)
+        if sw is not None:
+            res *= sw[active]
+            jac *= sw[active, ..., None]
+        grad, h = _normal_equations(res.reshape(len(active), -1, 1),
+                                    jac.reshape(len(active), -1, 6), n)
         h = h + 1e-12 * np.eye(6)
         try:
             step = np.linalg.solve(h, -grad[..., None])[..., 0]
@@ -495,7 +511,7 @@ def _gauss_newton(points, targets, calib, cfg: RansacConfig, weights=None, start
                                    + _HALVINGS[scales, None] * step[rows, None, :3])
             res_new, _ = _residuals(points[p], targets[p], calib,
                                     r_new[rows, scales], t_new[rows, scales])
-            cost_new[rows, scales] = _row_sums((sw[p] * res_new) ** 2,
+            cost_new[rows, scales] = _row_sums(squared(p, res_new),
                                                None if sizes is None else sizes[p])
 
         take_steps(np.arange(len(active)), slice(0, 1))
@@ -613,6 +629,38 @@ def _draw_samples(n: int, count: int, seed: int) -> np.ndarray:
     return np.array([rng.choice(n, size=3, replace=False) for _ in range(count)], dtype=np.intp)
 
 
+def _winners(usable, calib: StereoCalib, threshold: float, cfg: RansacConfig) -> list:
+    """The hypothesis stage of `_estimate_pairs` on its `usable` pairs: each
+    pair's winning rotation, translation and inlier mask, or the
+    NoMotionEstimateError it fails with. The stage's arrays are freed on
+    return, before the refit allocates its own."""
+    hyp_points = np.concatenate([points[samples] for _, _, points, _, samples in usable])
+    hyp_targets = np.concatenate([targets[samples] for _, _, _, targets, samples in usable])
+    hyp_cfg = replace(cfg, max_gn_iters=min(cfg.max_gn_iters, _HYPOTHESIS_GN_ITERS),
+                      step_tol=max(cfg.step_tol, _HYPOTHESIS_STEP_TOL))
+    hyps = [_gauss_newton(hyp_points[i:i + _HYPOTHESIS_GROUP],
+                          hyp_targets[i:i + _HYPOTHESIS_GROUP], calib, hyp_cfg)
+            for i in range(0, len(hyp_points), _HYPOTHESIS_GROUP)]
+    hyp_r = np.concatenate([h[0] for h in hyps]).reshape(len(usable), cfg.iterations, 3, 3)
+    hyp_t = np.concatenate([h[1] for h in hyps]).reshape(len(usable), cfg.iterations, 3)
+    winners = []
+    for (_, _, points, targets, samples), r_mats, t_vecs in zip(usable, hyp_r, hyp_t):
+        res = _residuals(points, targets, calib, r_mats[:, None], t_vecs[:, None])[0][:, 0]
+        degenerate = _degenerate(points[samples])
+        counts = np.where(degenerate, 0, np.sum(_pixel_error(res) <= threshold, axis=1))
+        best = int(np.argmax(counts))  # the first of the largest consensus
+        if degenerate.all():
+            winners.append(NoMotionEstimateError(
+                f"all {cfg.iterations} samples are coincident or collinear points"))
+        elif counts[best] < cfg.min_consensus:
+            winners.append(NoMotionEstimateError(
+                f"consensus {counts[best]} below minimum {cfg.min_consensus}"))
+        else:  # copies, which do not hold on to the stage's arrays
+            winners.append((r_mats[best].copy(), t_vecs[best].copy(),
+                            _pixel_error(res[best]) <= threshold))
+    return winners
+
+
 def _estimate_pairs(pairs, calib: StereoCalib, mode: str, cfg: RansacConfig) -> list:
     """estimate_motion of each (quads, prev_frame, cur_frame, seed) of
     `pairs`, each stage run over all pairs at once: a pair's result is its
@@ -639,30 +687,12 @@ def _estimate_pairs(pairs, calib: StereoCalib, mode: str, cfg: RansacConfig) -> 
     if not usable:
         return out
 
-    hyp_points = np.concatenate([points[samples] for _, _, points, _, samples in usable])
-    hyp_targets = np.concatenate([targets[samples] for _, _, _, targets, samples in usable])
-    hyp_cfg = replace(cfg, max_gn_iters=min(cfg.max_gn_iters, _HYPOTHESIS_GN_ITERS))
-    hyps = [_gauss_newton(hyp_points[i:i + _HYPOTHESIS_GROUP],
-                          hyp_targets[i:i + _HYPOTHESIS_GROUP], calib, hyp_cfg)
-            for i in range(0, len(hyp_points), _HYPOTHESIS_GROUP)]
-    hyp_r = np.concatenate([h[0] for h in hyps]).reshape(len(usable), cfg.iterations, 3, 3)
-    hyp_t = np.concatenate([h[1] for h in hyps]).reshape(len(usable), cfg.iterations, 3)
-
     refit = []  # (pair, kept quads, points, targets, best rotation, translation, inliers)
-    for (p, kept, points, targets, samples), r_mats, t_vecs in zip(usable, hyp_r, hyp_t):
-        res = _residuals(points, targets, calib, r_mats[:, None], t_vecs[:, None])[0][:, 0]
-        degenerate = _degenerate(points[samples])
-        counts = np.where(degenerate, 0, np.sum(_pixel_error(res) <= threshold, axis=1))
-        best = int(np.argmax(counts))  # the first of the largest consensus
-        if degenerate.all():
-            out[p] = NoMotionEstimateError(
-                f"all {cfg.iterations} samples are coincident or collinear points")
-        elif counts[best] < cfg.min_consensus:
-            out[p] = NoMotionEstimateError(
-                f"consensus {counts[best]} below minimum {cfg.min_consensus}")
+    for (p, kept, points, targets, _), best in zip(usable, _winners(usable, calib, threshold, cfg)):
+        if isinstance(best, VoError):
+            out[p] = best
         else:
-            refit.append((p, kept, points, targets, r_mats[best], t_vecs[best],
-                          _pixel_error(res[best]) <= threshold))
+            refit.append((p, kept, points, targets, *best))
     if not refit:
         return out
 
@@ -723,10 +753,12 @@ def estimate_motion(
     Quads with a pixel that is not finite, or (after pixel-mode rounding)
     with no positive previous disparity, are set aside first. All
     `cfg.iterations` minimal 3-point samples are refined from the identity
-    for at most `_HYPOTHESIS_GN_ITERS` iterations, and the first with the
-    most quads within `threshold_px` wins. The depth-weighted refit starts
-    from it, re-classifies on the error normalized by each quad's spread,
-    and repeats from the last pose until the set settles.
+    for at most 4 iterations (`_HYPOTHESIS_GN_ITERS`), each stopping after
+    a step below 1e-4 (`_HYPOTHESIS_STEP_TOL`) or `cfg.step_tol`, whichever
+    is larger, and the first with the most quads within `threshold_px`
+    wins. The depth-weighted refit starts from it, runs to `cfg.step_tol`,
+    re-classifies on the error normalized by each quad's spread, and
+    repeats from the last pose until the set settles.
 
     `quads` is quad_match's (m, 2) array of (previous row, current row).
     Returns (pose, inlier_indices): `pose` is the current camera pose

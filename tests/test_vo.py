@@ -177,7 +177,8 @@ def _loop_estimate_motion(quads, prev_frame, cur_frame, calib=StereoCalib(), mod
     samples = np.array(
         [rng.choice(n, size=3, replace=False) for _ in range(cfg.iterations)], dtype=np.intp
     ).reshape(-1, 3)
-    hyp_cfg = replace(cfg, max_gn_iters=min(cfg.max_gn_iters, vo._HYPOTHESIS_GN_ITERS))
+    hyp_cfg = replace(cfg, max_gn_iters=min(cfg.max_gn_iters, vo._HYPOTHESIS_GN_ITERS),
+                      step_tol=max(cfg.step_tol, vo._HYPOTHESIS_STEP_TOL))
     hyp_r, hyp_t, _ = _gauss_newton(points[samples], targets[samples], calib, hyp_cfg)
     res = _residuals(points, targets, calib, hyp_r[:, None], hyp_t[:, None])[0][:, 0]
     counts = np.sum(_norm_pixel_error(res) <= threshold, axis=1)
@@ -474,6 +475,7 @@ class TestSceneGeneration:
             (RansacConfig, {"min_consensus": 6.0}, "min_consensus"),
             (RansacConfig, {"seed": 1.5}, "seed"),
             (RansacConfig, {"seed": math.inf}, "seed"),
+            (RansacConfig, {"seed": -2}, "seed"),
         ],
     )
     def test_invalid_config_names_the_field(self, cls, kwargs, field):
@@ -622,6 +624,27 @@ class TestEstimateMotion:
                 m.setattr(vo, "_HYPOTHESIS_GN_ITERS", ransac.max_gn_iters)
                 full, full_inliers = estimate_motion(quads, prev, cur, cfg=ransac)
             np.testing.assert_allclose(motion.position, full.position, rtol=0, atol=1e-9)
+            np.testing.assert_array_equal(inliers, full_inliers)
+
+    def test_hypothesis_tolerance_keeps_the_winner(self, monkeypatch):
+        """Hypotheses cut at _HYPOTHESIS_STEP_TOL and _HYPOTHESIS_GN_ITERS
+        give the inliers of hypotheses run to max_gn_iters with no step
+        tolerance, and a position within the refit's rounding floor of
+        1e-7 m, on the accuracy config's seeds and on every pair of
+        vo_corridor seed 101."""
+        corridor = gen_scene(CORRIDOR, 101).frames
+        pairs = [(seed, *self._frames(ACCURACY, seed)[1:]) for seed in range(20)]
+        pairs += [(k, prev, cur) for k, (prev, cur) in enumerate(zip(corridor, corridor[1:]), 1)]
+        assert len(pairs) == 20 + 39
+        for seed, prev, cur in pairs:
+            quads = quad_match(prev, cur)
+            ransac = RansacConfig(seed=seed)
+            motion, inliers = estimate_motion(quads, prev, cur, cfg=ransac)
+            with monkeypatch.context() as m:
+                m.setattr(vo, "_HYPOTHESIS_GN_ITERS", ransac.max_gn_iters)
+                m.setattr(vo, "_HYPOTHESIS_STEP_TOL", 0.0)
+                full, full_inliers = estimate_motion(quads, prev, cur, cfg=ransac)
+            np.testing.assert_allclose(motion.position, full.position, rtol=0, atol=1e-7)
             np.testing.assert_array_equal(inliers, full_inliers)
 
     def test_insufficient_quads(self):
