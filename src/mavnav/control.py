@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import NavState
-from .geometry import Quat, _norm, cross3
+from .geometry import _norm, cross3, rotation_matrix
 from .simulation import _GX, _GY, _GZ, VehicleParams
 from .trajectory import RefPoint
 
@@ -114,9 +114,9 @@ def desired_attitude(z_b, heading: float) -> np.ndarray:
     n = _norm(y_b)
     if n < 1e-9:  # thrust collinear with heading axis; fall back to world y
         y_b, n = (0.0, 1.0, 0.0), 1.0
-    y_b = (y_b[0] / n, y_b[1] / n, y_b[2] / n)
-    x_b = cross3(y_b, z_b)
-    return np.array([[x_b[i], y_b[i], z_b[i]] for i in range(3)])
+    y0, y1, y2 = y_b[0] / n, y_b[1] / n, y_b[2] / n
+    (x0, x1, x2), (z0, z1, z2) = cross3((y0, y1, y2), z_b), z_b
+    return np.array((x0, y0, z0, x1, y1, z1, x2, y2, z2)).reshape(3, 3)
 
 
 class Controller:
@@ -142,10 +142,10 @@ class Controller:
         g = self.gains
         p = self.vehicle
         (px, py, pz), (vx, vy, vz) = nav.position, nav.velocity
-        r_est = Quat(*nav.orientation).to_matrix()
-        (rx, ry, rz), (rvx, rvy, rvz), (ax, ay, az), (wx, wy, wz) = (
-            np.asarray(a, dtype=float).tolist()
-            for a in (ref.position, ref.velocity, ref.accel, body_rate))
+        # built flat but C-ordered: `r_des.T.dot(r_est)` rounds as on a nested-list matrix
+        r_est = rotation_matrix(*nav.orientation)
+        (rx, ry, rz), (rvx, rvy, rvz), (ax, ay, az) = ref.position, ref.velocity, ref.accel
+        wx, wy, wz = body_rate
         # a list: CPython 3.11 keeps freed 20-tuples on its free list without
         # reusing them, 2000 deep (0.4 MB of peak RSS)
         if not all(map(math.isfinite, [px, py, pz, vx, vy, vz, rx, ry, rz, rvx, rvy, rvz,
@@ -180,8 +180,8 @@ class Controller:
         erx, ery, erz = 0.5 * (m21 - m12), 0.5 * (m02 - m20), 0.5 * (m10 - m01)
         # r_est.T @ (0, 0, heading_rate) is the last row of r_est times the
         # rate; its zero terms only turn a -0.0 into +0.0
-        ewx, ewy, ewz = (w - (r * ref.heading_rate + 0.0)
-                         for w, r in zip((wx, wy, wz), r_est[2].tolist()))
+        (r20, r21, r22), hr = r_est[2].tolist(), ref.heading_rate
+        ewx, ewy, ewz = wx - (r20 * hr + 0.0), wy - (r21 * hr + 0.0), wz - (r22 * hr + 0.0)
         c1, c2, c1z, c2z = g.att_stiffness, g.att_damping, g.kp_yaw, g.kd_yaw
         jx, jy, jz = p.inertia
         cx, cy, cz = cross3((wx, wy, wz), (jx * wx, jy * wy, jz * wz))  # gyroscopic term

@@ -30,7 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Quat, _norm, quat_from_rotvec, quat_mul, quat_normalize, quat_rotate
+from .geometry import (Quat, _norm, quat_from_rotvec, quat_mul, quat_normalize, quat_rotate,
+                       rotation_matrix)
 from .simulation import (
     _GX, _GY, _GZ, IMU_PERIOD, POSE_PERIOD, ImuSample, NoiseConfig, PoseMeasurement,
 )
@@ -160,8 +161,8 @@ class NavFilter:
         p, v, q, ab, gb, stamp = snap
         kv = w.velocity / POSE_PERIOD
         dq = quat_from_rotvec([w.orientation * r for r in rot_innov])
-        # a 3x3 @ 3-vector product (gemv) rounds unlike per-row dots, so it stays numpy
-        body = (Quat(*q).to_matrix().T @ np.array(innov_p)).tolist()
+        # a gemv rounds unlike per-row dots; the flat-built matrix is C-ordered like a nested list
+        body = (rotation_matrix(*q).T @ np.array(innov_p)).tolist()
         return NavState([a + w.position * d for a, d in zip(p, innov_p)],
                         [a + kv * d for a, d in zip(v, innov_p)],
                         quat_normalize(*quat_normalize(*quat_mul(q, dq))),
@@ -265,10 +266,10 @@ def steady_state(noise: NoiseConfig = NoiseConfig()) -> tuple[FusionWeights, tup
         raise ValueError("steady-state weights need strictly positive noise")
     (k_t, s_t), (k_r, s_r) = _chains(noise)
     weights = FusionWeights(
-        position=float(np.clip(k_t[0, 0], 0.0, 1.0)),
-        velocity=float(np.clip(k_t[1, 0] * POSE_PERIOD, 0.0, 1.0)),
-        orientation=float(np.clip(k_r[0, 0], 0.0, 1.0)),
-        accel_bias=float(np.clip(abs(k_t[2, 0]), 0.0, BIAS_GAIN_CLAMP)),
-        gyro_bias=float(np.clip(abs(k_r[1, 0]), 0.0, BIAS_GAIN_CLAMP)),
+        position=min(max(float(k_t[0, 0]), 0.0), 1.0),
+        velocity=min(max(float(k_t[1, 0] * POSE_PERIOD), 0.0), 1.0),
+        orientation=min(max(float(k_r[0, 0]), 0.0), 1.0),
+        accel_bias=min(max(float(abs(k_t[2, 0])), 0.0), BIAS_GAIN_CLAMP),
+        gyro_bias=min(max(float(abs(k_r[1, 0])), 0.0), BIAS_GAIN_CLAMP),
     )
     return weights, (math.sqrt(float(s_t[0, 0])), math.sqrt(float(s_r[0, 0])))

@@ -59,14 +59,7 @@ class Quat:
                                     np.asarray(v, dtype=float).tolist()))
 
     def to_matrix(self) -> np.ndarray:
-        w, x, y, z = self.w, self.x, self.y, self.z
-        return np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
+        return rotation_matrix(self.w, self.x, self.y, self.z)
 
     @staticmethod
     def from_matrix(m) -> "Quat":
@@ -132,13 +125,6 @@ class Pose:
     @staticmethod
     def identity(stamp: float = 0.0) -> "Pose":
         return Pose(np.zeros(3), Quat.identity(), stamp)
-
-    def matrix(self) -> np.ndarray:
-        """4x4 homogeneous transform."""
-        m = np.eye(4)
-        m[:3, :3] = self.orientation.to_matrix()
-        m[:3, 3] = self.position
-        return m
 
 
 @dataclass(frozen=True)
@@ -264,6 +250,15 @@ def quat_rotate(q, v) -> tuple:
     d0, d1, d2 = cross3(u, t)
     v0, v1, v2 = v
     return (v0 + w * t[0] + d0, v1 + w * t[1] + d1, v2 + w * t[2] + d2)
+
+
+def rotation_matrix(w: float, x: float, y: float, z: float) -> np.ndarray:
+    """Rotation matrix of (w, x, y, z) as given, built from one flat tuple:
+    C-ordered as a nested-list array is, so `.T @ u` takes the same gemv."""
+    return np.array((1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+                     2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+                     2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y))
+                    ).reshape(3, 3)
 
 
 def _norm(v) -> float:

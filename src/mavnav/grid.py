@@ -196,20 +196,6 @@ def _walk(grid: OccupancyGrid, g0: np.ndarray, g1: np.ndarray):
     return passed[new], end
 
 
-def traverse_ray(grid: OccupancyGrid, start, end):
-    """Voxels crossed by the segment start->end, in order.
-
-    Returns (passed, hit): `passed` excludes the voxel containing `end`;
-    `hit` is the end voxel index or None when it lies outside the grid.
-    Out-of-grid voxels along the way are dropped. Raises ValueError on a
-    non-finite endpoint.
-    """
-    g = (point_rows([start, end], "ray endpoints") - grid.origin) / grid.resolution
-    passed, end_flat = _walk(grid, g[0][:, None], g[1][:, None])
-    hit = np.array(np.unravel_index(end_flat[0], grid.dims)) if end_flat[0] >= 0 else None
-    return np.column_stack(np.unravel_index(passed, grid.dims)), hit
-
-
 def integrate_scan(grid: OccupancyGrid, origin: Pose, hits) -> OccupancyGrid:
     """Log-odds update for one range scan: rays from `origin` to each hit point.
 

@@ -5,9 +5,9 @@ sample to the filter, recomputes the control command at the IMU rate
 from the latest estimate (the simulator holds it in between), and
 applies delayed pose corrections as they arrive. Floats pass between the
 layers on every tick: the simulator's IMU reading, the filter's
-`NavState` and the controller's command. The loop reads the simulator's
-`VehicleState` once, for the filter's first state. The log grows
-as flat float buffers that become its arrays once, at the end.
+`NavState`, the reference's float 3-tuples and the controller's command.
+The loop reads the simulator's `VehicleState` once, for the filter's
+first state, and grows the log as flat float buffers, arrays at the end.
 
 Every run has one configuration: the default vehicle and sensor noise,
 the gains `place_poles` derives for that vehicle, and the filter weights
@@ -50,8 +50,11 @@ class LoopLog:
 
 
 def hover_ref_fn(position):
+    """Hover at `position` with heading 0; ValueError unless a finite 3-vector."""
     target = np.asarray(position, dtype=float)
-    z = np.zeros(3)
+    if target.shape != (3,) or not np.isfinite(target).all():
+        raise ValueError(f"hover position must be a finite 3-vector, got {position!r}")
+    target, z = tuple(target.tolist()), (0.0, 0.0, 0.0)
 
     def ref(t: float) -> RefPoint:
         return RefPoint(target, z, z, 0.0, 0.0, t)
@@ -105,7 +108,7 @@ def run_closed_loop(
         stamps.append(imu.stamp)
         truth.extend(sim.position)
         est.extend(nav.position)
-        refs.extend(ref.position.tolist())
+        refs.extend(ref.position)
         thrusts.append(thrust)
     rows = [np.array(buf).reshape(-1, 3) for buf in (truth, est, refs)]
     return LoopLog(np.array(stamps), *rows, np.array(thrusts))

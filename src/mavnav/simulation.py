@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import Pose, Quat, Twist, quat_normalize
+from .geometry import Pose, Quat, Twist, quat_normalize, rotation_matrix
 
 GRAVITY = np.array([0.0, 0.0, -9.81])  # world frame, z up [m/s^2]
 GRAVITY.flags.writeable = False
@@ -318,8 +318,8 @@ class Simulator:
         dt = t1 - t0
         u = np.array([(x[3] - x0[3]) / dt - _GX, (x[4] - x0[4]) / dt - _GY,
                       (x[5] - x0[5]) / dt - _GZ])
-        # a 3x3 @ 3-vector product (gemv) rounds unlike per-row dots, so it stays numpy
-        fx, fy, fz = (Quat(*x[6:10]).to_matrix().T @ u).tolist()
+        # a gemv rounds unlike per-row dots; the flat-built matrix is C-ordered like a nested list
+        fx, fy, fz = (rotation_matrix(x[6], x[7], x[8], x[9]).T @ u).tolist()
         (abx, aby, abz), (gbx, gby, gbz) = self._ab, self._gb
         imu = ImuSample(t1, (fx + abx + nfx, fy + aby + nfy, fz + abz + nfz),
                         (x[10] + gbx + nwx, x[11] + gby + nwy, x[12] + gbz + nwz))
@@ -333,5 +333,5 @@ class Simulator:
             line = self._delay_line
             if len(line) == line.maxlen:
                 meas = sample_pose_sensor(line[0], t1, self.noise, self._rng_pose)
-            line.append(self.state.pose)
+            line.append(Pose(np.array(x[0:3]), Quat(x[6], x[7], x[8], x[9]), t1))
         return imu, meas

@@ -25,11 +25,11 @@ import numpy as np
 @dataclass(frozen=True)
 class RefPoint:
     """Trajectory reference: position, velocity and acceleration, the
-    derivatives the controller tracks."""
+    derivatives the controller tracks, each a 3-tuple of Python floats."""
 
-    position: np.ndarray
-    velocity: np.ndarray
-    accel: np.ndarray
+    position: tuple
+    velocity: tuple
+    accel: tuple
     heading: float
     heading_rate: float
     stamp: float
@@ -148,14 +148,13 @@ def eval_spline(spline: QuinticSpline, t: float) -> RefPoint:
         for a in terms:
             acc = acc * tau + a
         vals.append(acc)
-    vals = np.array(vals).reshape(3, 4)
+    px, py, pz, psi, vx, vy, vz, rate, ax, ay, az, _ = vals
     if clamped:
-        vals[1:] = 0.0
-    heading = math.remainder(vals[0, 3], math.tau)
+        vx = vy = vz = rate = ax = ay = az = 0.0
+    heading = math.remainder(psi, math.tau)
     if heading <= -math.pi:
         heading += math.tau
-    # rows: position, velocity, accel
-    return RefPoint(*vals[:, :3], heading, float(vals[1, 3]), t, clamped)
+    return RefPoint((px, py, pz), (vx, vy, vz), (ax, ay, az), heading, rate, t, clamped)
 
 
 def spline_from_path(waypoints: np.ndarray, times: np.ndarray) -> QuinticSpline:

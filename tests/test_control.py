@@ -23,9 +23,15 @@ PARAMS = VehicleParams()
 LEVEL = NavState()  # at rest at the origin, level
 
 
+def float3(v) -> tuple:
+    """A 3-vector as the float 3-tuple that `RefPoint` carries."""
+    x, y, z = np.asarray(v, dtype=float).tolist()
+    return (x, y, z)
+
+
 def hover_ref(position=(0.0, 0.0, 0.0), heading=0.0):
-    z = np.zeros(3)
-    return RefPoint(np.asarray(position, dtype=float), z, z, heading, 0.0, 0.0)
+    z = (0.0, 0.0, 0.0)
+    return RefPoint(float3(position), z, z, heading, 0.0, 0.0)
 
 
 def desired_attitude_oracle(f_vec, heading):
@@ -46,13 +52,14 @@ def controller_step_oracle(ctl, nav, ref, body_rate, dt):
     controller's state; returns (thrust, torque, integrator, r_des, freefall)."""
     g, p = ctl.gains, ctl.vehicle
     position, velocity = np.array(nav.position), np.array(nav.velocity)
-    e_p = ref.position - position
-    e_v = ref.velocity - velocity
+    ref_p, ref_v, ref_a = map(np.array, (ref.position, ref.velocity, ref.accel))
+    e_p = ref_p - position
+    e_v = ref_v - velocity
     integrator = np.clip(np.array(ctl.integrator) + e_p * dt, -g.integrator_limit,
                          g.integrator_limit)
     kp = np.array([g.kp_planar, g.kp_planar, g.kp_vertical])
     kd = np.array([g.kd_planar, g.kd_planar, g.kd_vertical])
-    a_cmd = ref.accel + kp * e_p + kd * e_v + g.ki * integrator
+    a_cmd = ref_a + kp * e_p + kd * e_v + g.ki * integrator
     a_cmd = a_cmd + (p.drag / p.mass) * velocity
     f_vec = a_cmd - GRAVITY
     freefall = bool(np.linalg.norm(f_vec) < -0.1 * GRAVITY[2])
@@ -95,8 +102,8 @@ def assert_step_matches_oracle(ctl, nav, ref, body_rate, dt=0.01):
 
 
 def ref_point(position, velocity, accel, heading, heading_rate):
-    return RefPoint(np.asarray(position, dtype=float), np.asarray(velocity, dtype=float),
-                    np.asarray(accel, dtype=float), heading, heading_rate, 0.0)
+    return RefPoint(float3(position), float3(velocity), float3(accel), heading, heading_rate,
+                    0.0)
 
 
 class TestIntegratorChainGains:
@@ -146,8 +153,8 @@ class TestControlStep:
         ctl = Controller(place_poles(vehicle=PARAMS), PARAMS)
         ctl.step(LEVEL, hover_ref(position=(1.0, 0, 0)), np.zeros(3), 0.01)
         held = ctl.last_r_des.copy()
-        z = np.zeros(3)
-        falling = RefPoint(z, z, np.array([0, 0, -9.81]), 0.0, 0.0, 0.0)
+        z = (0.0, 0.0, 0.0)
+        falling = RefPoint(z, z, (0.0, 0.0, -9.81), 0.0, 0.0, 0.0)
         ctl.step(LEVEL, falling, np.zeros(3), 0.01)
         assert ctl.freefall_events == 1
         np.testing.assert_array_equal(ctl.last_r_des, held)

@@ -17,9 +17,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "mavnav"
-KEEP = {"traverse_ray", "run_hover", "run_wind_step"}
+KEEP = {"run_hover", "run_wind_step"}
 KEEP_METHODS = {
-    "Pose.matrix": "the 4x4 homogeneous-matrix oracle of the compose tests",
     "Quat.angle_to": "the tests' measure of rotation error",
 }
 

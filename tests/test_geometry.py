@@ -13,6 +13,8 @@ from mavnav.geometry import (
     cross3,
     inverse,
     quat_from_axis_angle,
+    quat_normalize,
+    rotation_matrix,
 )
 from mavnav.simulation import PoseMeasurement
 
@@ -28,9 +30,17 @@ def random_pose(rng, stamp=0.0) -> Pose:
     return Pose(rng.normal(size=3) * 5.0, random_quat(rng), stamp)
 
 
+def pose_matrix(p: Pose) -> np.ndarray:
+    """4x4 homogeneous transform."""
+    m = np.eye(4)
+    m[:3, :3] = p.orientation.to_matrix()
+    m[:3, 3] = p.position
+    return m
+
+
 def mat_oracle_compose(a: Pose, b: Pose) -> np.ndarray:
     # independent 4x4 homogeneous-matrix route
-    return a.matrix() @ b.matrix()
+    return pose_matrix(a) @ pose_matrix(b)
 
 
 unit_quats = st.tuples(
@@ -93,6 +103,15 @@ def from_rotvec_oracle(rv) -> tuple:
     return normalized_oracle((math.cos(half), axis[0] * s, axis[1] * s, axis[2] * s))
 
 
+def rotation_matrix_oracle(w, x, y, z) -> np.ndarray:
+    """The rotation matrix as a nested-list array."""
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
 def wxyz(q: Quat) -> tuple:
     return (q.w, q.x, q.y, q.z)
 
@@ -136,6 +155,26 @@ class TestFloatKernels:
     @settings(max_examples=300, deadline=None)
     def test_from_rotvec_matches_oracle(self, rv):
         assert wxyz(Quat.from_rotvec(rv)) == from_rotvec_oracle(rv)
+
+    def test_rotation_matrix_matches_nested_list_oracle(self):
+        """Bit for bit, the matrix and its transpose times three vectors (the
+        simulator's and the filter's gemv), on a seeded sweep of unit
+        quaternions, non-unit ones, half turns (w == 0) and the zero
+        quaternion; the matrix is C-ordered, and `Quat.to_matrix` gives it."""
+        rng = np.random.default_rng(29)
+        sweep = [quat_normalize(*q) for q in rng.normal(size=(300, 4)).tolist()]
+        scale = rng.choice([1e-3, 0.5, 3.0, 1e3], (100, 1))
+        non_unit = (rng.normal(size=(100, 4)) * scale).tolist()
+        half = [quat_normalize(0.0, *v) for v in rng.normal(size=(50, 3)).tolist()]
+        exact = [(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0),
+                 (0.0, -0.6, 0.8, 0.0), (1.0, -0.0, 0.0, -0.0), (0.0, 0.0, 0.0, 0.0)]
+        for q in sweep + non_unit + half + exact:
+            got, want = rotation_matrix(*q), rotation_matrix_oracle(*q)
+            assert got.dtype == want.dtype and got.shape == want.shape == (3, 3)
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes(), q
+            assert Quat(*q).to_matrix().tobytes() == want.tobytes()
+            for u in rng.normal(size=(3, 3)) * rng.choice([1e-3, 1.0, 1e3], size=(3, 1)):
+                assert (got.T @ u).tobytes() == (want.T @ u).tobytes(), (q, u)
 
     def test_half_turn_sign_is_canonical(self):
         assert wxyz(Quat(0.0, -0.6, 0.8, 0.0).normalized()) == (0.0, -0.6, 0.8, 0.0)
@@ -232,7 +271,7 @@ class TestComposeInverse:
             np.testing.assert_allclose(back.position, t.position, atol=1e-9)
             assert back.orientation.angle_to(t.orientation) < 1e-9
             np.testing.assert_allclose(
-                inverse(t).matrix(), np.linalg.inv(t.matrix()), atol=1e-9
+                pose_matrix(inverse(t)), np.linalg.inv(pose_matrix(t)), atol=1e-9
             )
 
     def test_associativity_against_matrix_oracle(self):
@@ -243,8 +282,8 @@ class TestComposeInverse:
             right = compose(a, compose(b, c))
             np.testing.assert_allclose(left.position, right.position, atol=1e-9)
             assert left.orientation.angle_to(right.orientation) < 1e-9
-            oracle = mat_oracle_compose(a, b) @ c.matrix()
-            np.testing.assert_allclose(left.matrix(), oracle, atol=1e-9)
+            oracle = mat_oracle_compose(a, b) @ pose_matrix(c)
+            np.testing.assert_allclose(pose_matrix(left), oracle, atol=1e-9)
 
     def test_group_axioms(self):
         rng = np.random.default_rng(42)

@@ -12,8 +12,8 @@ from mavnav.grid import (
     UNKNOWN,
     LogOddsParams,
     OccupancyGrid,
+    _walk,
     integrate_scan,
-    traverse_ray,
 )
 
 
@@ -22,6 +22,20 @@ grid_dims = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6))
 
 def fresh(dims=(20, 20, 20), res=0.2, origin=(0, 0, 0)):
     return OccupancyGrid(origin, res, dims)
+
+
+def traverse_ray(grid, start, end):
+    """Voxels crossed by the segment start->end, in order, as `_walk` finds
+    them for one ray: the walk `integrate_scan` runs on every ray at once.
+
+    Returns (passed, hit): `passed` excludes the voxel containing `end`;
+    `hit` is the end voxel index or None when it lies outside the grid.
+    Out-of-grid voxels along the way are dropped.
+    """
+    g = (np.array([start, end], dtype=float) - grid.origin) / grid.resolution
+    passed, end_flat = _walk(grid, g[0][:, None], g[1][:, None])
+    hit = np.array(np.unravel_index(end_flat[0], grid.dims)) if end_flat[0] >= 0 else None
+    return np.column_stack(np.unravel_index(passed, grid.dims)), hit
 
 
 def _traverse_ray_loop(grid, start, end):

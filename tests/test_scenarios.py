@@ -29,7 +29,7 @@ def _loop_run_closed_loop(ref_fn, duration, wind=WindProfile(), seed=0, initial_
     """`run_closed_loop` on the layers' objects, as before floats passed
     between them: the filter starts from the simulator's `VehicleState`,
     and every tick reads that state, logs numpy copies of the filter's
-    position and takes the body rate on numpy arrays."""
+    position and the reference's, and takes the body rate on numpy arrays."""
     params, noise = VehicleParams(), NoiseConfig()
     sim = Simulator(params, noise, wind, seed, initial_state)
     controller = Controller(place_poles(vehicle=params), params)
@@ -55,7 +55,7 @@ def _loop_run_closed_loop(ref_fn, duration, wind=WindProfile(), seed=0, initial_
         log["t"].append(imu.stamp)
         log["truth_pos"].append(sim.state.pose.position)
         log["est_pos"].append(np.array(nav.position))
-        log["ref_pos"].append(ref.position.copy())
+        log["ref_pos"].append(np.asarray(ref.position, dtype=float))
         log["thrust"].append(thrust)
     return LoopLog(**{name: np.array(rows) for name, rows in log.items()})
 
@@ -124,6 +124,19 @@ def test_reading_state_and_estimate_every_tick_changes_nothing(monkeypatch):
 
     monkeypatch.setattr(Simulator, "step", reading_step)
     assert_logs_equal(gusty_flight(run_closed_loop, 7), unread)
+
+
+def test_hover_ref_holds_its_position_as_float_tuples():
+    ref = hover_ref_fn(np.array([1, -2, 3]))(0.5)
+    assert ref.position == (1.0, -2.0, 3.0) and type(ref.position[0]) is float
+    assert ref.velocity == ref.accel == (0.0, 0.0, 0.0) and ref.stamp == 0.5
+
+
+@pytest.mark.parametrize("position", [[0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [[0.0, 0.0, 1.0]], 1.0,
+                                      [0.0, math.nan, 1.0], [math.inf, 0.0, 1.0], None])
+def test_hover_ref_rejects_a_bad_position_at_once(position):
+    with pytest.raises(ValueError, match="hover position must be a finite 3-vector"):
+        hover_ref_fn(position)
 
 
 @pytest.mark.parametrize("duration", [math.nan, -1.0, 0.0, math.inf, -math.inf])

@@ -306,6 +306,24 @@ class TestOracleParity:
                 for name in REF_FIELDS:
                     assert _bits(getattr(r, name)) == _bits(getattr(o, name)), (name, t)
 
+    def test_reference_is_float_tuples(self):
+        """Position, velocity and acceleration are 3-tuples of Python floats,
+        bit-equal to the triple loop's; clamped ends give +0.0 derivatives."""
+        s = fit_spline(*demo_waypoints())
+        k = s.knots
+        ends = [k[0] - 1.0, -math.inf, k[-1] + 1.0, math.inf]
+        for t in [*np.linspace(k[0], k[-1], 61).tolist(), *k.tolist(), *ends]:
+            r, o = eval_spline(s, float(t)), eval_spline_oracle(s, float(t))
+            assert r.clamped == o.clamped
+            for name in ("position", "velocity", "accel"):
+                got = getattr(r, name)
+                assert type(got) is tuple and [type(c) for c in got] == [float] * 3, (name, t)
+                assert _bits(got) == _bits(getattr(o, name)), (name, t)
+            assert type(r.heading) is float and type(r.heading_rate) is float
+            if r.clamped:
+                derivs = (*r.velocity, *r.accel, r.heading_rate)
+                assert all(c == 0.0 and math.copysign(1.0, c) == 1.0 for c in derivs), t
+
     def test_random_waypoint_sets(self):
         rng = np.random.default_rng(18)
         for _ in range(240):
