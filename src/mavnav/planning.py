@@ -3,9 +3,11 @@
 A Euclidean distance transform (unknown counts as obstacle) and a
 probabilistic roadmap are precomputed once per map. One batched kernel
 gives every straight segment its clearance and its cost, which penalizes
-length, low obstacle clearance and altitude change. Queries run scipy's
-Dijkstra, shorten the raw path under a bounded cost increase, and attach
-a curvature-limited speed plan.
+length, low obstacle clearance and altitude change. It builds each
+segment's samples from repeats of its row, not from per-sample gathers,
+and costs each row on its own. Queries run scipy's Dijkstra, shorten the
+raw path under a bounded cost increase, keeping the legs already costed
+across each elision, and attach a curvature-limited speed plan.
 """
 
 from __future__ import annotations
@@ -119,16 +121,25 @@ def _segments(prox: ProximityMap, p, q, cfg: PlannerConfig) -> tuple[np.ndarray,
     d = q - p
     length = np.sqrt(row_dot(d, d))
     n = np.maximum(np.ceil(length / (0.5 * prox.resolution)), 1).astype(int)
-    seg = np.repeat(np.arange(len(d)), n + 1)
-    first = np.cumsum(n + 1) - (n + 1)
-    k = np.arange(len(seg)) - first[seg]  # sample's rank within its segment
-    t = k * (1.0 / n)[seg]  # as np.linspace computes it, last sample exactly 1
-    t[k == n[seg]] = 1.0
-    pts = p[seg] + t[:, None] * d[seg]
+    m = n + 1  # samples per segment
+    last = np.cumsum(m) - 1
+    first = last - n
+    # t = rank within the segment / n, as np.linspace computes it, last sample exactly 1
+    t = np.repeat(1.0 / n, m)
+    t *= np.arange(len(t)) - np.repeat(first, m)
+    t[last] = 1.0
+    pts = np.repeat(d, m, axis=0)
+    pts *= t[:, None]
+    pts += np.repeat(p, m, axis=0)
+    del t  # freed before each lookup, as is pts: bounds a roadmap block's peak memory
     clear = np.minimum.reduceat(prox.distance_at(pts), first) >= cfg.clearance_radius
 
-    inner = np.flatnonzero(k < n[seg])
-    mids = 0.5 * (pts[inner] + pts[inner + 1])
+    inner = np.ones(len(pts), dtype=bool)  # not the last sample of its segment
+    inner[last] = False
+    mids = pts[:-1] + pts[1:]
+    del pts
+    mids = mids[inner[:-1]]
+    mids *= 0.5
     penalty = np.maximum(0.0, cfg.d_safe - prox.distance_at(mids)) / cfg.d_safe
     ds = length / n
     cost = length + cfg.lambda_prox * np.add.reduceat(penalty, np.cumsum(n) - n) * ds
@@ -267,26 +278,29 @@ def shorten_path(
     """Iterative waypoint elision under a bounded total-cost increase.
 
     A skip-ahead is accepted only if it stays collision-free and the
-    whole path's cost does not exceed (1 + budget) x the input cost.
+    whole path's cost does not exceed (1 + budget) x the input cost. The
+    legs' costs are kept across elisions: `_segments` costs each row on
+    its own, so they are what costing the new waypoints again would give.
     """
     wps = np.array(path.waypoints, dtype=float)
-    budget = (1.0 + cfg.shorten_budget) * path_cost(prox, wps, cfg)
+    legs = _segments(prox, wps[:-1], wps[1:], cfg)[1]
+    budget = (1.0 + cfg.shorten_budget) * np.sum(legs)
     changed = True
     while changed:
         changed = False
         i = 0
-        legs = _segments(prox, wps[:-1], wps[1:], cfg)[1]
         while i < len(wps) - 2:
             skips = np.arange(len(wps) - 1, i + 1, -1)  # farthest first
             clear, cost = _segments(prox, wps[i], wps[skips], cfg)
             for j, c in zip(skips[clear], cost[clear]):
-                if np.sum(np.concatenate([legs[:i], [c], legs[j:]])) <= budget + 1e-12:
+                kept = np.concatenate([legs[:i], [c], legs[j:]])
+                if np.sum(kept) <= budget + 1e-12:
                     wps = np.concatenate([wps[: i + 1], wps[j:]])
-                    legs = _segments(prox, wps[:-1], wps[1:], cfg)[1]
+                    legs = kept
                     changed = True
                     break
             i += 1
-    return PlannedPath(wps, path_cost(prox, wps, cfg))
+    return PlannedPath(wps, float(np.sum(legs)))
 
 
 def _curvature(a, b, c) -> float:
@@ -308,6 +322,9 @@ def speed_plan(
     Segment times assume constant acceleration (speed linear in time),
     so dt = 2 d / (v_i + v_j); endpoints are pinned to speed 0.
     """
+    for name, value in (("v_max", v_max), ("a_lat_max", a_lat_max), ("a_lon_max", a_lon_max)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     wps = np.asarray(path.waypoints, dtype=float)
     n = len(wps)
     if n < 2:

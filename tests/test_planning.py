@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from mavnav import planning
+from mavnav.geometry import row_dot
 from mavnav.grid import FREE, OCCUPIED, OccupancyGrid
 from mavnav.planning import (
     PlannedPath,
@@ -66,6 +69,66 @@ def _edge_cost_loop(prox: ProximityMap, p, q, cfg: PlannerConfig) -> float:
     return length + cfg.lambda_prox * float(penalty.sum()) * ds + cfg.lambda_alt * abs(
         float(q[2] - p[2])
     )
+
+
+def _segments_gather(prox: ProximityMap, p, q, cfg: PlannerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """`_segments` with each sample's endpoint, direction and step gathered
+    per sample, and the midpoints from two gathers of the inner samples:
+    the oracle of the row-repeat kernel, which must match it byte for byte."""
+    p, q = np.broadcast_arrays(np.atleast_2d(np.asarray(p, dtype=float)),
+                               np.atleast_2d(np.asarray(q, dtype=float)))
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise ValueError("segment endpoints must be finite")
+    d = q - p
+    length = np.sqrt(row_dot(d, d))
+    n = np.maximum(np.ceil(length / (0.5 * prox.resolution)), 1).astype(int)
+    seg = np.repeat(np.arange(len(d)), n + 1)
+    first = np.cumsum(n + 1) - (n + 1)
+    k = np.arange(len(seg)) - first[seg]  # sample's rank within its segment
+    t = k * (1.0 / n)[seg]  # as np.linspace computes it, last sample exactly 1
+    t[k == n[seg]] = 1.0
+    pts = p[seg] + t[:, None] * d[seg]
+    clear = np.minimum.reduceat(prox.distance_at(pts), first) >= cfg.clearance_radius
+
+    inner = np.flatnonzero(k < n[seg])
+    mids = 0.5 * (pts[inner] + pts[inner + 1])
+    penalty = np.maximum(0.0, cfg.d_safe - prox.distance_at(mids)) / cfg.d_safe
+    ds = length / n
+    cost = length + cfg.lambda_prox * np.add.reduceat(penalty, np.cumsum(n) - n) * ds
+    # a segment whose length rounds to 0 costs 0, whatever its dz
+    return clear, np.where(length > 0, cost + cfg.lambda_alt * np.abs(d[:, 2]), 0.0)
+
+
+def _shorten_path_loop(path: PlannedPath, prox: ProximityMap, cfg: PlannerConfig) -> PlannedPath:
+    """`shorten_path` costing every leg again after each elision and at the
+    start of each pass: the oracle of the kept legs."""
+    wps = np.array(path.waypoints, dtype=float)
+    budget = (1.0 + cfg.shorten_budget) * path_cost(prox, wps, cfg)
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        legs = _segments(prox, wps[:-1], wps[1:], cfg)[1]
+        while i < len(wps) - 2:
+            skips = np.arange(len(wps) - 1, i + 1, -1)  # farthest first
+            clear, cost = _segments(prox, wps[i], wps[skips], cfg)
+            for j, c in zip(skips[clear], cost[clear]):
+                if np.sum(np.concatenate([legs[:i], [c], legs[j:]])) <= budget + 1e-12:
+                    wps = np.concatenate([wps[: i + 1], wps[j:]])
+                    legs = _segments(prox, wps[:-1], wps[1:], cfg)[1]
+                    changed = True
+                    break
+            i += 1
+    return PlannedPath(wps, path_cost(prox, wps, cfg))
+
+
+def _assert_same_shortening(path: PlannedPath, grid: OccupancyGrid, prox: ProximityMap,
+                            cfg: PlannerConfig) -> PlannedPath:
+    out = shorten_path(path, grid, prox, cfg)
+    want = _shorten_path_loop(path, prox, cfg)
+    assert out.waypoints.tobytes() == want.waypoints.tobytes()
+    assert type(out.cost) is float and out.cost == want.cost
+    return out
 
 
 def _distance_at_per_axis(prox: ProximityMap, points) -> np.ndarray:
@@ -215,6 +278,75 @@ def test_segments_match_scalar_oracles(rows, radius):
     assert clear.tolist() == [_segment_clear_loop(g, prox, p, q, cfg) for p, q in rows]
     want = [_edge_cost_loop(prox, p, q, cfg) for p, q in rows]
     np.testing.assert_allclose(cost, want, rtol=1e-12, atol=0)
+    gather = _segments_gather(prox, rows[:, 0], rows[:, 1], cfg)
+    assert [clear.tobytes(), cost.tobytes()] == [x.tobytes() for x in gather]
+
+
+def test_segments_of_an_empty_batch():
+    _, prox = _oracle_world()
+    empty = np.empty((0, 3))
+    clear, cost = _segments(prox, empty, empty, PlannerConfig())
+    assert (clear.dtype, clear.shape, cost.dtype, cost.shape) == (bool, (0,), float, (0,))
+    gather = _segments_gather(prox, empty, empty, PlannerConfig())
+    assert [clear.tobytes(), cost.tobytes()] == [x.tobytes() for x in gather]
+
+
+def test_segments_end_exactly_on_q():
+    # 49 * (1 / 49) rounds below 1: a last sample at that t would land in
+    # the voxel before q, short of the slab's clearance shell that q is in
+    g = free_grid(dims=(32, 8, 8), res=0.25)
+    states = g.states()
+    states[26:, :, :] = OCCUPIED
+    g.set_states(states)
+    prox = build_proximity_map(g, clamp=10.0)
+    cfg = PlannerConfig(clearance_radius=0.3)
+    p, q = np.array([[0.125, 1.0, 1.0]]), np.array([[6.25, 1.0, 1.0]])  # n = 6.125 / 0.125 = 49
+    assert 49 * (1.0 / 49) < 1.0
+    assert prox.distance_at(q)[0] < cfg.clearance_radius <= prox.distance_at(np.nextafter(q, 0))[0]
+    clear, cost = _segments(prox, p, q, cfg)
+    assert clear.tolist() == [_segment_clear_loop(g, prox, p[0], q[0], cfg)] == [False]
+    gather = _segments_gather(prox, p, q, cfg)
+    assert [clear.tobytes(), cost.tobytes()] == [x.tobytes() for x in gather]
+
+
+def _roadmap_block():
+    """(prox, p, q, cfg) of the first full `_PAIR_BLOCK` of candidate
+    pairs of a roadmap sampled on a cluttered grid, as build_roadmap
+    orders and checks them."""
+    rng = np.random.default_rng(3)
+    dims = (24, 24, 8)
+    g = OccupancyGrid((0, 0, 0), 0.5, dims)
+    g.set_states(np.where(rng.random(dims) < 0.05, OCCUPIED, FREE).astype(np.uint8))
+    prox = build_proximity_map(g, clamp=10.0)
+    cfg = PlannerConfig(clearance_radius=0.3)
+    rm = build_roadmap(g, prox, 200, 1.5, seed=3, cfg=cfg)
+    pairs = cKDTree(rm.vertices).query_pairs(1.5, output_type="ndarray")
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))][: planning._PAIR_BLOCK]
+    assert len(pairs) == planning._PAIR_BLOCK
+    return prox, rm.vertices[pairs[:, 0]], rm.vertices[pairs[:, 1]], cfg
+
+
+def test_segments_of_a_roadmap_block_match_gather():
+    prox, p, q, cfg = _roadmap_block()
+    clear, cost = _segments(prox, p, q, cfg)
+    assert 0 < np.count_nonzero(clear) < len(clear)
+    gather = _segments_gather(prox, p, q, cfg)
+    assert [clear.tobytes(), cost.tobytes()] == [x.tobytes() for x in gather]
+
+
+def test_segments_peak_memory_not_above_gather():
+    # a roadmap block's sample arrays set flight_gust's process peak
+    prox, p, q, cfg = _roadmap_block()
+    peaks = []
+    for kernel in (_segments, _segments_gather):
+        kernel(prox, p, q, cfg)  # warm up
+        tracemalloc.start()
+        try:
+            kernel(prox, p, q, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1], peaks
 
 
 class TestInputValidation:
@@ -479,6 +611,7 @@ class TestPlanPath:
         path = plan_path(rm, g, prox, start, goal, cfg)
         assert path.cost == pytest.approx(oracle, rel=1e-9)
         assert len(path.waypoints) > 2
+        _assert_same_shortening(path, g, prox, cfg)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("k", [1, 4, 17])
@@ -554,6 +687,10 @@ class TestPlanPath:
 
 
 class TestShortenPath:
+    ZIGZAG = np.array(
+        [[1, 1, 1], [2, 3, 1], [3, 1, 1], [4, 3, 1], [5, 1, 1], [6, 3, 1], [7, 1, 1.0]]
+    )
+
     def setup_method(self):
         self.g = free_grid(dims=(24, 24, 6), res=0.5)
         self.prox = build_proximity_map(self.g, clamp=10.0)
@@ -565,15 +702,27 @@ class TestShortenPath:
         assert out.waypoints.shape == (2, 3)
 
     def test_zigzag_collapses(self):
-        wps = np.array(
-            [[1, 1, 1], [2, 3, 1], [3, 1, 1], [4, 3, 1], [5, 1, 1], [6, 3, 1], [7, 1, 1.0]]
-        )
+        wps = self.ZIGZAG
         p = PlannedPath(wps, 0.0)
-        out = shorten_path(p, self.g, self.prox, self.cfg)
+        out = _assert_same_shortening(p, self.g, self.prox, self.cfg)
         assert len(out.waypoints) == 2
         assert out.cost <= (1 + self.cfg.shorten_budget) * path_cost(
             self.prox, wps, self.cfg
         ) + 1e-9
+
+    def test_zigzag_costs_its_legs_once(self, monkeypatch):
+        # one call for the legs and one from the first waypoint, whose skip
+        # to the goal is taken: none after the elision, none for the cost
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _segments(*args)
+
+        monkeypatch.setattr(planning, "_segments", spy)
+        out = shorten_path(PlannedPath(self.ZIGZAG, 0.0), self.g, self.prox, self.cfg)
+        assert len(out.waypoints) == 2
+        assert len(calls) == 2
 
     def test_corner_clip_rejected(self):
         g = free_grid(dims=(24, 24, 6), res=0.5)
@@ -584,7 +733,7 @@ class TestShortenPath:
         cfg = PlannerConfig(clearance_radius=0.3)
         wps = np.array([[2.0, 2.0, 1.0], [5.5, 7.5, 1.0], [9.0, 7.5, 1.0], [11.0, 2.0, 1.0]])
         p = PlannedPath(wps, 0.0)
-        out = shorten_path(p, g, prox, cfg)
+        out = _assert_same_shortening(p, g, prox, cfg)
         # the elision jumping across the wall must be rejected
         for i in range(len(out.waypoints) - 1):
             assert segment_clear(g, prox, out.waypoints[i], out.waypoints[i + 1], cfg)
@@ -599,6 +748,17 @@ class TestShortenPath:
 
 
 class TestSpeedPlan:
+    @pytest.mark.parametrize("limit, value", [
+        ("v_max", math.nan), ("v_max", -1.0), ("v_max", 0.0), ("v_max", math.inf),
+        ("a_lat_max", math.nan), ("a_lat_max", 0.0), ("a_lat_max", -2.0),
+        ("a_lon_max", 0.0), ("a_lon_max", math.inf), ("a_lon_max", math.nan),
+    ])
+    def test_rejects_bad_limit_by_name(self, limit, value):
+        wps = np.array([[0, 0, 0], [5, 0, 0], [5, 5, 0.0]])
+        limits = {"v_max": 2.0, "a_lat_max": 1.0, "a_lon_max": 1.0, limit: value}
+        with pytest.raises(ValueError, match=limit):
+            speed_plan(PlannedPath(wps, 0.0), **limits)
+
     def test_straight_path_hits_vmax(self):
         wps = np.array([[0, 0, 0], [5, 0, 0], [10, 0, 0], [15, 0, 0], [20, 0, 0.0]])
         out = speed_plan(PlannedPath(wps, 0.0), v_max=4.0, a_lat_max=5.0, a_lon_max=4.0)
